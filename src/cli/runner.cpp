@@ -65,6 +65,57 @@ void write_metrics_file(const RunnerConfig& config,
   }
 }
 
+/// One --history ledger record, shared by the plain and coordinator paths:
+/// identity, tallies, throughput, and the estimator's overall and per-cell
+/// intervals (left zero without an estimator). Callers add the run id and
+/// the status flags.
+telemetry::HistoryRecord history_record(
+    const RunnerConfig& config, std::string_view workload,
+    std::uint64_t fingerprint, const fi::OutcomeTally& tally,
+    std::uint64_t not_injected, double elapsed_seconds,
+    const telemetry::CampaignEstimator* estimator) {
+  telemetry::HistoryRecord record;
+  record.workload = std::string(workload);
+  record.fingerprint = fingerprint;
+  record.git_revision = telemetry::git_describe();
+  record.seed = config.seed;
+  record.jobs = config.jobs;
+  record.trials_target = config.trials;
+  record.completed = tally.total();
+  record.masked = tally.masked;
+  record.sdc = tally.sdc;
+  record.due = tally.due;
+  record.not_injected = not_injected;
+  record.elapsed_seconds = elapsed_seconds;
+  record.trials_per_sec =
+      elapsed_seconds > 0.0
+          ? static_cast<double>(tally.total()) / elapsed_seconds
+          : 0.0;
+  if (estimator == nullptr) return record;
+  const util::Interval sdc_ci = estimator->sdc_interval();
+  const util::Interval due_ci = estimator->due_interval();
+  record.sdc_rate = sdc_ci.point;
+  record.sdc_ci_lo = sdc_ci.lo;
+  record.sdc_ci_hi = sdc_ci.hi;
+  record.due_rate = due_ci.point;
+  record.due_ci_lo = due_ci.lo;
+  record.due_ci_hi = due_ci.hi;
+  for (const telemetry::CellEstimate& cell : estimator->cells()) {
+    telemetry::HistoryCell entry;
+    entry.model = cell.key.model;
+    entry.window = cell.key.window;
+    entry.category = cell.key.category;
+    entry.masked = cell.counts.masked;
+    entry.sdc = cell.counts.sdc;
+    entry.due = cell.counts.due;
+    entry.sdc_rate = cell.sdc.point;
+    entry.sdc_ci_lo = cell.sdc.lo;
+    entry.sdc_ci_hi = cell.sdc.hi;
+    record.cells.push_back(std::move(entry));
+  }
+  return record;
+}
+
 /// Fabric dispatch: this process is one role of a sharded campaign — a
 /// coordinator leasing ranges, or a worker executing them into its shard
 /// journal. Tallies are assembled later by phifi_merge, not here.
@@ -169,50 +220,16 @@ RunSummary run_fabric(const RunnerConfig& config,
     }
 
     if (!config.history_file.empty()) {
-      telemetry::HistoryRecord record;
-      record.workload = supervisor.workload_name();
-      record.fingerprint = fingerprint;
-      record.git_revision = telemetry::git_describe();
+      telemetry::HistoryRecord record = history_record(
+          config, supervisor.workload_name(), fingerprint,
+          {.masked = result.fleet_masked,
+           .sdc = result.fleet_sdc,
+           .due = result.fleet_due},
+          result.fleet_not_injected, elapsed_seconds, estimator.get());
       record.run_id = telemetry::run_id_to_hex(result.run_id);
-      record.seed = config.seed;
-      record.jobs = config.jobs;
-      record.trials_target = config.trials;
-      record.completed = result.fleet_completed;
-      record.masked = result.fleet_masked;
-      record.sdc = result.fleet_sdc;
-      record.due = result.fleet_due;
-      record.not_injected = result.fleet_not_injected;
       record.stopped_early =
           result.stopped_early || result.fleet_stopped_early;
       record.interrupted = result.interrupted;
-      record.elapsed_seconds = elapsed_seconds;
-      record.trials_per_sec =
-          elapsed_seconds > 0.0
-              ? static_cast<double>(result.fleet_completed) / elapsed_seconds
-              : 0.0;
-      if (estimator != nullptr) {
-        const util::Interval sdc_ci = estimator->sdc_interval();
-        const util::Interval due_ci = estimator->due_interval();
-        record.sdc_rate = sdc_ci.point;
-        record.sdc_ci_lo = sdc_ci.lo;
-        record.sdc_ci_hi = sdc_ci.hi;
-        record.due_rate = due_ci.point;
-        record.due_ci_lo = due_ci.lo;
-        record.due_ci_hi = due_ci.hi;
-        for (const telemetry::CellEstimate& cell : estimator->cells()) {
-          telemetry::HistoryCell entry;
-          entry.model = cell.key.model;
-          entry.window = cell.key.window;
-          entry.category = cell.key.category;
-          entry.masked = cell.counts.masked;
-          entry.sdc = cell.counts.sdc;
-          entry.due = cell.counts.due;
-          entry.sdc_rate = cell.sdc.point;
-          entry.sdc_ci_lo = cell.sdc.lo;
-          entry.sdc_ci_hi = cell.sdc.hi;
-          record.cells.push_back(std::move(entry));
-        }
-      }
       telemetry::append_history(config.history_file, record);
     }
 
@@ -409,8 +426,12 @@ RunSummary run_from_config(const RunnerConfig& config, std::ostream& out) {
     }
 
     if (!config.history_file.empty()) {
-      telemetry::HistoryRecord record;
-      record.workload = result.workload;
+      telemetry::HistoryRecord record = history_record(
+          config, result.workload,
+          fi::campaign_fingerprint(campaign_config, result.workload,
+                                   result.time_windows),
+          result.overall, result.not_injected, elapsed_seconds,
+          estimator.get());
       // A resumed campaign (including a replay of merged fabric shards)
       // inherits the journal's run id, so its history record correlates
       // with the coordinator's trace and ledger.
@@ -425,46 +446,9 @@ RunSummary run_from_config(const RunnerConfig& config, std::ostream& out) {
           // Header unreadable: the record simply stays uncorrelated.
         }
       }
-      record.fingerprint = fi::campaign_fingerprint(
-          campaign_config, result.workload, result.time_windows);
-      record.git_revision = telemetry::git_describe();
-      record.seed = config.seed;
-      record.jobs = config.jobs;
-      record.trials_target = config.trials;
-      record.completed = result.overall.total();
-      record.masked = result.overall.masked;
-      record.sdc = result.overall.sdc;
-      record.due = result.overall.due;
-      record.not_injected = result.not_injected;
       record.stopped_early = result.stopped_early;
       record.interrupted = result.interrupted;
       record.aborted = result.aborted;
-      record.elapsed_seconds = elapsed_seconds;
-      record.trials_per_sec =
-          elapsed_seconds > 0.0
-              ? static_cast<double>(result.overall.total()) / elapsed_seconds
-              : 0.0;
-      const util::Interval sdc_ci = estimator->sdc_interval();
-      const util::Interval due_ci = estimator->due_interval();
-      record.sdc_rate = sdc_ci.point;
-      record.sdc_ci_lo = sdc_ci.lo;
-      record.sdc_ci_hi = sdc_ci.hi;
-      record.due_rate = due_ci.point;
-      record.due_ci_lo = due_ci.lo;
-      record.due_ci_hi = due_ci.hi;
-      for (const telemetry::CellEstimate& cell : estimator->cells()) {
-        telemetry::HistoryCell entry;
-        entry.model = cell.key.model;
-        entry.window = cell.key.window;
-        entry.category = cell.key.category;
-        entry.masked = cell.counts.masked;
-        entry.sdc = cell.counts.sdc;
-        entry.due = cell.counts.due;
-        entry.sdc_rate = cell.sdc.point;
-        entry.sdc_ci_lo = cell.sdc.lo;
-        entry.sdc_ci_hi = cell.sdc.hi;
-        record.cells.push_back(std::move(entry));
-      }
       telemetry::append_history(config.history_file, record);
     }
 

@@ -154,13 +154,14 @@ telemetry::TrialProfile make_trial_profile(const TrialResult& trial,
 
 }  // namespace
 
-bool campaign_ci_stop_reached(const CampaignConfig& config,
-                              const OutcomeTally& overall) {
-  if (config.stop_ci_width <= 0.0) return false;
+FinishLine campaign_finish_line(const CampaignConfig& config,
+                                const OutcomeTally& overall) {
   const std::uint64_t n = overall.total();
-  if (n == 0) return false;
-  return util::wilson_interval(overall.sdc, n).half_width() <=
-         config.stop_ci_width;
+  if (n >= config.trials) return {.reached = true};
+  if (config.stop_ci_width <= 0.0 || n == 0) return {};
+  const bool precise = util::wilson_interval(overall.sdc, n).half_width() <=
+                       config.stop_ci_width;
+  return {.reached = precise, .stopped_early = precise};
 }
 
 void OutcomeTally::add(Outcome outcome) {
@@ -257,10 +258,20 @@ std::uint64_t campaign_fingerprint(const CampaignConfig& config,
   return hash;
 }
 
+struct Campaign::StopPolicy {
+  /// The finish line, asked after every commit; true ends the call at that
+  /// commit. Empty = no finish line short of `end`: a fabric lease runs to
+  /// completion and the campaign boundary is re-derived at merge time,
+  /// where it lands on the identical attempt a --jobs 1 run would.
+  std::function<bool()> finished;
+  /// What stop_flag does: drain (launch nothing new, commit what is in
+  /// flight, return — run()) or cancel (kill in-flight attempts
+  /// uncommitted — a lease, whose overlap with a re-execution dedups at
+  /// merge). on_tick returning false always cancels.
+  bool drain_on_stop = false;
+};
+
 CampaignResult Campaign::run(const TrialObserver& observer) {
-  assert(!config_.models.empty());
-  using Clock = std::chrono::steady_clock;
-  const unsigned jobs = std::max(1u, config_.jobs);
   CampaignResult result;
   result.workload = supervisor_->workload_name();
   result.time_windows = supervisor_->time_windows();
@@ -286,13 +297,20 @@ CampaignResult Campaign::run(const TrialObserver& observer) {
     }
     header.time_windows = result.time_windows;
     header.resumed = config_.resume;
-    header.jobs = jobs;
+    header.jobs = std::max(1u, config_.jobs);
     config_.trace->campaign(header);
   }
 
+  // The finish line, re-evaluated after every replayed and every committed
+  // attempt; `finish` keeps the latest verdict for the trailer.
+  FinishLine finish;
+  const auto finished = [this, &result, &finish] {
+    finish = campaign_finish_line(config_, result.overall);
+    return finish.reached;
+  };
+
   // Durability: replay an existing journal (resume) and/or open a writer.
   std::unique_ptr<CampaignJournalWriter> journal;
-  std::size_t completed = 0;
   if (!config_.journal_path.empty()) {
     if (config_.resume) {
       const JournalContents contents = read_journal(config_.journal_path);
@@ -317,6 +335,10 @@ CampaignResult Campaign::run(const TrialObserver& observer) {
                        });
       std::uint64_t expected = 0;
       for (const JournalRecord& record : records) {
+        // Replay walks the same commit boundaries the original run did, so
+        // the finish line falls on the identical attempt (stop_ci_width is
+        // fingerprinted: the journal cannot carry a different epsilon).
+        if (finished()) break;
         if (record.attempt_index < expected) {
           util::log_warn() << result.workload
                            << ": journal duplicate of attempt "
@@ -337,21 +359,13 @@ CampaignResult Campaign::run(const TrialObserver& observer) {
         if (config_.estimator != nullptr) {
           feed_estimator(*config_.estimator, record.trial);
         }
-        if (record.trial.outcome != Outcome::kNotInjected) ++completed;
         ++expected;
-        // Replay walks the same commit boundaries the original run did, so
-        // the stop rule fires at the identical attempt (stop_ci_width is
-        // fingerprinted: the journal cannot carry a different epsilon).
-        if (campaign_ci_stop_reached(config_, result.overall)) {
-          result.stopped_early = true;
-          break;
-        }
       }
       result.attempts = expected;
-      result.resumed_trials = completed;
-      util::log_info() << result.workload << ": resumed " << completed << "/"
-                       << config_.trials << " trials from '"
-                       << config_.journal_path << "'";
+      result.resumed_trials = result.overall.total();
+      util::log_info() << result.workload << ": resumed "
+                       << result.resumed_trials << "/" << config_.trials
+                       << " trials from '" << config_.journal_path << "'";
       journal = std::make_unique<CampaignJournalWriter>(
           config_.journal_path, contents.valid_bytes, config_.journal_fsync,
           config_.journal_batch);
@@ -369,233 +383,28 @@ CampaignResult Campaign::run(const TrialObserver& observer) {
     }
   }
 
-  // ---- multi-worker scheduler ----
-  //
-  // Attempt indices are the campaign's single source of truth: index i's
-  // seed is trial_seed_for(seed, i) and its fault model is models[i % M],
-  // both independent of execution order. Up to `jobs` attempts run in
-  // flight; completions land in `pending` and commit strictly in index
-  // order, so --jobs 8, --jobs 1, and any resume agree bit-for-bit.
-  // Attempts launched past the finish line (the scheduler cannot know in
-  // advance which attempt completes the campaign) are killed uncommitted.
-  supervisor_->ensure_slots(jobs);
-  const std::uint64_t retry_budget =
-      config_.trials * (1 + config_.max_retry_factor);
-  std::uint64_t next_index = result.attempts;   // next fresh attempt
-  std::uint64_t commit_index = result.attempts; // next index to commit
-  std::set<std::uint64_t> retry_queue;  // infra-failed indices, smallest first
-  std::map<std::uint64_t, PendingTrial> pending;
-  // Per-slot (attempt index, launch timestamp) of the in-flight trial.
-  std::vector<std::optional<std::pair<std::uint64_t, double>>> inflight(jobs);
-  std::size_t consecutive_failures = 0;
-  bool draining = false;  // stop requested: no new launches, commit the rest
-  auto backoff_until = Clock::now();
-
-  while (true) {
-    // (1) Commit every buffered completion that is next in index order.
-    while (completed < config_.trials) {
-      const auto it = pending.find(commit_index);
-      if (it == pending.end()) break;
-      PendingTrial ready = std::move(it->second);
-      pending.erase(it);
-      // Journal first (write-ahead of the in-memory tallies), then tally.
-      double journal_seconds = 0.0;
-      double flush_seconds = 0.0;
-      if (journal != nullptr) {
-        JournalRecord record;
-        record.attempt_index = commit_index;
-        record.trial = ready.trial;
-        if (config_.profiler != nullptr) {
-          const auto journal_start = Clock::now();
-          journal->append(record);
-          flush_seconds = journal->last_fsync_seconds();
-          journal_seconds =
-              std::chrono::duration<double>(Clock::now() - journal_start)
-                  .count() -
-              flush_seconds;
-        } else {
-          journal->append(record);
-        }
+  if (!finished()) {
+    RangeHooks sink;
+    sink.journal = journal.get();
+    sink.on_commit = [this, &result](const JournalRecord& record) {
+      accumulate_trial(result, record.trial);
+      if (record.trial.outcome != Outcome::kNotInjected &&
+          result.overall.total() % 500 == 0) {
+        util::log_info() << result.workload << ": " << result.overall.total()
+                         << "/" << config_.trials << " trials";
       }
-      if (config_.trace != nullptr) {
-        config_.trace->trial(make_trial_trace(ready.trial, commit_index,
-                                              ready.ts_ms, ready.slot));
-      }
-      if (config_.metrics != nullptr) {
-        feed_metrics(*config_.metrics, ready.trial, /*replayed=*/false);
-      }
-      accumulate_trial(result, ready.trial);
-      if (config_.estimator != nullptr) {
-        feed_estimator(*config_.estimator, ready.trial);
-      }
-      if (config_.profiler != nullptr) {
-        const double rob_wait =
-            std::chrono::duration<double>(Clock::now() - ready.reaped_at)
-                .count();
-        config_.profiler->trial(make_trial_profile(
-            ready.trial, commit_index, rob_wait, journal_seconds,
-            flush_seconds));
-      }
-      ++commit_index;
-      if (ready.trial.outcome == Outcome::kNotInjected) continue;
-      ++completed;
-      if (observer) {
-        const bool has_output = ready.trial.outcome == Outcome::kMasked ||
-                                ready.trial.outcome == Outcome::kSdc;
-        observer(ready.trial, has_output ? std::span<const std::byte>(
-                                               ready.output)
-                                         : std::span<const std::byte>{});
-      }
-      if (completed % 500 == 0) {
-        util::log_info() << result.workload << ": " << completed << "/"
-                         << config_.trials << " trials";
-      }
-      // Sequential stop, checked only here — the deterministic commit
-      // boundary — never on raw completion order. Buffered completions
-      // past this attempt stay uncommitted (killed below), exactly like
-      // finish-line overshoot, so every jobs value stops identically.
-      if (campaign_ci_stop_reached(config_, result.overall)) {
-        result.stopped_early = true;
-        break;
-      }
-    }
-    if (result.stopped_early || completed >= config_.trials) break;
-
-    // (2) Cooperative stop: finish what is in flight, commit it, return.
-    if (!draining && config_.stop_flag != nullptr &&
-        config_.stop_flag->load(std::memory_order_relaxed)) {
-      result.interrupted = true;
-      draining = true;
-    }
-
-    // (3) Launch into free slots: infra-failed retries first (they reuse
-    // their original index and therefore their original seed), then fresh
-    // indices up to the retry budget.
-    if (!draining && !result.aborted && Clock::now() >= backoff_until) {
-      while (supervisor_->active_slots() < jobs) {
-        const bool from_retry = !retry_queue.empty();
-        std::uint64_t index = 0;
-        if (from_retry) {
-          index = *retry_queue.begin();
-        } else if (next_index < retry_budget) {
-          index = next_index;
-        } else {
-          break;  // attempt budget exhausted
-        }
-        unsigned slot = 0;
-        while (slot < jobs && supervisor_->slot_active(slot)) ++slot;
-        assert(slot < jobs);
-
-        TrialConfig trial;
-        trial.trial_seed = trial_seed_for(config_.seed, index);
-        trial.model = config_.models[index % config_.models.size()];
-        trial.policy = config_.policy;
-        trial.earliest_fraction = config_.earliest_fraction;
-        trial.latest_fraction = config_.latest_fraction;
-
-        const double ts_ms =
-            config_.trace != nullptr ? config_.trace->now_ms() : 0.0;
-        try {
-          supervisor_->start_trial(slot, trial);
-        } catch (const std::exception& error) {
-          // Infrastructure failure (fork, not a trial outcome): back off
-          // exponentially and retry the same index; K consecutive ones
-          // trip the circuit breaker. One completion anywhere resets the
-          // count, so a transient stretch does not accumulate forever —
-          // while a genuinely wedged host still trips it even with other
-          // slots busy.
-          ++consecutive_failures;
-          if (config_.metrics != nullptr) {
-            config_.metrics->counter("campaign.infra_failures").inc();
-          }
-          util::log_warn() << result.workload
-                           << ": trial infrastructure failure ("
-                           << consecutive_failures << "/"
-                           << config_.max_consecutive_failures
-                           << "): " << error.what();
-          retry_queue.insert(index);
-          if (!from_retry) ++next_index;
-          if (consecutive_failures >= config_.max_consecutive_failures) {
-            result.aborted = true;
-          } else {
-            const unsigned doublings = static_cast<unsigned>(
-                std::min<std::size_t>(consecutive_failures - 1, 10));
-            backoff_until =
-                Clock::now() +
-                std::chrono::milliseconds(
-                    static_cast<std::uint64_t>(
-                        config_.retry_backoff_initial_ms)
-                    << doublings);
-          }
-          break;
-        }
-        if (from_retry) {
-          retry_queue.erase(retry_queue.begin());
-        } else {
-          ++next_index;
-        }
-        inflight[slot] = {{index, ts_ms}};
-      }
-      if (config_.metrics != nullptr) {
-        config_.metrics->gauge("campaign.workers_active")
-            .set(static_cast<double>(supervisor_->active_slots()));
-      }
-    }
-
-    // (4) Nothing in flight: either the campaign is winding down (drain,
-    // abort, budget exhausted) or every launch is gated on backoff.
-    if (supervisor_->active_slots() == 0) {
-      if (draining || result.aborted) break;
-      if (retry_queue.empty() && next_index >= retry_budget) break;
-      const auto now = Clock::now();
-      if (now < backoff_until) {
-        // Sleep in small steps so a stop request stays responsive.
-        std::this_thread::sleep_for(
-            std::min(std::chrono::duration_cast<std::chrono::milliseconds>(
-                         backoff_until - now),
-                     std::chrono::milliseconds(10)));
-      }
-      continue;
-    }
-
-    // (5) Reap: buffer completions for the commit point; any completion
-    // proves the fork machinery works again.
-    std::vector<SlotCompletion> done = supervisor_->poll_slots();
-    if (done.empty()) {
-      supervisor_->wait_for_completion();
-      continue;
-    }
-    consecutive_failures = 0;
-    for (SlotCompletion& completion : done) {
-      assert(inflight[completion.slot].has_value());
-      const auto [index, ts_ms] = *inflight[completion.slot];
-      inflight[completion.slot].reset();
-      PendingTrial entry;
-      entry.trial = std::move(completion.result);
-      entry.ts_ms = ts_ms;
-      entry.slot = completion.slot;
-      if (observer && (entry.trial.outcome == Outcome::kMasked ||
-                       entry.trial.outcome == Outcome::kSdc)) {
-        const auto output = supervisor_->slot_output(completion.slot);
-        entry.output.assign(output.begin(), output.end());
-      }
-      if (config_.profiler != nullptr) entry.reaped_at = Clock::now();
-      pending.emplace(index, std::move(entry));
-    }
-    if (config_.metrics != nullptr) {
-      config_.metrics->gauge("campaign.workers_active")
-          .set(static_cast<double>(supervisor_->active_slots()));
-    }
+    };
+    // The retry budget bounds the attempt space; NotInjected attempts are
+    // re-issued under fresh indices until the finish line or the budget.
+    const RangeResult executed = execute(
+        result.attempts, config_.trials * (1 + config_.max_retry_factor),
+        sink, {finished, /*drain_on_stop=*/true}, observer);
+    result.attempts += executed.committed;
+    result.interrupted = executed.cancelled;
+    result.aborted = executed.aborted;
   }
-  result.attempts = commit_index;
-
-  // Cancel speculative attempts past the finish line (and anything still
-  // in flight on abort): killed, never journaled, so the commit boundary
-  // is identical for every jobs value.
-  supervisor_->kill_active_slots();
-  if (config_.metrics != nullptr) {
-    config_.metrics->gauge("campaign.workers_active").set(0.0);
-  }
+  result.stopped_early = finish.stopped_early;
+  const std::uint64_t completed = result.overall.total();
 
   if (journal != nullptr) journal->sync();
   if (config_.profiler != nullptr) config_.profiler->sync();
@@ -637,93 +446,118 @@ CampaignResult Campaign::run(const TrialObserver& observer) {
 
 RangeResult Campaign::run_range(std::uint64_t begin, std::uint64_t end,
                                 const RangeHooks& hooks) {
+  return execute(begin, end, hooks, {}, nullptr);
+}
+
+RangeResult Campaign::execute(std::uint64_t begin, std::uint64_t end,
+                              const RangeHooks& hooks, const StopPolicy& stop,
+                              const TrialObserver& observer) {
   assert(!config_.models.empty());
   using Clock = std::chrono::steady_clock;
   const unsigned jobs = std::max(1u, config_.jobs);
   RangeResult result;
-  if (begin >= end) return result;
+  const auto publish_active = [this] {
+    if (config_.metrics != nullptr) {
+      config_.metrics->gauge("campaign.workers_active")
+          .set(static_cast<double>(supervisor_->active_slots()));
+    }
+  };
 
-  // Same scheduler shape as run(): counter-indexed seeds, reorder-buffer
-  // commit, infra retries with backoff and a circuit breaker — but the
-  // finish line is simply `end` and durability belongs to on_commit. No
-  // stop rule here: a lease is executed to completion and the campaign
-  // boundary (trial count or --stop-ci-width) is re-derived at merge time,
-  // where it lands on the identical attempt a --jobs 1 run would.
+  // Attempt indices are the campaign's single source of truth: index i's
+  // seed is trial_seed_for(seed, i) and its fault model is models[i % M],
+  // both independent of execution order. Up to `jobs` attempts run in
+  // flight; completions land in `pending` and commit strictly in index
+  // order, so --jobs 8, --jobs 1, any resume, and any lease split agree
+  // bit-for-bit. Attempts launched past the finish line (the scheduler
+  // cannot know in advance which attempt completes the campaign) are
+  // killed uncommitted.
   supervisor_->ensure_slots(jobs);
-  std::uint64_t next_index = begin;
-  std::uint64_t commit_index = begin;
-  std::set<std::uint64_t> retry_queue;
+  std::uint64_t next_index = begin;    // next fresh attempt
+  std::uint64_t commit_index = begin;  // next index to commit
+  std::set<std::uint64_t> retry_queue;  // infra-failed indices, smallest first
   std::map<std::uint64_t, PendingTrial> pending;
+  // Per-slot (attempt index, launch timestamp) of the in-flight trial.
   std::vector<std::optional<std::pair<std::uint64_t, double>>> inflight(jobs);
   std::size_t consecutive_failures = 0;
+  bool draining = false;  // stop requested: no new launches, commit the rest
+  bool finished = false;
   auto backoff_until = Clock::now();
 
   while (true) {
-    // (1) Commit buffered completions that are next in index order.
-    while (commit_index < end) {
+    // (1) Commit every buffered completion that is next in index order.
+    while (!finished && commit_index < end) {
       const auto it = pending.find(commit_index);
       if (it == pending.end()) break;
       PendingTrial ready = std::move(it->second);
       pending.erase(it);
-      // Durability lives behind on_commit here (the fabric worker's shard
-      // journal), so its whole duration is the journal phase; the flush
-      // split is unavailable through the hook and reads as zero.
+      JournalRecord record;
+      record.attempt_index = commit_index;
+      record.trial = std::move(ready.trial);
+      const TrialResult& trial = record.trial;
+      // Durable sink first (write-ahead of everything else), with the
+      // append and its fsync timed apart for the profiler.
       double journal_seconds = 0.0;
-      if (hooks.on_commit) {
-        JournalRecord record;
-        record.attempt_index = commit_index;
-        record.trial = ready.trial;
+      double flush_seconds = 0.0;
+      if (hooks.journal != nullptr) {
         if (config_.profiler != nullptr) {
           const auto journal_start = Clock::now();
-          hooks.on_commit(record);
+          hooks.journal->append(record);
+          flush_seconds = hooks.journal->last_fsync_seconds();
           journal_seconds =
               std::chrono::duration<double>(Clock::now() - journal_start)
-                  .count();
+                  .count() -
+              flush_seconds;
         } else {
-          hooks.on_commit(record);
+          hooks.journal->append(record);
         }
       }
       if (config_.trace != nullptr) {
-        config_.trace->trial(make_trial_trace(ready.trial, commit_index,
-                                              ready.ts_ms, ready.slot));
+        config_.trace->trial(
+            make_trial_trace(trial, commit_index, ready.ts_ms, ready.slot));
       }
       if (config_.metrics != nullptr) {
-        feed_metrics(*config_.metrics, ready.trial, /*replayed=*/false);
+        feed_metrics(*config_.metrics, trial, /*replayed=*/false);
       }
       if (config_.estimator != nullptr) {
-        feed_estimator(*config_.estimator, ready.trial);
+        feed_estimator(*config_.estimator, trial);
       }
       if (config_.profiler != nullptr) {
         const double rob_wait =
             std::chrono::duration<double>(Clock::now() - ready.reaped_at)
                 .count();
         config_.profiler->trial(make_trial_profile(
-            ready.trial, commit_index, rob_wait, journal_seconds,
-            /*flush_seconds=*/0.0));
+            trial, commit_index, rob_wait, journal_seconds, flush_seconds));
+      }
+      if (hooks.on_commit) hooks.on_commit(record);
+      if (observer && trial.outcome != Outcome::kNotInjected) {
+        observer(trial, ready.output);
       }
       ++commit_index;
       ++result.committed;
-      if (ready.trial.outcome != Outcome::kNotInjected) ++result.injected;
+      // The finish line is asked only here — the deterministic commit
+      // boundary — never on raw completion order. Buffered completions
+      // past it stay uncommitted (killed below), so every jobs value
+      // stops identically.
+      finished = stop.finished && stop.finished();
     }
-    if (commit_index >= end) break;
+    if (finished || commit_index >= end) break;
 
-    // (2) Cancellation: a revoked lease or a stop request abandons the
-    // range immediately — committed records stand, in-flight children are
-    // killed below, and overlap with whoever re-executes the range dedups
-    // at merge (counter-indexed seeds make the re-execution identical).
-    if (config_.stop_flag != nullptr &&
-        config_.stop_flag->load(std::memory_order_relaxed)) {
+    // (2) Stop requests: drain or cancel (StopPolicy::drain_on_stop).
+    const bool stop_requested =
+        config_.stop_flag != nullptr &&
+        config_.stop_flag->load(std::memory_order_relaxed);
+    if (stop_requested && stop.drain_on_stop) {
+      result.cancelled = true;
+      draining = true;
+    } else if (stop_requested || (hooks.on_tick && !hooks.on_tick())) {
       result.cancelled = true;
       break;
     }
-    if (hooks.on_tick && !hooks.on_tick()) {
-      result.cancelled = true;
-      break;
-    }
 
-    // (3) Launch into free slots: retries first (same index, same seed),
-    // then fresh indices up to the end of the range.
-    if (!result.aborted && Clock::now() >= backoff_until) {
+    // (3) Launch into free slots: infra-failed retries first (they reuse
+    // their original index and therefore their original seed), then fresh
+    // indices up to `end`.
+    if (!draining && !result.aborted && Clock::now() >= backoff_until) {
       while (supervisor_->active_slots() < jobs) {
         const bool from_retry = !retry_queue.empty();
         std::uint64_t index = 0;
@@ -732,7 +566,7 @@ RangeResult Campaign::run_range(std::uint64_t begin, std::uint64_t end,
         } else if (next_index < end) {
           index = next_index;
         } else {
-          break;  // every index is committed, pending, or in flight
+          break;  // attempt space exhausted
         }
         unsigned slot = 0;
         while (slot < jobs && supervisor_->slot_active(slot)) ++slot;
@@ -750,12 +584,18 @@ RangeResult Campaign::run_range(std::uint64_t begin, std::uint64_t end,
         try {
           supervisor_->start_trial(slot, trial);
         } catch (const std::exception& error) {
+          // Infrastructure failure (fork, not a trial outcome): back off
+          // exponentially and retry the same index; K consecutive ones
+          // trip the circuit breaker. One completion anywhere resets the
+          // count, so a transient stretch does not accumulate forever —
+          // while a genuinely wedged host still trips it even with other
+          // slots busy.
           ++consecutive_failures;
           if (config_.metrics != nullptr) {
             config_.metrics->counter("campaign.infra_failures").inc();
           }
-          util::log_warn() << "range [" << begin << "," << end
-                           << "): trial infrastructure failure ("
+          util::log_warn() << supervisor_->workload_name()
+                           << ": trial infrastructure failure ("
                            << consecutive_failures << "/"
                            << config_.max_consecutive_failures
                            << "): " << error.what();
@@ -782,18 +622,17 @@ RangeResult Campaign::run_range(std::uint64_t begin, std::uint64_t end,
         }
         inflight[slot] = {{index, ts_ms}};
       }
-      if (config_.metrics != nullptr) {
-        config_.metrics->gauge("campaign.workers_active")
-            .set(static_cast<double>(supervisor_->active_slots()));
-      }
+      publish_active();
     }
 
-    // (4) Nothing in flight: abort, wait out a retry backoff, or loop back
-    // to the commit point (everything left must be buffered in `pending`).
+    // (4) Nothing in flight: either winding down (drain, abort, attempt
+    // space exhausted) or every launch is gated on backoff.
     if (supervisor_->active_slots() == 0) {
-      if (result.aborted) break;
+      if (draining || result.aborted) break;
+      if (retry_queue.empty() && next_index >= end) break;
       const auto now = Clock::now();
       if (now < backoff_until) {
+        // Sleep in small steps so a stop request stays responsive.
         std::this_thread::sleep_for(
             std::min(std::chrono::duration_cast<std::chrono::milliseconds>(
                          backoff_until - now),
@@ -802,7 +641,8 @@ RangeResult Campaign::run_range(std::uint64_t begin, std::uint64_t end,
       continue;
     }
 
-    // (5) Reap: buffer completions for the commit point.
+    // (5) Reap: buffer completions for the commit point; any completion
+    // proves the fork machinery works again.
     std::vector<SlotCompletion> done = supervisor_->poll_slots();
     if (done.empty()) {
       supervisor_->wait_for_completion();
@@ -817,17 +657,22 @@ RangeResult Campaign::run_range(std::uint64_t begin, std::uint64_t end,
       entry.trial = std::move(completion.result);
       entry.ts_ms = ts_ms;
       entry.slot = completion.slot;
+      if (observer && (entry.trial.outcome == Outcome::kMasked ||
+                       entry.trial.outcome == Outcome::kSdc)) {
+        const auto output = supervisor_->slot_output(completion.slot);
+        entry.output.assign(output.begin(), output.end());
+      }
       if (config_.profiler != nullptr) entry.reaped_at = Clock::now();
       pending.emplace(index, std::move(entry));
     }
+    publish_active();
   }
 
-  // Kill in-flight attempts past a cancel/abort uncommitted, exactly like
-  // run() kills finish-line overshoot.
+  // Cancel speculative attempts past the finish line (and anything still
+  // in flight on a cancel or abort): killed, never committed, so the
+  // commit boundary is identical for every jobs value.
   supervisor_->kill_active_slots();
-  if (config_.metrics != nullptr) {
-    config_.metrics->gauge("campaign.workers_active").set(0.0);
-  }
+  publish_active();
   return result;
 }
 

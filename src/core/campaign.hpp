@@ -74,8 +74,9 @@ struct CampaignConfig {
   /// Group-commit knobs, used only with JournalFsync::kBatch.
   JournalBatchPolicy journal_batch;
   /// Cooperative stop: checked between trials. When it becomes true the
-  /// in-flight trial finishes, the journal is flushed, and run() returns
-  /// with result.interrupted set. Wire SIGINT/SIGTERM handlers to this.
+  /// in-flight trials finish, the journal is flushed, and run() returns
+  /// with result.interrupted set; run_range() cancels its range instead.
+  /// Wire SIGINT/SIGTERM handlers to this.
   const std::atomic<bool>* stop_flag = nullptr;
   /// Circuit breaker: abort (journal intact, result.aborted set) after this
   /// many consecutive infrastructure failures (fork/waitpid errors — not
@@ -178,24 +179,39 @@ std::uint64_t campaign_fingerprint(const CampaignConfig& config,
                                    std::string_view workload,
                                    unsigned time_windows);
 
-/// The sequential stop rule (--stop-ci-width), evaluated only at
-/// attempt-order commit boundaries: true once the Wilson 95% CI half-width
-/// of the overall SDC proportion is at or under the configured epsilon.
-/// Shared by the live scheduler, journal replay, and the fabric shard
-/// merge so the three can never disagree on where a campaign ends.
-bool campaign_ci_stop_reached(const CampaignConfig& config,
-                              const OutcomeTally& overall);
+/// Where a campaign's attempt-order commit stream stands against its end.
+struct FinishLine {
+  bool reached = false;
+  /// Reached on the stop_ci_width precision target, short of the trial
+  /// count.
+  bool stopped_early = false;
+};
+
+/// The campaign's one finish-line rule, evaluated only at attempt-order
+/// commit boundaries: reached once `overall` holds config.trials injected
+/// trials or, with stop_ci_width > 0 (--stop-ci-width), once the Wilson
+/// 95% CI half-width of its SDC proportion is at or under stop_ci_width.
+/// Shared by the live commit point, journal replay, the fabric shard merge
+/// and the coordinator (fleet fold and lease completion), so they can
+/// never disagree on where a campaign ends.
+FinishLine campaign_finish_line(const CampaignConfig& config,
+                                const OutcomeTally& overall);
 
 /// Observer invoked after every trial; `output` is non-empty only for
 /// completed (Masked/SDC) trials and is valid for the duration of the call.
 using TrialObserver =
     std::function<void(const TrialResult&, std::span<const std::byte>)>;
 
-/// Control hooks for run_range(), the fabric worker's lease executor.
+/// Where run_range() delivers committed attempts, and how its caller (the
+/// fabric worker's lease executor) steers it.
 struct RangeHooks {
-  /// Invoked for every committed attempt, strictly in index order. The
-  /// fabric worker appends the record to its shard journal here; run_range
-  /// itself never touches config.journal_path.
+  /// Durable sink: every committed attempt is appended here first, strictly
+  /// in index order, with the append and its fsync timed apart for the
+  /// profiler. The fabric worker passes its shard journal; run_range itself
+  /// never touches config.journal_path. nullptr = no durable record.
+  CampaignJournalWriter* journal = nullptr;
+  /// Invoked for every committed attempt, strictly in index order, once
+  /// the record is in the journal.
   std::function<void(const JournalRecord&)> on_commit;
   /// Invoked once per scheduler iteration (poll pace, sub-millisecond to
   /// tens of ms). Return false to cancel the range: in-flight children are
@@ -207,7 +223,6 @@ struct RangeHooks {
 
 struct RangeResult {
   std::uint64_t committed = 0;  ///< records committed by this call
-  std::uint64_t injected = 0;   ///< of which were injected trials
   bool cancelled = false;  ///< on_tick returned false or stop_flag fired
   bool aborted = false;    ///< circuit breaker tripped
 };
@@ -220,17 +235,26 @@ class Campaign {
   /// Runs the campaign. The supervisor must already have a golden copy.
   CampaignResult run(const TrialObserver& observer = nullptr);
 
-  /// Executes exactly attempt indices [begin, end) with the same slot
-  /// scheduler, in-order commit point, retry/backoff, and circuit breaker
-  /// as run() — but no finish line, stop rule, or journal: the caller (a
-  /// fabric worker executing a lease) owns durability via hooks.on_commit
-  /// and the campaign-level boundary is decided at merge time. Seeds are
-  /// counter-indexed, so the records this produces are bit-identical to
-  /// the same indices of a --jobs 1 run, whatever process executes them.
+  /// Executes exactly attempt indices [begin, end) through the executor
+  /// run() uses, with the caller's sink (hooks.journal, hooks.on_commit)
+  /// and no finish line short of `end`: a fabric lease runs to completion
+  /// and the campaign-level boundary is decided at merge time. stop_flag
+  /// and on_tick cancel rather than drain. Seeds are counter-indexed, so
+  /// the records this produces are bit-identical to the same indices of a
+  /// --jobs 1 run, whatever process executes them.
   RangeResult run_range(std::uint64_t begin, std::uint64_t end,
                         const RangeHooks& hooks);
 
  private:
+  struct StopPolicy;
+
+  /// The one scheduler loop: launch, retry/backoff, circuit breaker, reap,
+  /// and the reorder-buffer commit into `hooks`, over attempt indices
+  /// [begin, end) until the stop policy ends it.
+  RangeResult execute(std::uint64_t begin, std::uint64_t end,
+                      const RangeHooks& hooks, const StopPolicy& stop,
+                      const TrialObserver& observer);
+
   TrialSupervisor* supervisor_;
   CampaignConfig config_;
 };

@@ -9,7 +9,6 @@
 #include <sys/mman.h>
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <new>
 #include <stdexcept>
@@ -90,8 +89,12 @@ void SharedChannel::store_record(const InjectionRecord& record) {
 }
 
 void SharedChannel::store_output(std::span<const std::byte> output) {
-  assert(output.size() <= capacity_);
-  std::memcpy(payload_, output.data(), output.size());
+  // A corrupted run can report an output larger than the golden; copying
+  // it would run past this mapping into whatever follows (another slot's
+  // channel, which every trial child inherits). Its size alone crosses.
+  if (output.size() <= capacity_) {
+    std::copy(output.begin(), output.end(), payload_);
+  }
   header_->output_size = output.size();
   header_->output_ready.store(1, std::memory_order_release);
 }
@@ -117,7 +120,10 @@ std::vector<PhaseRecord> SharedChannel::phases() const {
 }
 
 std::span<const std::byte> SharedChannel::output() const {
-  return {payload_, header_->output_size};
+  // output_size is child-written: past the mapping it returns no bytes.
+  const std::uint64_t size = header_->output_size;
+  if (size > capacity_) return {};
+  return {payload_, size};
 }
 
 void SharedChannel::store_verdict(bool matches_golden, std::uint64_t digest) {

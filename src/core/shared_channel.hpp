@@ -110,7 +110,9 @@ class SharedChannel {
   /// Publishes (or re-publishes) the injection record.
   void store_record(const InjectionRecord& record);
 
-  /// Copies the final output and marks the trial complete.
+  /// Copies the final output and marks the trial complete. An output over
+  /// capacity() is wrong-shaped: only its size is recorded, and output()
+  /// returns no bytes for it.
   void store_output(std::span<const std::byte> output);
 
   /// Bumps the liveness heartbeat. The child calls this as it crosses

@@ -64,9 +64,9 @@ struct WorkerView {
 };
 
 /// The exact fleet tally: per-attempt LeaseDone details buffered by range
-/// begin, folded at the contiguous frontier with the merge boundary rule
-/// (merge.cpp), so the live numbers are bit-identical to a post-campaign
-/// phifi_merge + phifi_parse of the same accepted ranges.
+/// begin, folded at the contiguous frontier up to the campaign finish line
+/// (as merge.cpp does), so the live numbers are bit-identical to a
+/// post-campaign phifi_merge + phifi_parse of the same accepted ranges.
 struct FleetState {
   std::map<std::uint64_t, std::vector<AttemptOutcome>> details;
   std::uint64_t frontier = 0;  ///< next attempt index to fold
@@ -202,7 +202,7 @@ void register_detail(LoopState& state, std::uint64_t begin,
 }
 
 /// Folds buffered details at the contiguous frontier into the fleet tally
-/// and the estimator, applying the merge boundary rule after every
+/// and the estimator, applying the campaign finish line after every
 /// injected attempt (merge.cpp does exactly this walk over the merged
 /// journal). Publishes the estimator gauges when anything advanced.
 void advance_fleet(LoopState& state) {
@@ -233,12 +233,10 @@ void advance_fleet(LoopState& state) {
                                 attempt.model, attempt.window,
                                 attempt.category, attempt.injected);
       }
-      if (fleet.tally.total() >= state.config->trials) {
-        fleet.boundary = true;
-      } else if (fi::campaign_ci_stop_reached(*state.config, fleet.tally)) {
-        fleet.boundary = true;
-        fleet.stopped_early = true;
-      }
+      const fi::FinishLine finish =
+          fi::campaign_finish_line(*state.config, fleet.tally);
+      fleet.boundary = finish.reached;
+      fleet.stopped_early = finish.stopped_early;
     }
     fleet.frontier += it->second.size();
     fleet.details.erase(it);
@@ -435,20 +433,16 @@ bool try_grant(LoopState& state, WorkerConn& conn) {
   return true;
 }
 
-/// The campaign-completion criterion: the contiguous done prefix covers
-/// the trial count, or (with --stop-ci-width) its SDC CI is tight enough.
+/// The campaign-completion criterion: the finish line over the contiguous
+/// done prefix, of which only the injected total and the SDC count enter
+/// the rule (worker-reported, so the SDC count is clamped to the total).
 /// Evaluated at lease granularity; the merge truncates at the exact
 /// boundary, so a lease-level overshoot here is harmless.
-bool campaign_done(const LoopState& state, bool* stopped_early) {
+fi::FinishLine campaign_done(const LoopState& state) {
   const std::uint64_t injected = state.table->prefix_injected();
-  if (injected >= state.table->trials()) return true;
-  if (state.config->stop_ci_width > 0.0 && injected > 0 &&
-      util::wilson_interval(state.table->prefix_sdc(), injected)
-              .half_width() <= state.config->stop_ci_width) {
-    *stopped_early = true;
-    return true;
-  }
-  return false;
+  const std::uint64_t sdc = std::min(state.table->prefix_sdc(), injected);
+  return fi::campaign_finish_line(*state.config,
+                                  {.masked = injected - sdc, .sdc = sdc});
 }
 
 void handle_hello(LoopState& state, WorkerConn& conn, const Message& msg) {
@@ -540,8 +534,7 @@ void handle_message(LoopState& state, WorkerConn& conn, const Message& msg) {
       handle_hello(state, conn, msg);
       break;
     case MsgType::kLeaseRequest: {
-      bool stopped_early = false;
-      if (campaign_done(state, &stopped_early)) {
+      if (campaign_done(state).reached) {
         Message shutdown;
         shutdown.type = MsgType::kShutdown;
         conn.link->send(shutdown);
@@ -801,10 +794,10 @@ CoordinatorResult run_coordinator(const fi::CampaignConfig& campaign,
       result.interrupted = true;
       break;
     }
-    bool stopped_early = false;
-    if (campaign_done(state, &stopped_early)) {
+    const fi::FinishLine finish = campaign_done(state);
+    if (finish.reached) {
       result.complete = true;
-      result.stopped_early = stopped_early;
+      result.stopped_early = finish.stopped_early;
       break;
     }
 

@@ -67,19 +67,16 @@ MergeSummary merge_shards(const fi::CampaignConfig& config,
                      return a.attempt_index < b.attempt_index;
                    });
 
-  // Walk in order, re-deriving the campaign boundary exactly as the live
-  // commit point and journal replay do: records stop counting at the
-  // trials-th injected completion or the --stop-ci-width boundary, and
-  // everything past it is worker overshoot (a lease runs to completion
-  // even when the campaign ends mid-range).
+  // Walk in order, re-deriving the campaign boundary with the live commit
+  // point's finish line: everything past it is worker overshoot (a lease
+  // runs to completion even when the campaign ends mid-range).
   fi::CampaignResult scratch;
   scratch.by_window.resize(time_windows);
   std::vector<const fi::JournalRecord*> selected;
   std::uint64_t expected = 0;
-  std::uint64_t completed = 0;
-  bool boundary = false;
+  fi::FinishLine finish;
   for (const fi::JournalRecord& record : pool) {
-    if (boundary) {
+    if (finish.reached) {
       ++summary.overshoot;
       continue;
     }
@@ -97,24 +94,20 @@ MergeSummary merge_shards(const fi::CampaignConfig& config,
     selected.push_back(&record);
     fi::accumulate_trial(scratch, record.trial);
     ++expected;
-    if (record.trial.outcome != fi::Outcome::kNotInjected) ++completed;
-    if (completed >= config.trials) {
-      boundary = true;
-    } else if (fi::campaign_ci_stop_reached(config, scratch.overall)) {
-      boundary = true;
-      summary.stopped_early = true;
-    }
+    finish = fi::campaign_finish_line(config, scratch.overall);
   }
+  summary.stopped_early = finish.stopped_early;
+  const std::uint64_t completed = scratch.overall.total();
   const std::uint64_t budget =
       config.trials * (1 + config.max_retry_factor);
-  if (!boundary && expected < budget) {
+  if (!finish.reached && expected < budget) {
     throw std::runtime_error(
         "merge refused: shards cover attempts [0, " +
         std::to_string(expected) + ") with only " +
         std::to_string(completed) + "/" + std::to_string(config.trials) +
         " injected trials — the campaign is incomplete");
   }
-  if (!boundary) {
+  if (!finish.reached) {
     // The full retry budget is covered without reaching the trial count —
     // the same way a --jobs 1 run ends when NotInjected retries exhaust
     // the budget. Merge what exists; phifi_run will report the shortfall.

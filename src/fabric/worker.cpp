@@ -487,12 +487,12 @@ void WorkerLoop::execute_lease() {
 
   if (first_missing < lease_->end) {
     fi::Campaign campaign(*supervisor_, config_);
+    // Re-executed attempts (post-reclaim overlap) may duplicate records
+    // already in another worker's shard; within THIS shard each index
+    // appears once because run_range starts past first_missing.
     fi::RangeHooks hooks;
+    hooks.journal = shard_.get();
     hooks.on_commit = [this](const fi::JournalRecord& record) {
-      // Re-executed attempts (post-reclaim overlap) may duplicate records
-      // already in another worker's shard; within THIS shard each index
-      // appears once because run_range starts past first_missing.
-      shard_->append(record);
       done_.emplace(record.attempt_index, attempt_from_trial(record.trial));
       counts_.add(record.trial.outcome);
       note_commit(record.trial);

@@ -502,6 +502,41 @@ TEST(CampaignRunRange, CommitsExactlyTheJobsOneRecords) {
   expect_same_records(reference.records, collected);
 }
 
+TEST(CampaignRunRange, OnTickCancelKeepsAJobsOnePrefix) {
+  // A revoked lease: on_tick turns false after a few commits while four
+  // trials are in flight. Those are killed uncommitted; what was committed
+  // is a contiguous prefix of the range, identical to the jobs=1 records.
+  const fi::CampaignConfig base = toy_campaign(24);
+  const fi::JournalContents reference =
+      reference_journal(base, temp_path("range_cancel_ref.jnl"));
+  constexpr std::uint64_t kBegin = 2;
+  constexpr std::size_t kCancelAfter = 3;
+  ToyWorkload::reset_run_counter();
+  fi::TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
+                                 toy_supervisor_config());
+  supervisor.prepare_golden();
+  fi::CampaignConfig config = base;
+  config.jobs = 4;
+  fi::Campaign campaign(supervisor, config);
+  std::vector<fi::JournalRecord> collected;
+  fi::RangeHooks hooks;
+  hooks.on_commit = [&collected](const fi::JournalRecord& record) {
+    collected.push_back(record);
+  };
+  hooks.on_tick = [&collected] { return collected.size() < kCancelAfter; };
+  const fi::RangeResult result =
+      campaign.run_range(kBegin, reference.records.size(), hooks);
+  EXPECT_TRUE(result.cancelled);
+  EXPECT_FALSE(result.aborted);
+  EXPECT_EQ(result.committed, collected.size());
+  ASSERT_GE(collected.size(), kCancelAfter);
+  ASSERT_LT(kBegin + collected.size(), reference.records.size());
+  expect_same_records({reference.records.begin() + kBegin,
+                       reference.records.begin() + kBegin + collected.size()},
+                      collected);
+  EXPECT_EQ(supervisor.active_slots(), 0u);
+}
+
 /// Writes `records` as a shard journal with the given header.
 void write_shard(const std::string& path, const fi::JournalHeader& header,
                  const std::vector<fi::JournalRecord>& records) {

@@ -177,6 +177,33 @@ TEST(FastPath, TemplateModeMatchesLegacyBitIdenticalAtJobs1And4) {
   expect_same_campaign(legacy, tmpl4);
 }
 
+TEST(FastPath, OversizeOutputIsSdcOnBothPathsAndStaysInItsSlot) {
+  // Every trial child ends with an output 1024x the golden size, far past
+  // its slot's shm mapping. Both paths must call that wrong-shaped output
+  // an SDC, hand the observer no bytes past the channel, and leave every
+  // attempt's record exactly as its own child published it.
+  const CampaignResult reference = run_campaign(
+      &phifi::testing::make_toy_normal, false, fastpath_campaign(1, ""));
+  for (const bool fast : {false, true}) {
+    const CampaignResult grown = run_campaign(
+        &phifi::testing::make_toy_oversize, fast, fastpath_campaign(2, ""),
+        [](const TrialResult&, std::span<const std::byte> output) {
+          EXPECT_TRUE(output.empty());
+        });
+    EXPECT_EQ(grown.overall.sdc, reference.overall.total()) << fast;
+    ASSERT_EQ(grown.trials.size(), reference.trials.size());
+    for (std::size_t i = 0; i < grown.trials.size(); ++i) {
+      const TrialResult& a = grown.trials[i];
+      const TrialResult& b = reference.trials[i];
+      EXPECT_EQ(a.outcome, Outcome::kSdc) << "trial " << i;
+      EXPECT_EQ(a.window, b.window) << "trial " << i;
+      EXPECT_EQ(a.record.site_index, b.record.site_index) << "trial " << i;
+      EXPECT_EQ(a.record.element_index, b.record.element_index);
+      EXPECT_EQ(a.record.flipped_bits[0], b.record.flipped_bits[0]);
+    }
+  }
+}
+
 TEST(FastPath, WarmModeClassifiesCrashAsDue) {
   // Crash-mode toys misbehave from the second run() in the process tree:
   // the golden run is clean, every forked trial SIGSEGVs.

@@ -41,6 +41,9 @@ class ToyWorkload : public fi::Workload {
     /// Runs far slower than the golden run but keeps ticking — exercises
     /// the heartbeat "slow but alive" deadline extension.
     kSlow,
+    /// Finishes with an output 1024x the golden size — exercises the shm
+    /// channel's capacity bound.
+    kOversize,
   };
 
   explicit ToyWorkload(Mode mode = Mode::kNormal, unsigned steps = 600,
@@ -75,6 +78,11 @@ class ToyWorkload : public fi::Workload {
       }
       out_[step % out_.size()] += *scale * static_cast<double>(step % 13);
       progress.tick();
+    }
+    // Grown only here: the last tick reached fraction 1, so the flip has
+    // fired and the registered span over out_ is no longer written.
+    if (!golden_run && mode_ == Mode::kOversize) {
+      out_.resize(out_.size() * 1024);
     }
   }
 
@@ -144,7 +152,8 @@ class ToyWorkload : public fi::Workload {
         return;
       }
       case Mode::kSlow:
-        return;  // handled per-step in run()
+      case Mode::kOversize:
+        return;  // handled in run()
     }
   }
 
@@ -179,6 +188,9 @@ inline std::unique_ptr<fi::Workload> make_toy_hang_ignore_term() {
 }
 inline std::unique_ptr<fi::Workload> make_toy_bloat() {
   return std::make_unique<ToyWorkload>(ToyWorkload::Mode::kBloat);
+}
+inline std::unique_ptr<fi::Workload> make_toy_oversize() {
+  return std::make_unique<ToyWorkload>(ToyWorkload::Mode::kOversize);
 }
 inline std::unique_ptr<fi::Workload> make_toy_slow() {
   // Fewer steps so the 1ms-per-step slowed run stays ~0.3s.
