@@ -3,50 +3,38 @@
 // (GDB + disabled optimizations there; fork isolation, volatile control
 // accesses, and progress instrumentation here) but the claim under test is
 // the same: the injector keeps trials cheap enough for 10k-trial campaigns.
+// Trials fork from a per-slot template that paid setup once, so a trial's
+// cost is its run plus fork, inject and classify.
 //
-// The second table isolates the *supervisor's* own CPU cost: the parent's
-// CPU time per trial under the legacy fixed 200µs watchdog poll vs. the
-// adaptive schedule (coarse sleeps far from the expected completion time,
-// ~20 polls across the expected runtime near it), and the reduction the
-// adaptive poll buys. Parent CPU is proportional to watchdog wakeups, so
-// the saving grows with trial duration.
-//
-// The third table measures the telemetry subsystem's cost: campaign trial
+// The second table measures the telemetry subsystem's cost: campaign trial
 // time with tracing + metrics disabled (the nullptr fast path, which must
 // stay within noise of the pre-telemetry injector) vs. enabled (NDJSON
 // trace + metrics registry + watchdog histograms), so every observability
 // claim ships with its measured price.
 //
-// The fourth table measures the observatory's cost the same way: trials
+// The third table measures the observatory's cost the same way: trials
 // with the streaming estimator + an always-evaluated (never-firing)
 // sequential stop rule vs. the nullptr fast path, emitted to
 // BENCH_observatory.json.
 //
-// The fifth table prices the latency anatomy profiler (docs/PROFILING.md)
+// The fourth table prices the latency anatomy profiler (docs/PROFILING.md)
 // the same way: campaign trial time with the accumulate-only profiler on
 // vs. the nullptr fast path, emitted to BENCH_profiler.json — the
 // profiler's "integer adds only" claim, measured.
 //
-// The sixth table measures multi-worker scheduler scaling: campaign
+// The fifth table measures multi-worker scheduler scaling: campaign
 // throughput (trials/s) at --jobs 1/2/4/8 with a group-commit (kBatch)
 // journal, telemetry off and on. Trial children are genuinely concurrent
 // forks, so speedup tracks the host's core count — on a 4-core host jobs=4
 // should reach >= 3x the jobs=1 throughput; on a 1-core container it stays
 // near 1x by construction. The table also lands in BENCH_parallel.json so
 // the perf trajectory is recorded run over run.
-// The seventh table prices the fleet observability plane (docs/
+// The sixth table prices the fleet observability plane (docs/
 // FLEET_OBSERVABILITY.md): one coordinator + one forked worker over a
 // loopback unix socket, sweeping the worker's STATS snapshot interval
 // (off / 1s / 250ms). STATS frames ride the heartbeat timer off the trial
 // hot path, so throughput should be flat across the sweep; the table and
 // BENCH_fabric_observability.json make that claim measurable run over run.
-//
-// The eighth table prices the trial fast path (docs/PARALLELISM.md):
-// trials/s with the fork-server on vs. the legacy cold-start child, per
-// workload at deliberately small instance sizes — setup + register_sites
-// dominate short trials, which is exactly the regime the fast path
-// amortizes. Emitted to BENCH_fastpath.json.
-#include <sys/resource.h>
 #include <sys/wait.h>
 
 #include <unistd.h>
@@ -70,43 +58,8 @@
 #include "telemetry/profiler.hpp"
 #include "telemetry/trace.hpp"
 #include "util/json.hpp"
-#include "workloads/clamr_workload.hpp"
-#include "workloads/dgemm.hpp"
-#include "workloads/hotspot.hpp"
-#include "workloads/lud.hpp"
-#include "workloads/nw.hpp"
 
 namespace {
-
-/// Parent-process CPU seconds (user + system), excluding children.
-double self_cpu_seconds() {
-  rusage usage{};
-  ::getrusage(RUSAGE_SELF, &usage);
-  const auto seconds = [](const timeval& tv) {
-    return static_cast<double>(tv.tv_sec) +
-           static_cast<double>(tv.tv_usec) * 1e-6;
-  };
-  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
-}
-
-/// Runs reps supervised trials under the given poll mode and returns the
-/// parent's CPU milliseconds per trial.
-double watchdog_cpu_ms_per_trial(const phifi::work::WorkloadInfo& info,
-                                 phifi::fi::WatchdogPoll poll, int reps) {
-  using namespace phifi;
-  fi::SupervisorConfig config = bench::bench_supervisor_config();
-  config.poll = poll;
-  fi::TrialSupervisor supervisor(info.factory, config);
-  supervisor.prepare_golden();
-  const double cpu_start = self_cpu_seconds();
-  for (int rep = 0; rep < reps; ++rep) {
-    fi::TrialConfig trial;
-    trial.trial_seed = 9000 + rep;
-    trial.model = fi::FaultModel::kSingle;
-    (void)supervisor.run_trial(trial);
-  }
-  return (self_cpu_seconds() - cpu_start) * 1000.0 / reps;
-}
 
 /// Wall-clock milliseconds per trial of a small campaign, with telemetry
 /// fully off (`telemetry=false`) or fully on: metrics registry attached to
@@ -315,88 +268,6 @@ double fabric_trials_per_sec(const phifi::work::WorkloadInfo& info,
   return seconds > 0.0 ? static_cast<double>(trials) / seconds : 0.0;
 }
 
-// Small-instance factories for the fast-path table. Short trials are where
-// the per-trial setup + register_sites cost dominates, so they bound the
-// speedup the fork server can buy; the registry's default sizes would bury
-// it under run time.
-std::unique_ptr<phifi::fi::Workload> make_small_dgemm() {
-  return std::make_unique<phifi::work::Dgemm>(32);
-}
-std::unique_ptr<phifi::fi::Workload> make_small_hotspot() {
-  return std::make_unique<phifi::work::HotSpot>(32, 32);
-}
-std::unique_ptr<phifi::fi::Workload> make_small_lud() {
-  return std::make_unique<phifi::work::Lud>(32);
-}
-std::unique_ptr<phifi::fi::Workload> make_small_nw() {
-  return std::make_unique<phifi::work::Nw>(64);
-}
-// Deep-refinement CLAMR at one timestep: AmrMesh preallocates every array
-// at fully-refined capacity ((base << refine)^2 cells) so injection-site
-// pointers stay stable, and setup() serially dry-runs the step schedule to
-// learn progress weights. Both costs scale with capacity while the measured
-// step scales with the few hundred ACTIVE cells — the cold-start-dominated
-// regime of the paper's real runs (where input loading and mesh building
-// take seconds), miniaturized. This is where the fork server pays off
-// hardest: the template pays allocation + dry run once, grandchildren
-// inherit it all by COW.
-std::unique_ptr<phifi::fi::Workload> make_clamr_refine4() {
-  phifi::work::clamr::MeshParams params;
-  params.max_refine = 4;
-  return std::make_unique<phifi::work::Clamr>(params, 1);
-}
-std::unique_ptr<phifi::fi::Workload> make_clamr_refine5() {
-  phifi::work::clamr::MeshParams params;
-  params.max_refine = 5;
-  return std::make_unique<phifi::work::Clamr>(params, 1);
-}
-
-struct FastpathWorkload {
-  const char* name;
-  phifi::fi::WorkloadFactory factory;
-};
-
-constexpr FastpathWorkload kFastpathWorkloads[] = {
-    {"DGEMM(32)", &make_small_dgemm},
-    {"HotSpot(32x32)", &make_small_hotspot},
-    {"LUD(32)", &make_small_lud},
-    {"NW(64)", &make_small_nw},
-    {"CLAMR(16,+4,1step)", &make_clamr_refine4},
-    {"CLAMR(16,+5,1step)", &make_clamr_refine5},
-};
-
-/// Trials per wall-clock second through run_trial with the fast path on or
-/// off. One unmeasured warm-up trial first, so template spawn (fast) and
-/// page-cache effects (legacy) stay out of the steady-state rate; `mode`
-/// reports how the supervisor resolved the fork mode.
-double fastpath_trials_per_sec(phifi::fi::WorkloadFactory factory, bool fast,
-                               int reps, std::string* mode) {
-  using namespace phifi;
-  using Clock = std::chrono::steady_clock;
-  fi::SupervisorConfig config = bench::bench_supervisor_config();
-  config.trial_fast_path = fast;
-  fi::TrialSupervisor supervisor(factory, config);
-  supervisor.prepare_golden();
-  {
-    fi::TrialConfig warmup;
-    warmup.trial_seed = 4999;
-    (void)supervisor.run_trial(warmup);
-  }
-  const auto start = Clock::now();
-  for (int rep = 0; rep < reps; ++rep) {
-    fi::TrialConfig trial;
-    trial.trial_seed = 5000 + rep;
-    trial.model = fi::FaultModel::kSingle;
-    (void)supervisor.run_trial(trial);
-  }
-  const double seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  if (mode != nullptr) {
-    *mode = std::string(fi::to_string(supervisor.fork_mode()));
-  }
-  return seconds > 0.0 ? static_cast<double>(reps) / seconds : 0.0;
-}
-
 }  // namespace
 
 int main() {
@@ -451,23 +322,6 @@ int main() {
                    util::fmt(trial_ms > 0 ? 1000.0 / trial_ms : 0.0, 0)});
   }
   bench::print_table(table);
-
-  util::Table watchdog("Supervisor watchdog CPU per trial (parent process)");
-  watchdog.set_header({"benchmark", "fixed poll [ms]", "adaptive poll [ms]",
-                       "reduction"});
-  constexpr int kWatchdogReps = 20;
-  for (const auto& info : work::all_workloads()) {
-    const double fixed_ms = watchdog_cpu_ms_per_trial(
-        info, fi::WatchdogPoll::kFixed, kWatchdogReps);
-    const double adaptive_ms = watchdog_cpu_ms_per_trial(
-        info, fi::WatchdogPoll::kAdaptive, kWatchdogReps);
-    const double reduction =
-        fixed_ms > 0.0 ? 1.0 - adaptive_ms / fixed_ms : 0.0;
-    watchdog.add_row({std::string(info.name), util::fmt(fixed_ms, 3),
-                      util::fmt(adaptive_ms, 3),
-                      util::fmt_percent(reduction)});
-  }
-  bench::print_table(watchdog);
 
   util::Table telem("Telemetry overhead per trial (trace + metrics)");
   telem.set_header({"benchmark", "telemetry off [ms]", "telemetry on [ms]",
@@ -628,39 +482,5 @@ int main() {
   stats_doc["trials"] = static_cast<std::uint64_t>(kScalingTrials);
   stats_doc["points"] = std::move(stats_points);
   bench::write_bench_doc(stats_doc, "BENCH_fabric_observability.json");
-
-  // Trial fast path: fork-server vs. legacy cold start, small instances.
-  // The mode column shows what the supervisor resolved the fast path to —
-  // "warm" for resettable workloads, "template" otherwise.
-  util::Table fastpath("Trial fast path (fork-server) vs legacy cold start");
-  fastpath.set_header({"benchmark", "mode", "legacy trials/s",
-                       "fast trials/s", "speedup"});
-  const int kFastpathReps =
-      static_cast<int>(bench::env_size("PHIFI_TRIALS", 48));
-  util::json::Value fastpath_points = util::json::Value::array();
-  for (const FastpathWorkload& wl : kFastpathWorkloads) {
-    const double legacy = fastpath_trials_per_sec(
-        wl.factory, /*fast=*/false, kFastpathReps, nullptr);
-    std::string mode;
-    const double fast = fastpath_trials_per_sec(wl.factory, /*fast=*/true,
-                                                kFastpathReps, &mode);
-    const double speedup = legacy > 0.0 ? fast / legacy : 0.0;
-    fastpath.add_row({wl.name, mode, util::fmt(legacy, 0),
-                      util::fmt(fast, 0), util::fmt(speedup, 2) + "x"});
-
-    util::json::Value point = util::json::Value::object();
-    point["workload"] = wl.name;
-    point["fork_mode"] = mode;
-    point["trials_per_sec_legacy"] = legacy;
-    point["trials_per_sec_fast"] = fast;
-    point["speedup"] = speedup;
-    fastpath_points.push_back(std::move(point));
-  }
-  bench::print_table(fastpath);
-
-  util::json::Value fastpath_doc = bench::bench_doc("sec5_trial_fastpath");
-  fastpath_doc["trials"] = static_cast<std::uint64_t>(kFastpathReps);
-  fastpath_doc["points"] = std::move(fastpath_points);
-  bench::write_bench_doc(fastpath_doc, "BENCH_fastpath.json");
   return 0;
 }

@@ -80,13 +80,11 @@ fi::SupervisorConfig RunnerConfig::supervisor_config() const {
   config.timeout_factor = timeout_factor;
   config.min_timeout_seconds = min_timeout_seconds;
   config.input_seed = input_seed;
-  config.poll = watchdog_poll;
   config.kill_grace_seconds = kill_grace_seconds;
   config.child_address_space_mb = child_address_space_mb;
   config.child_cpu_seconds = child_cpu_seconds;
   config.heartbeat_divisions = heartbeat_divisions;
   config.stall_timeout_seconds = stall_timeout_seconds;
-  config.trial_fast_path = trial_fast_path;
   return config;
 }
 
@@ -226,13 +224,6 @@ RunnerConfig parse_config(std::istream& is) {
       config.min_timeout_seconds = parse_double(line_number, value);
     } else if (key == "input_seed") {
       config.input_seed = parse_u64(line_number, value);
-    } else if (key == "watchdog_poll") {
-      if (value == "fixed") config.watchdog_poll = fi::WatchdogPoll::kFixed;
-      else if (value == "adaptive") {
-        config.watchdog_poll = fi::WatchdogPoll::kAdaptive;
-      } else {
-        fail(line_number, "watchdog_poll must be 'fixed' or 'adaptive'");
-      }
     } else if (key == "kill_grace_seconds") {
       config.kill_grace_seconds = parse_double(line_number, value);
     } else if (key == "child_address_space_mb") {
@@ -245,10 +236,6 @@ RunnerConfig parse_config(std::istream& is) {
           static_cast<unsigned>(parse_u64(line_number, value));
     } else if (key == "stall_timeout_seconds") {
       config.stall_timeout_seconds = parse_double(line_number, value);
-    } else if (key == "trial_fast_path") {
-      if (value == "true") config.trial_fast_path = true;
-      else if (value == "false") config.trial_fast_path = false;
-      else fail(line_number, "trial_fast_path must be 'true' or 'false'");
     } else if (key == "max_consecutive_failures") {
       config.max_consecutive_failures = parse_u64(line_number, value);
     } else if (key == "fabric_listen") {
@@ -365,17 +352,11 @@ std::string format_config(const RunnerConfig& config) {
      << "timeout_factor = " << config.timeout_factor << "\n"
      << "min_timeout_seconds = " << config.min_timeout_seconds << "\n"
      << "input_seed = " << config.input_seed << "\n"
-     << "watchdog_poll = "
-     << (config.watchdog_poll == fi::WatchdogPoll::kFixed ? "fixed"
-                                                          : "adaptive")
-     << "\n"
      << "kill_grace_seconds = " << config.kill_grace_seconds << "\n"
      << "child_address_space_mb = " << config.child_address_space_mb << "\n"
      << "child_cpu_seconds = " << config.child_cpu_seconds << "\n"
      << "heartbeat_divisions = " << config.heartbeat_divisions << "\n"
      << "stall_timeout_seconds = " << config.stall_timeout_seconds << "\n"
-     << "trial_fast_path = " << (config.trial_fast_path ? "true" : "false")
-     << "\n"
      << "max_consecutive_failures = " << config.max_consecutive_failures
      << "\n";
   if (!config.fabric_listen.empty()) {

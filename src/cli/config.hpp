@@ -75,16 +75,11 @@ struct RunnerConfig {
   double timeout_factor = 30.0;
   double min_timeout_seconds = 1.0;
   std::uint64_t input_seed = 0x900d5eedULL;
-  fi::WatchdogPoll watchdog_poll = fi::WatchdogPoll::kAdaptive;
   double kill_grace_seconds = 0.25;
   std::size_t child_address_space_mb = 0;  ///< 0 = unlimited
   unsigned child_cpu_seconds = 0;          ///< 0 = unlimited
   unsigned heartbeat_divisions = 16;       ///< 0 = heartbeat off
   double stall_timeout_seconds = 0.0;      ///< 0 = no early stall kill
-  /// Fork-server trial fast path (--trial-fast-path / `trial_fast_path`):
-  /// setup amortized across trials, golden shared via a sealed read-only
-  /// mapping. Tallies are bit-identical to the legacy path.
-  bool trial_fast_path = false;
 
   // Campaign failure handling.
   std::size_t max_consecutive_failures = 5;

@@ -324,13 +324,11 @@ RunSummary run_from_config(const RunnerConfig& config, std::ostream& out) {
   if (telemetry_on) supervisor_config.metrics = &metrics;
   fi::TrialSupervisor supervisor(factory, supervisor_config);
 
-  // Satellite of the trial fast path: a restarted fabric worker whose shard
-  // journal already records this exact campaign's golden digest adopts it
-  // and skips the golden re-run — on wide fleets the per-worker golden run
-  // is pure duplicated work.
+  // A restarted fabric worker whose shard journal already records this
+  // exact campaign's golden digest adopts it and skips the golden re-run —
+  // on wide fleets the per-worker golden run is pure duplicated work.
   bool adopted_golden = false;
-  if (config.trial_fast_path && !config.fabric_connect.empty() &&
-      !config.fabric_shard.empty()) {
+  if (!config.fabric_connect.empty() && !config.fabric_shard.empty()) {
     try {
       const fi::JournalContents shard = fi::read_journal(config.fabric_shard);
       const auto probe = factory();

@@ -40,7 +40,6 @@ telemetry::TrialTrace make_trial_trace(const TrialResult& trial,
   t.seconds = trial.seconds;
   t.heartbeats = trial.heartbeats;
   t.escalated_kill = trial.escalated_kill;
-  t.fork_mode = std::string(to_string(trial.fork_mode));
   t.fork_seconds = trial.fork_done_seconds;
   t.setup_skipped = trial.setup_skipped;
   t.ts_ms = ts_ms;
@@ -135,7 +134,6 @@ telemetry::TrialProfile make_trial_profile(const TrialResult& trial,
   using telemetry::profile_us_from_seconds;
   telemetry::TrialProfile p;
   p.attempt = attempt;
-  p.fork_mode = std::string(to_string(trial.fork_mode));
   p.us(ProfilePhase::kFork) =
       profile_us_from_seconds(trial.fork_done_seconds);
   p.us(ProfilePhase::kSetup) = profile_us_from_seconds(trial.setup_seconds);

@@ -62,8 +62,8 @@ struct JournalHeader {
   std::uint64_t run_id = 0;
   /// Golden-run identity of the campaign that wrote this journal: FNV-1a 64
   /// digest of the golden output, its wall-clock seconds and byte count.
-  /// All zero when unknown (old journals, or a writer without the fast
-  /// path). A fast-path resume whose fingerprint matches can adopt these
+  /// All zero when unknown (journals from before golden adoption). A
+  /// restarted fabric worker whose fingerprint matches can adopt these
   /// via TrialSupervisor::adopt_golden() and skip the golden re-run
   /// entirely. Not fingerprinted: the digest is derived state, not
   /// configuration.

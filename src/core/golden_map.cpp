@@ -8,6 +8,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "util/posix_io.hpp"
+
 namespace phifi::fi {
 
 std::uint64_t fnv1a64(std::span<const std::byte> bytes) {
@@ -21,28 +23,19 @@ std::uint64_t fnv1a64(std::span<const std::byte> bytes) {
 
 namespace {
 
-/// Sealed-memfd path: copy through a RW mapping, drop it (F_SEAL_WRITE is
-/// refused while any writable mapping exists), seal, re-map PROT_READ.
-/// Returns nullptr when memfd_create is unavailable (pre-3.17 kernel or a
-/// seccomp filter) so the caller can fall back.
+/// Sealed-memfd path: write(2) the bytes into the memfd (no page faults
+/// through a writable mapping, which F_SEAL_WRITE would refuse anyway),
+/// seal, map PROT_READ. Returns nullptr when memfd_create is unavailable
+/// (pre-3.17 kernel or a seccomp filter) so the caller can fall back.
 const std::byte* map_sealed(std::span<const std::byte> golden) {
 #ifdef MFD_ALLOW_SEALING
   const int fd = ::memfd_create("phifi-golden", MFD_CLOEXEC |
                                                     MFD_ALLOW_SEALING);
   if (fd < 0) return nullptr;
-  const auto size = static_cast<off_t>(golden.size());
-  if (::ftruncate(fd, size) != 0) {
+  if (!util::io::write_fully(fd, golden.data(), golden.size())) {
     ::close(fd);
     return nullptr;
   }
-  void* rw = ::mmap(nullptr, golden.size(), PROT_READ | PROT_WRITE,
-                    MAP_SHARED, fd, 0);
-  if (rw == MAP_FAILED) {
-    ::close(fd);
-    return nullptr;
-  }
-  std::memcpy(rw, golden.data(), golden.size());
-  ::munmap(rw, golden.size());
   ::fcntl(fd, F_ADD_SEALS,
           F_SEAL_SHRINK | F_SEAL_GROW | F_SEAL_WRITE | F_SEAL_SEAL);
   void* ro = ::mmap(nullptr, golden.size(), PROT_READ, MAP_SHARED, fd, 0);

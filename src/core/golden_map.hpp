@@ -1,12 +1,10 @@
 // Read-only shared mapping of the golden (fault-free) output.
 //
-// The legacy trial path ships every child's full output back through the
-// per-slot SharedChannel and classifies in the parent. The fast path
-// inverts this: the golden bytes are mapped ONCE — into a sealed memfd when
-// the kernel supports it — before any fork, every trial child inherits the
-// read-only mapping for free, classifies in place (memcmp + digest), and
-// ships only a verdict. For the overwhelmingly common Masked outcome, zero
-// output bytes cross the channel.
+// The golden bytes are mapped ONCE — into a sealed memfd when the kernel
+// supports it — before any fork; every template and trial child inherits
+// the read-only mapping for free, classifies in place (memcmp + digest),
+// and ships only a verdict. For the overwhelmingly common Masked outcome,
+// zero output bytes cross the per-slot SharedChannel.
 //
 // The seals (F_SEAL_WRITE et al.) turn "read-only by convention" into
 // "read-only by kernel contract": no process, including this one, can
@@ -20,7 +18,7 @@
 
 namespace phifi::fi {
 
-/// FNV-1a 64-bit digest; the fast path's output fingerprint. Stable across
+/// FNV-1a 64-bit digest; the trial output fingerprint. Stable across
 /// processes and runs by construction (pure function of the bytes).
 [[nodiscard]] std::uint64_t fnv1a64(std::span<const std::byte> bytes);
 

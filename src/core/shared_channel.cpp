@@ -42,8 +42,8 @@ void SharedChannel::reset() {
   header_->phase_count.store(0, std::memory_order_relaxed);
   header_->output_size = 0;
   header_->record = InjectionRecord{};
-  // Fast-path fields. The template is guaranteed idle here (blocked on the
-  // command pipe, or not yet spawned), so relaxed stores are a plain
+  // Fork-server fields. The template is guaranteed idle here (blocked on
+  // the command socket, dead, or not yet spawned), so relaxed stores are a plain
   // parent-side reset, not a cross-process publish. template_setup_seconds
   // deliberately survives: the template writes it once per process.
   header_->verdict_ready.store(0, std::memory_order_relaxed);

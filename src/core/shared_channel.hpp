@@ -44,7 +44,7 @@ struct ShmHeader {
   PhaseRecord phases[kShmMaxPhases];
   std::uint64_t output_size;
   InjectionRecord record;
-  // ---- fork-server extension (trial fast path) ----
+  // ---- fork-server fields ----
   // Child-side classification verdict: set once the trial child compared
   // its output against the shared golden mapping (or digest).
   std::atomic<std::uint32_t> verdict_ready;
@@ -125,17 +125,17 @@ class SharedChannel {
   /// and a corrupted child looping on enter_phase must not wedge anything.
   void store_phase(std::string_view name, double fraction, double t_seconds);
 
-  /// Publishes how the child's own wall-clock decomposed: workload setup
-  /// (or warm reset), site registration + flip arming, and in-child
+  /// Publishes how the child's own wall-clock decomposed: workload setup,
+  /// site registration + flip arming, and in-child
   /// classification, all in seconds. Plain stores — the parent reads them
   /// only after reaping, and zeros (never written) are valid.
   void store_trial_timing(double setup_seconds, double inject_seconds,
                           double classify_seconds);
 
-  /// Fast path: publishes the child-side classification verdict. Masked
-  /// trials ship only this (zero output bytes cross the channel); SDC
-  /// trials additionally store_output() so the parent can analyze the
-  /// corrupted bytes.
+  /// Publishes the child-side classification verdict. Masked trials ship
+  /// only this (zero output bytes cross the channel); SDC trials
+  /// additionally store_output() so the parent can analyze the corrupted
+  /// bytes.
   void store_verdict(bool matches_golden, std::uint64_t digest);
 
   // ---- template (fork-server) side ----

@@ -1,17 +1,22 @@
 // Trial supervisor: the Supervisor script of CAROL-FI (Sec. 5.1).
 //
-// For each trial it forks the process; the child rebuilds the workload,
-// starts a flip thread (the Flip-script analog), runs the benchmark on the
-// emulated device, and reports output + injection record through a shared-
-// memory channel. The parent acts as the watchdog: it reaps the child,
-// kills it past the deadline, and classifies the outcome — Masked (output
+// Every trial runs through a per-slot fork server. A slot's template
+// process is forked from the campaign process, pays workload setup once,
+// and then forks one trial grandchild per command from its post-setup
+// image, so COW hands every trial a pristine copy. The grandchild starts a
+// flip thread (the Flip-script analog), runs the benchmark on the emulated
+// device, classifies its output in place against the golden copy (a sealed
+// read-only mapping every process inherits) and ships the verdict through
+// a shared-memory channel. The campaign process is the watchdog: it blocks
+// on each template's command socket for the completion byte, kills trials
+// past the deadline, and classifies the outcome — Masked (output
 // bit-identical to the golden copy), SDC (mismatch), or DUE (crash /
 // abnormal exit / hang).
 //
-// Trials run in *slots*: each slot owns its own SharedChannel shm segment
-// and watchdog state, so a multi-worker campaign can keep several forked
-// children in flight at once (start_trial/poll_slots), while the classic
-// one-at-a-time API (run_trial) drives slot 0 synchronously.
+// Trials run in *slots*: each slot owns its own SharedChannel shm segment,
+// template process and watchdog state, so a multi-worker campaign can keep
+// several trials in flight at once (start_trial/poll_slots), while the
+// classic one-at-a-time API (run_trial) drives slot 0 synchronously.
 #pragma once
 
 #include <chrono>
@@ -33,49 +38,7 @@
 
 namespace phifi::fi {
 
-/// How the watchdog paces its child polls.
-enum class WatchdogPoll {
-  /// Legacy behaviour: a fixed 200µs sleep between polls.
-  kFixed,
-  /// Coarse sleeps (up to 20ms) far from the expected completion time,
-  /// ~20 polls across the expected runtime near it, never finer than the
-  /// fixed poll. Cuts supervisor CPU (it's proportional to wakeups) while
-  /// keeping reap latency bounded by the same 200µs constant.
-  kAdaptive,
-};
-
-/// How a trial child comes into existence.
-enum class ForkMode {
-  /// Cold start: every child re-runs factory + setup + register_sites.
-  kLegacy,
-  /// Warm image: the campaign process keeps the post-setup workload alive
-  /// (restored via Workload::reset() after the golden run) and forks trial
-  /// children directly from it; COW hands each child a pristine copy.
-  kWarm,
-  /// Fork server: a per-slot template process pays setup once and re-forks
-  /// trial grandchildren from its warm image on command.
-  kTemplate,
-};
-
-[[nodiscard]] constexpr std::string_view to_string(ForkMode mode) {
-  switch (mode) {
-    case ForkMode::kWarm:
-      return "warm";
-    case ForkMode::kTemplate:
-      return "template";
-    case ForkMode::kLegacy:
-      break;
-  }
-  return "legacy";
-}
-
 struct SupervisorConfig {
-  /// Enables the fork-server trial fast path: golden output shared through
-  /// a sealed read-only mapping, children classifying in place and shipping
-  /// only a verdict, setup paid once per campaign (warm mode) or once per
-  /// slot (template mode) instead of once per trial. Outcome tallies are
-  /// bit-identical to the legacy path for the same seeds.
-  bool trial_fast_path = false;
   /// Input-generation seed; fixed for a whole campaign so every trial runs
   /// the same computation as the golden copy.
   std::uint64_t input_seed = 0x900d5eedULL;
@@ -86,7 +49,6 @@ struct SupervisorConfig {
   ///                         timeout_factor * golden run time).
   double timeout_factor = 25.0;
   double min_timeout_seconds = 2.0;
-  WatchdogPoll poll = WatchdogPoll::kAdaptive;
   /// Overdue children get SIGTERM first; SIGKILL follows after this grace
   /// window if they have not exited (injected faults can wedge signal
   /// handling, and test workloads may ignore SIGTERM outright).
@@ -140,12 +102,8 @@ struct TrialResult {
   std::uint64_t heartbeats = 0;
   /// True when the child ignored SIGTERM and had to be SIGKILLed.
   bool escalated_kill = false;
-  /// How this trial's child process came into existence.
-  ForkMode fork_mode = ForkMode::kLegacy;
-  /// True when the trial paid no workload setup anywhere in its critical
-  /// path: warm-mode trials always (setup was amortized from the golden
-  /// run), template-mode trials except the one that (re)spawned the
-  /// template, legacy trials never.
+  /// True when the trial paid no workload setup on its critical path:
+  /// every trial except the one that (re)spawned its slot's template.
   bool setup_skipped = false;
 
   // ---- telemetry (traced, not journaled: the journal stays the compact
@@ -157,15 +115,13 @@ struct TrialResult {
   double fork_done_seconds = 0.0;
   double reaped_seconds = 0.0;
   double classified_seconds = 0.0;
-  /// Child-reported decomposition of its own wall-clock (zeros for trials
-  /// that died before reporting): workload setup/reset, site registration +
-  /// flip arming, and in-child classification (fast path only). The
-  /// profiler subtracts these from the reap interval to isolate the run.
+  /// Decomposition of the trial's wall-clock (zeros for trials that died
+  /// before reporting): the template's one-time workload setup (charged to
+  /// the trial that spawned it), flip arming, and in-child classification.
+  /// The profiler subtracts these from the reap interval to isolate the run.
   double setup_seconds = 0.0;
   double inject_seconds = 0.0;
   double classify_child_seconds = 0.0;
-  /// Watchdog poll iterations while the child ran (diagnostics).
-  std::uint64_t polls = 0;
   /// Workload phase transitions the child reported, in order.
   std::vector<PhaseRecord> phases;
 };
@@ -185,18 +141,18 @@ class TrialSupervisor {
   TrialSupervisor(const TrialSupervisor&) = delete;
   TrialSupervisor& operator=(const TrialSupervisor&) = delete;
 
-  /// Runs the fault-free golden execution in-process and records its output
-  /// and timing. Must be called before run_trial(). The emulated device is
-  /// torn down afterwards so the campaign process is single-threaded when
-  /// it forks.
+  /// Runs the fault-free golden execution in-process, publishes its output
+  /// into the sealed golden mapping and records its digest and timing.
+  /// Must be called before run_trial(). The emulated device is torn down
+  /// afterwards so the campaign process is single-threaded when it forks.
   void prepare_golden();
 
-  /// Fast-path alternative to prepare_golden(): adopts a golden digest
-  /// recorded by an earlier run (e.g. a fabric shard journal) instead of
-  /// re-running the golden execution. Output metadata is probed from a
-  /// setup-less workload instance; trials run in template mode and classify
-  /// by digest alone (golden bytes are not materialized, so golden() stays
-  /// empty and Masked outputs are unavailable). Requires trial_fast_path.
+  /// Alternative to prepare_golden(): adopts a golden digest recorded by an
+  /// earlier run (e.g. a fabric shard journal) instead of re-running the
+  /// golden execution. Output metadata is probed from a setup-less
+  /// workload instance; trials classify by digest alone (golden bytes are
+  /// not materialized, so golden() stays empty and Masked outputs are
+  /// unavailable).
   void adopt_golden(std::uint64_t digest, std::uint64_t output_bytes,
                     double golden_seconds);
 
@@ -227,33 +183,34 @@ class TrialSupervisor {
   /// on fork failure (the slot stays free; the attempt can be retried).
   void start_trial(unsigned slot, const TrialConfig& config);
 
-  /// One scheduler pass: reaps any exited children with a single
-  /// EINTR-safe waitpid(-1) loop, then runs the watchdog (deadline, stall,
-  /// heartbeat extension, SIGTERM→SIGKILL escalation) over the slots still
-  /// running. Returns every trial that completed this pass, classified.
+  /// One scheduler pass: reaps (and replays onto a fresh template) any
+  /// active slot whose template died, then runs the watchdog (deadline,
+  /// stall, heartbeat extension, SIGTERM→SIGKILL escalation) over the slots
+  /// still running. Returns every trial that completed this pass,
+  /// classified.
   std::vector<SlotCompletion> poll_slots();
 
-  /// Suggested sleep before the next poll_slots() call: the tightest
-  /// adaptive (or fixed) poll interval across the active slots.
-  [[nodiscard]] std::chrono::microseconds next_poll_delay() const;
-
   /// Blocks until a completion event is plausible, then returns so the
-  /// caller can run poll_slots() again. Fast-path slots carry an event fd
-  /// (warm: the trial's exit pipe; template: the fork-server's completion
-  /// byte), so the wait is a poll(2) that the kernel ends the moment the
-  /// trial is done — no reap latency and, on a loaded machine, no poll
-  /// wakeups competing with the child for CPU. Bounded by a 10ms tick so
-  /// watchdog bookkeeping (deadlines, stall detection) keeps running.
-  /// Legacy slots have no event fd and fall back to next_poll_delay()
-  /// sleeping, preserving the pre-fast-path schedule exactly.
+  /// caller can run poll_slots() again. The wait is a poll(2) over the
+  /// active templates' command sockets: a template sends one completion
+  /// byte per trial and its death closes the socket, so the kernel ends
+  /// the wait the moment a trial is done — no reap latency and, on a
+  /// loaded machine, no wakeups competing with the trials for CPU. Bounded
+  /// by a 10ms tick so watchdog bookkeeping (deadlines, stall detection)
+  /// keeps running.
   void wait_for_completion();
 
-  /// SIGKILLs and reaps every active slot without classifying — used to
-  /// cancel speculative attempts past the campaign's finish line and to
-  /// tear down on abort.
+  /// Cancels every active slot without classifying: SIGKILLs the slot's
+  /// trial grandchild, lets its template reap it, then SIGKILLs and reaps
+  /// the template — used to cancel speculative attempts past the
+  /// campaign's finish line and to tear down on abort. The next launch in
+  /// the slot respawns its template.
   void kill_active_slots();
 
-  [[nodiscard]] std::span<const std::byte> golden() const { return golden_; }
+  /// The sealed golden mapping (empty when the golden was adopted).
+  [[nodiscard]] std::span<const std::byte> golden() const {
+    return golden_map_.golden();
+  }
   [[nodiscard]] util::Shape output_shape() const { return shape_; }
   [[nodiscard]] ElementType output_type() const { return type_; }
   [[nodiscard]] unsigned time_windows() const { return windows_; }
@@ -262,15 +219,13 @@ class TrialSupervisor {
 
   /// FNV-1a 64 digest of the golden output (0 until prepared/adopted).
   [[nodiscard]] std::uint64_t golden_digest() const { return golden_digest_; }
-  /// Golden output size in bytes; valid in adopted mode too, where the
-  /// bytes themselves are not materialized.
+  /// Golden output size in bytes; valid for an adopted golden too, where
+  /// the bytes themselves are not materialized.
   [[nodiscard]] std::uint64_t golden_output_bytes() const {
     return output_capacity_;
   }
   /// True when the golden was adopted from a recorded digest.
   [[nodiscard]] bool adopted() const { return adopted_; }
-  /// The fork mode trials will run in (resolved by prepare/adopt_golden).
-  [[nodiscard]] ForkMode fork_mode() const { return resolved_mode_; }
   /// Times a dead template process had to be respawned mid-campaign.
   [[nodiscard]] unsigned template_respawns() const {
     return template_respawns_;
@@ -302,27 +257,19 @@ class TrialSupervisor {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// Per-slot watchdog state. The channel is allocated once and reused
-  /// across the trials scheduled into the slot.
+  /// Per-slot state: the channel is allocated once and reused across the
+  /// trials scheduled into the slot; the template outlives them too.
   struct Slot {
     std::unique_ptr<SharedChannel> channel;
-    pid_t pid = -1;
     bool active = false;
     bool injected = false;  ///< launched with an injection config
     Clock::time_point start{};
     Clock::time_point last_beat_time{};
     Clock::time_point last_poll_time{};
     std::uint64_t last_beat = 0;
-    std::uint64_t polls = 0;
     double fork_done = 0.0;
-    // ---- fast path ----
-    ForkMode mode = ForkMode::kLegacy;  ///< mode of the in-flight trial
     pid_t template_pid = -1;  ///< fork-server process (outlives trials)
-    int cmd_fd = -1;          ///< parent end of the template command pipe
-    /// Warm mode: read end of a per-trial pipe whose write end lives only
-    /// in the child, so child exit (any exit, including SIGKILL) reads as
-    /// EOF here — an exact, kernel-delivered completion event.
-    int exit_fd = -1;
+    int cmd_fd = -1;          ///< parent end of the template command socket
     TrialCommand pending{};   ///< last dispatched command, for respawn replay
     unsigned respawn_attempts = 0;  ///< respawns charged to the current trial
     bool setup_skipped = false;     ///< the in-flight trial paid no setup
@@ -330,39 +277,36 @@ class TrialSupervisor {
 
   TrialResult run_child(const TrialConfig* config);
   void launch(unsigned slot, const TrialConfig* config);
-  /// Reaps + classifies a finished child and frees the slot.
+  /// Classifies a finished trial from its wait status and frees the slot.
   TrialResult finalize_slot(Slot& slot, int status, DueKind killed_as,
                             bool escalated);
-  [[noreturn]] void child_main(const TrialConfig* config,
-                               SharedChannel* channel);
-
-  // ---- fast path ----
-  /// Forks a fresh template process for the slot (template mode).
+  /// Forks a fresh template process for the slot.
   void spawn_template(unsigned slot);
   /// Ensures a live template and hands it the slot's pending command,
   /// respawning (bounded) if the template died before it could be woken.
   void dispatch_pending(unsigned slot);
-  /// Watchdog kill for a template-mode trial: signals the grandchild and
-  /// waits for the template to publish its status. Returns false when the
-  /// grandchild does not exist yet and `force` is not set (retry next
-  /// poll); with `force`, kills the whole template subtree.
+  /// SIGKILLs and reaps the slot's template and closes its command socket.
+  void kill_template(Slot& slot);
+  /// Watchdog kill: signals the grandchild and waits for the template to
+  /// publish its status. Returns false when the grandchild does not exist
+  /// yet and `force` is not set (retry next poll); with `force`, kills the
+  /// whole template subtree.
   bool kill_template_trial(Slot& slot, bool force, int* status,
                            bool* escalated);
-  /// Reap-pass handler for a template process that died mid-campaign.
+  /// Reap-pass handler for a template process that died mid-trial.
   void handle_template_death(unsigned slot);
-  /// Template process body: setup once, then loop re-forking trial
-  /// grandchildren from the warm image on command.
+  /// Template process body: setup once, then loop forking trial
+  /// grandchildren from the post-setup image on command.
   [[noreturn]] void template_main(SharedChannel* channel, int cmd_fd,
                                   int parent_fd);
-  /// Fast-path trial body, shared by warm children and template
-  /// grandchildren: inject, run, classify in place, ship the verdict.
-  [[noreturn]] void fast_trial_main(Workload& workload, SiteRegistry& registry,
-                                    const TrialCommand& command,
-                                    SharedChannel* channel);
+  /// Trial grandchild body: inject, run, classify in place, ship the
+  /// verdict.
+  [[noreturn]] void trial_main(Workload& workload, SiteRegistry& registry,
+                               const TrialCommand& command,
+                               SharedChannel* channel);
 
   WorkloadFactory factory_;
   SupervisorConfig config_;
-  std::vector<std::byte> golden_;
   phi::CounterSnapshot golden_counters_;
   util::Shape shape_;
   ElementType type_ = ElementType::kF32;
@@ -372,19 +316,12 @@ class TrialSupervisor {
   std::vector<Slot> slots_;
   unsigned active_count_ = 0;
   bool prepared_ = false;
-  // ---- fast path ----
-  /// Warm post-setup workload image kept alive in the campaign process
-  /// (warm mode only); trial children are forked straight from it.
-  std::unique_ptr<Workload> warm_workload_;
-  /// Site registry built once against warm_workload_; its raw pointers
-  /// stay valid in every COW child.
-  SiteRegistry warm_registry_;
-  /// Sealed read-only shared mapping of the golden output.
+  /// Sealed read-only shared mapping of the golden output, inherited by
+  /// every template and trial (unmapped when the golden was adopted).
   GoldenMap golden_map_;
   std::uint64_t golden_digest_ = 0;
-  std::uint64_t output_capacity_ = 0;  ///< golden output bytes (both modes)
+  std::uint64_t output_capacity_ = 0;  ///< golden output bytes
   bool adopted_ = false;
-  ForkMode resolved_mode_ = ForkMode::kLegacy;
   unsigned template_respawns_ = 0;
 };
 

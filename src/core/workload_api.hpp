@@ -1,8 +1,8 @@
 // The contract between the fault-injection framework and a benchmark.
 //
 // A Workload owns its inputs, outputs and scratch memory; the supervisor
-// calls setup() once, register_sites() once, and run() once per trial (in a
-// forked child). Outputs are exposed as raw bytes plus a logical shape and
+// calls setup() and register_sites() once per fork-server template, and
+// run() once per trial (in a grandchild forked from the post-setup image). Outputs are exposed as raw bytes plus a logical shape and
 // element type so the analysis layer can diff, classify spatial patterns,
 // and compute relative errors without knowing the algorithm.
 #pragma once
@@ -70,17 +70,6 @@ class Workload {
   /// must stay valid until the workload is destroyed.
   virtual void register_sites(SiteRegistry& registry) = 0;
 
-  /// Optional fast-path hook (docs/PARALLELISM.md, "trial fast path"):
-  /// restores the exact post-setup() state after ONE fault-free run() in
-  /// this process, without reallocating — registered site pointers must
-  /// stay valid. Returning true lets the supervisor keep a warm workload
-  /// image in the campaign parent and fork trial children directly from
-  /// it; returning false (the default) makes the fast path spawn a
-  /// per-slot template process instead. Only called right after the golden
-  /// run; implementations may rebuild inputs from the stored seed as long
-  /// as the result is bit-identical to the original setup().
-  virtual bool reset() { return false; }
-
   [[nodiscard]] virtual std::span<const std::byte> output_bytes() const = 0;
   [[nodiscard]] virtual util::Shape output_shape() const = 0;
   [[nodiscard]] virtual ElementType output_type() const = 0;
@@ -97,8 +86,9 @@ class Workload {
   }
 };
 
-/// Factory used by the supervisor to build a fresh workload in each trial
-/// child process. Must be callable repeatedly and deterministic.
+/// Factory used by the supervisor to build a fresh workload for the golden
+/// run and in each template process. Must be callable repeatedly and
+/// deterministic.
 using WorkloadFactory = std::unique_ptr<Workload> (*)();
 
 }  // namespace phifi::fi

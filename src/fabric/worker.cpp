@@ -179,8 +179,8 @@ void WorkerLoop::open_shard() {
     header.time_windows = supervisor_->time_windows();
     header.workload = supervisor_->workload_name();
     header.run_id = run_id_;
-    // Golden identity rides the shard header so a restarted worker on the
-    // fast path can adopt the digest instead of re-running the golden.
+    // Golden identity rides the shard header so a restarted worker can
+    // adopt the digest instead of re-running the golden.
     header.golden_digest = supervisor_->golden_digest();
     header.golden_seconds = supervisor_->golden_seconds();
     header.golden_output_bytes = supervisor_->golden_output_bytes();

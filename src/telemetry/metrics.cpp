@@ -176,7 +176,7 @@ std::vector<double> default_latency_edges_ms() {
           200.0,  500.0,  1000.0, 2000.0, 5000.0,  10000.0, 30000.0};
 }
 
-std::vector<double> watchdog_poll_edges_ms() {
+std::vector<double> poll_interval_edges_ms() {
   return {0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0};
 }
 

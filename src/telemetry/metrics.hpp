@@ -131,8 +131,8 @@ class MetricsRegistry {
 std::vector<double> default_latency_edges_ms();
 
 /// Bucket edges (milliseconds) for the watchdog poll-interval histogram;
-/// finer at the sub-millisecond end where the adaptive poll spends its
-/// near-completion phase.
-std::vector<double> watchdog_poll_edges_ms();
+/// finer at the sub-millisecond end, where completion-byte wakes land,
+/// up to the 10ms watchdog tick and beyond.
+std::vector<double> poll_interval_edges_ms();
 
 }  // namespace phifi::telemetry

@@ -107,7 +107,6 @@ util::json::Value trial_profile_to_json(const TrialProfile& profile) {
   record["type"] = "profile";
   record["attempt"] = profile.attempt;
   record["workload"] = profile.workload;
-  record["fork_mode"] = profile.fork_mode;
   record["fork_us"] = profile.us(ProfilePhase::kFork);
   record["setup_us"] = profile.us(ProfilePhase::kSetup);
   record["inject_us"] = profile.us(ProfilePhase::kInject);
@@ -124,7 +123,6 @@ TrialProfile trial_profile_from_json(const util::json::Value& record) {
   profile.attempt =
       static_cast<std::uint64_t>(record.number_or("attempt", 0.0));
   profile.workload = record.string_or("workload", "");
-  profile.fork_mode = record.string_or("fork_mode", "legacy");
   const auto us = [&record](const char* key) {
     return static_cast<std::uint64_t>(record.number_or(key, 0.0));
   };

@@ -3,9 +3,9 @@
 // The ROADMAP's gating metric is masked-trial throughput, and the fork-
 // server fast path moved per-trial time between phases without any
 // instrument saying *where*. The profiler records, per committed trial,
-// the duration of every phase of the trial pipeline — fork/re-fork,
-// workload setup/reset, site selection + injection, run, classification
-// (golden diff or in-place memfd verdict), reorder-buffer wait, journal
+// the duration of every phase of the trial pipeline — template dispatch,
+// template setup, site selection + injection, run, in-place classification
+// against the sealed golden mapping, reorder-buffer wait, journal
 // append, and the batched fsync flush — into fixed-bucket log2 histograms.
 //
 // Discipline mirrors the campaign estimator (estimator.hpp): the snapshot
@@ -38,11 +38,11 @@ namespace phifi::telemetry {
 /// cost lands on the trial whose commit triggered the flush, zero
 /// elsewhere).
 enum class ProfilePhase : unsigned {
-  kFork = 0,  ///< fork / warm re-fork / template dispatch, to child running
-  kSetup,     ///< workload setup or reset inside the trial child
-  kInject,    ///< site registration + flip-engine arming in the child
+  kFork = 0,  ///< template dispatch (and respawn), to child running
+  kSetup,     ///< template's one-time setup, on the trial that spawned it
+  kInject,    ///< flip-engine arming in the child
   kRun,       ///< workload execution (child run loop)
-  kClassify,  ///< golden diff (parent) or in-place memfd verdict (child)
+  kClassify,  ///< in-place verdict (child) plus parent-side bookkeeping
   kRobWait,   ///< reorder-buffer wait from reap to in-order commit
   kJournal,   ///< write-ahead journal append for this trial
   kFlush,     ///< batched journal fsync charged to the triggering trial
@@ -126,7 +126,6 @@ struct ProfileSnapshot {
 struct TrialProfile {
   std::uint64_t attempt = 0;
   std::string workload;
-  std::string fork_mode = "legacy";
   std::array<std::uint64_t, kProfilePhaseCount> phase_us{};
 
   [[nodiscard]] std::uint64_t& us(ProfilePhase p) {

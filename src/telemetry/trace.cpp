@@ -108,7 +108,6 @@ util::json::Value trial_to_json(const TrialTrace& trial) {
   record["seconds"] = trial.seconds;
   record["heartbeats"] = trial.heartbeats;
   record["escalated_kill"] = trial.escalated_kill;
-  record["fork_mode"] = trial.fork_mode;
   record["fork_seconds"] = trial.fork_seconds;
   record["setup_skipped"] = trial.setup_skipped;
   record["ts_ms"] = trial.ts_ms;
@@ -152,7 +151,6 @@ TrialTrace trial_from_json(const util::json::Value& record) {
   trial.heartbeats =
       static_cast<std::uint64_t>(record.number_or("heartbeats", 0.0));
   trial.escalated_kill = record.bool_or("escalated_kill", false);
-  trial.fork_mode = record.string_or("fork_mode", "legacy");
   trial.fork_seconds = record.number_or("fork_seconds", 0.0);
   trial.setup_skipped = record.bool_or("setup_skipped", false);
   trial.ts_ms = record.number_or("ts_ms", 0.0);

@@ -61,16 +61,11 @@ struct TrialTrace {
   double seconds = 0.0;
   std::uint64_t heartbeats = 0;
   bool escalated_kill = false;
-  /// How the trial child came into existence: "legacy" (cold start),
-  /// "warm" (re-forked from the campaign's post-setup image), or
-  /// "template" (re-forked by a per-slot fork-server process).
-  std::string fork_mode = "legacy";
-  /// Seconds from trial start until the child existed (the fork span;
-  /// on the fast path this is the amortized cost the mode pays per trial).
+  /// Seconds from trial start until the trial command was handed to the
+  /// slot's template (the fork span; a respawning template adds its fork).
   double fork_seconds = 0.0;
-  /// True when the trial paid no workload setup anywhere on its critical
-  /// path (warm trials always; template trials except the one that
-  /// (re)spawned the template; legacy trials never).
+  /// True when the trial paid no workload setup on its critical path:
+  /// every trial except the one that (re)spawned its slot's template.
   bool setup_skipped = false;
   double ts_ms = 0.0;  ///< trial start, ms from campaign start (monotonic)
   std::vector<TraceSpan> spans;

@@ -1,12 +1,11 @@
 // Bump arena for per-trial scratch allocations.
 //
 // The trial hot loop (site selection, phase scratch) historically allocated
-// short-lived vectors on every injection. In the fork-server fast path each
-// trial child is a fresh COW image whose heap metadata is shared with the
-// template until first touch — every malloc both costs time and dirties
-// pages. A bump arena turns that into pointer arithmetic over one buffer
-// allocated once (in the template / warm parent, so children inherit it)
-// and rewound per trial.
+// short-lived vectors on every injection. Each trial child is a fresh COW
+// image whose heap metadata is shared with its fork-server template until
+// first touch — every malloc both costs time and dirties pages. A bump
+// arena turns that into pointer arithmetic over one buffer allocated once
+// (in the template, so children inherit it) and rewound per trial.
 #pragma once
 
 #include <cstddef>

@@ -22,15 +22,6 @@ void Dgemm::setup(std::uint64_t input_seed) {
   reset_control();
 }
 
-bool Dgemm::reset() {
-  // A fault-free run() mutates only C (accumulator, zero after setup) and
-  // the per-worker control blocks; A, B, alpha and the base pointers are
-  // read-only. No reallocation, so registered site pointers stay valid.
-  for (auto& v : c_.span()) v = 0.0;
-  reset_control();
-  return true;
-}
-
 void Dgemm::run(phi::Device& device, fi::ProgressTracker& progress) {
   // alpha and the base pointers are re-read per row through volatile
   // glvalues so a corrupted constant or pointer affects every row computed

@@ -20,7 +20,6 @@ class Dgemm : public WorkloadBase {
   void setup(std::uint64_t input_seed) override;
   void run(phi::Device& device, fi::ProgressTracker& progress) override;
   void register_sites(fi::SiteRegistry& registry) override;
-  bool reset() override;
 
   [[nodiscard]] std::span<const std::byte> output_bytes() const override;
   [[nodiscard]] util::Shape output_shape() const override {

@@ -1,7 +1,5 @@
 #include "workloads/hotspot.hpp"
 
-#include <algorithm>
-
 #include "util/bits.hpp"
 
 namespace phifi::work {
@@ -47,11 +45,6 @@ void HotSpot::write_worker_bounds(phi::Device& device) {
 }
 
 void HotSpot::setup(std::uint64_t input_seed) {
-  rebuild_thermal_state(input_seed);
-}
-
-void HotSpot::rebuild_thermal_state(std::uint64_t input_seed) {
-  input_seed_ = input_seed;
   util::Rng rng(input_seed ^ 0x407590);
   temp_[0].resize(rows_ * cols_);
   temp_[1].resize(rows_ * cols_);
@@ -80,16 +73,6 @@ void HotSpot::rebuild_thermal_state(std::uint64_t input_seed) {
     }
   }
   reset_control();
-}
-
-bool HotSpot::reset() {
-  // run() ping-pongs through both temperature buffers and swaps the
-  // tin/tout pointers, so restoring the post-setup image means zeroing the
-  // scratch buffer (value-initialized by the first resize, untouched by
-  // setup) and replaying the setup body from the stored seed.
-  std::fill(temp_[1].span().begin(), temp_[1].span().end(), 0.0f);
-  rebuild_thermal_state(input_seed_);
-  return true;
 }
 
 void HotSpot::run(phi::Device& device, fi::ProgressTracker& progress) {

@@ -26,7 +26,6 @@ class HotSpot : public WorkloadBase {
   void setup(std::uint64_t input_seed) override;
   void run(phi::Device& device, fi::ProgressTracker& progress) override;
   void register_sites(fi::SiteRegistry& registry) override;
-  bool reset() override;
 
   [[nodiscard]] std::span<const std::byte> output_bytes() const override;
   [[nodiscard]] util::Shape output_shape() const override {
@@ -47,7 +46,6 @@ class HotSpot : public WorkloadBase {
   std::size_t rows_;
   std::size_t cols_;
   unsigned iterations_;
-  std::uint64_t input_seed_ = 0;  ///< stored by setup() for reset()
   util::AlignedBuffer<float> temp_[2];  // ping-pong buffers
   util::AlignedBuffer<float> power_;
   unsigned final_buffer_ = 0;
@@ -75,10 +73,6 @@ class HotSpot : public WorkloadBase {
   void write_worker_bounds(phi::Device& device);
   void scrub_constants();
   float* constant_by_index(std::size_t index);
-  /// Shared body of setup() and reset(): (re)builds the thermal state from
-  /// the input seed. Same-size resize never reallocates, so on the reset()
-  /// path every registered site pointer stays valid.
-  void rebuild_thermal_state(std::uint64_t input_seed);
 
   phi::ControlSlot s_row_ = declare_slot("row");
   phi::ControlSlot s_col_ = declare_slot("col");

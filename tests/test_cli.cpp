@@ -69,33 +69,27 @@ TEST(CliConfig, ParsesDurabilityAndSupervisionKeys) {
 journal_file = /tmp/c.jnl
 resume = true
 journal_fsync = on-close
-watchdog_poll = fixed
 kill_grace_seconds = 0.5
 child_address_space_mb = 2048
 child_cpu_seconds = 30
 heartbeat_divisions = 32
 stall_timeout_seconds = 1.5
-trial_fast_path = true
 max_consecutive_failures = 3
 )");
   EXPECT_EQ(config.journal_file, "/tmp/c.jnl");
   EXPECT_TRUE(config.resume);
   EXPECT_EQ(config.journal_fsync, fi::JournalFsync::kOnClose);
-  EXPECT_EQ(config.watchdog_poll, fi::WatchdogPoll::kFixed);
   EXPECT_DOUBLE_EQ(config.kill_grace_seconds, 0.5);
   EXPECT_EQ(config.child_address_space_mb, 2048u);
   EXPECT_EQ(config.child_cpu_seconds, 30u);
   EXPECT_EQ(config.heartbeat_divisions, 32u);
   EXPECT_DOUBLE_EQ(config.stall_timeout_seconds, 1.5);
-  EXPECT_TRUE(config.trial_fast_path);
   EXPECT_EQ(config.max_consecutive_failures, 3u);
 
   // The parsed keys reach the structs the campaign actually consumes.
   const fi::SupervisorConfig supervisor = config.supervisor_config();
-  EXPECT_EQ(supervisor.poll, fi::WatchdogPoll::kFixed);
   EXPECT_EQ(supervisor.child_address_space_mb, 2048u);
   EXPECT_EQ(supervisor.heartbeat_divisions, 32u);
-  EXPECT_TRUE(supervisor.trial_fast_path);
   const fi::CampaignConfig campaign = config.campaign_config();
   EXPECT_EQ(campaign.journal_path, "/tmp/c.jnl");
   EXPECT_TRUE(campaign.resume);
@@ -106,7 +100,6 @@ max_consecutive_failures = 3
 TEST(CliConfig, BadDurabilityValuesAreErrors) {
   EXPECT_THROW(parse("resume = maybe\n"), std::runtime_error);
   EXPECT_THROW(parse("journal_fsync = sometimes\n"), std::runtime_error);
-  EXPECT_THROW(parse("watchdog_poll = frantic\n"), std::runtime_error);
 }
 
 TEST(CliConfig, DurabilityKeysSurviveFormatRoundTrip) {
@@ -114,26 +107,22 @@ TEST(CliConfig, DurabilityKeysSurviveFormatRoundTrip) {
   config.journal_file = "camp.jnl";
   config.resume = true;
   config.journal_fsync = fi::JournalFsync::kOnClose;
-  config.watchdog_poll = fi::WatchdogPoll::kFixed;
   config.kill_grace_seconds = 0.75;
   config.child_address_space_mb = 4096;
   config.child_cpu_seconds = 60;
   config.heartbeat_divisions = 8;
   config.stall_timeout_seconds = 2.0;
-  config.trial_fast_path = true;
   config.max_consecutive_failures = 9;
   const RunnerConfig reparsed = parse(format_config(config));
   EXPECT_EQ(reparsed.journal_file, config.journal_file);
   EXPECT_EQ(reparsed.resume, config.resume);
   EXPECT_EQ(reparsed.journal_fsync, config.journal_fsync);
-  EXPECT_EQ(reparsed.watchdog_poll, config.watchdog_poll);
   EXPECT_DOUBLE_EQ(reparsed.kill_grace_seconds, config.kill_grace_seconds);
   EXPECT_EQ(reparsed.child_address_space_mb, config.child_address_space_mb);
   EXPECT_EQ(reparsed.child_cpu_seconds, config.child_cpu_seconds);
   EXPECT_EQ(reparsed.heartbeat_divisions, config.heartbeat_divisions);
   EXPECT_DOUBLE_EQ(reparsed.stall_timeout_seconds,
                    config.stall_timeout_seconds);
-  EXPECT_EQ(reparsed.trial_fast_path, config.trial_fast_path);
   EXPECT_EQ(reparsed.max_consecutive_failures,
             config.max_consecutive_failures);
 }

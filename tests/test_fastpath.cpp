@@ -1,15 +1,17 @@
-// Fork-server trial fast path: warm re-fork and template modes must be
-// tally-for-tally, record-for-record indistinguishable from the legacy
-// cold-start path — at any worker count, across SIGKILL + resume (in either
-// direction: a fast-path journal resumed legacy and vice versa), and across
-// a template process dying mid-campaign.
+// Per-slot fork-server trials: a fixed-seed toy campaign must reproduce a
+// committed oracle draw for draw — at any worker count, across SIGKILL +
+// resume, and across a template process dying mid-campaign — and a cancel
+// must stay prompt even when nobody reaps the orphaned trial processes.
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <filesystem>
 #include <memory>
@@ -33,12 +35,6 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "phifi_" + name;
 }
 
-fi::SupervisorConfig fast_supervisor_config() {
-  fi::SupervisorConfig config = toy_supervisor_config();
-  config.trial_fast_path = true;
-  return config;
-}
-
 CampaignConfig fastpath_campaign(unsigned jobs, const std::string& journal) {
   CampaignConfig config;
   config.trials = 12;
@@ -48,52 +44,64 @@ CampaignConfig fastpath_campaign(unsigned jobs, const std::string& journal) {
   return config;
 }
 
-CampaignResult run_campaign(WorkloadFactory factory, bool fast,
+CampaignResult run_campaign(WorkloadFactory factory,
                             const CampaignConfig& config,
                             const TrialObserver& observer = nullptr) {
   ToyWorkload::reset_run_counter();
-  TrialSupervisor supervisor(std::move(factory),
-                             fast ? fast_supervisor_config()
-                                  : toy_supervisor_config());
+  TrialSupervisor supervisor(factory, toy_supervisor_config());
   supervisor.prepare_golden();
   Campaign campaign(supervisor, config);
   return campaign.run(observer);
 }
 
-void expect_tally_eq(const OutcomeTally& a, const OutcomeTally& b) {
-  EXPECT_EQ(a.masked, b.masked);
-  EXPECT_EQ(a.sdc, b.sdc);
-  EXPECT_EQ(a.due, b.due);
+/// One committed trial of fastpath_campaign() on the toy workload.
+struct OracleTrial {
+  Outcome outcome;
+  unsigned window;
+  std::uint32_t site_index;
+  std::uint64_t element_index;
+  std::uint64_t flipped_bit;
+};
+
+/// Recorded from the cold-start trial path (every child re-running factory
+/// and setup) that the fork server replaced: the draws are a function of
+/// the campaign seed alone, so any change to RNG draw order, site
+/// selection or classification shows up here.
+constexpr std::array<OracleTrial, 12> kOracle = {{
+    {Outcome::kSdc, 3, 0, 25, 3},
+    {Outcome::kSdc, 2, 0, 51, 11},
+    {Outcome::kMasked, 0, 0, 52, 0},
+    {Outcome::kSdc, 1, 0, 17, 0},
+    {Outcome::kSdc, 3, 0, 44, 53},
+    {Outcome::kMasked, 0, 0, 40, 11},
+    {Outcome::kSdc, 1, 1, 0, 0},
+    {Outcome::kSdc, 3, 0, 32, 0},
+    {Outcome::kSdc, 1, 0, 47, 54},
+    {Outcome::kSdc, 2, 1, 0, 42},
+    {Outcome::kSdc, 2, 0, 27, 0},
+    {Outcome::kSdc, 0, 0, 59, 0},
+}};
+
+/// Asserts a trial drew the oracle's injection (window, site, element,
+/// bit); the outcome is checked separately so a caller can override it.
+void expect_oracle_draw(const TrialResult& trial, std::size_t i) {
+  const OracleTrial& want = kOracle.at(i);
+  EXPECT_EQ(trial.window, want.window) << "trial " << i;
+  EXPECT_EQ(trial.record.site_index, want.site_index) << "trial " << i;
+  EXPECT_EQ(trial.record.element_index, want.element_index) << "trial " << i;
+  EXPECT_EQ(trial.record.flipped_bits[0], want.flipped_bit) << "trial " << i;
 }
 
-/// Asserts every aggregate slice and every per-trial record matches.
-void expect_same_campaign(const CampaignResult& a, const CampaignResult& b) {
-  expect_tally_eq(a.overall, b.overall);
-  for (std::size_t m = 0; m < a.by_model.size(); ++m) {
-    expect_tally_eq(a.by_model[m], b.by_model[m]);
-  }
-  ASSERT_EQ(a.by_window.size(), b.by_window.size());
-  for (std::size_t w = 0; w < a.by_window.size(); ++w) {
-    expect_tally_eq(a.by_window[w], b.by_window[w]);
-  }
-  ASSERT_EQ(a.by_category.size(), b.by_category.size());
-  for (const auto& [category, tally] : a.by_category) {
-    ASSERT_TRUE(b.by_category.count(category)) << category;
-    expect_tally_eq(tally, b.by_category.at(category));
-  }
-  EXPECT_EQ(a.not_injected, b.not_injected);
-  EXPECT_EQ(a.attempts, b.attempts);
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (std::size_t i = 0; i < a.trials.size(); ++i) {
-    EXPECT_EQ(a.trials[i].outcome, b.trials[i].outcome) << "trial " << i;
-    EXPECT_EQ(a.trials[i].due_kind, b.trials[i].due_kind) << "trial " << i;
-    EXPECT_EQ(a.trials[i].window, b.trials[i].window) << "trial " << i;
-    EXPECT_EQ(a.trials[i].record.model, b.trials[i].record.model);
-    EXPECT_EQ(a.trials[i].record.site_index, b.trials[i].record.site_index);
-    EXPECT_EQ(a.trials[i].record.element_index,
-              b.trials[i].record.element_index);
-    EXPECT_EQ(a.trials[i].record.flipped_bits[0],
-              b.trials[i].record.flipped_bits[0]);
+void expect_oracle(const CampaignResult& result) {
+  EXPECT_EQ(result.attempts, kOracle.size());
+  EXPECT_EQ(result.not_injected, 0u);
+  EXPECT_EQ(result.overall.masked, 2u);
+  EXPECT_EQ(result.overall.sdc, 10u);
+  EXPECT_EQ(result.overall.due, 0u);
+  ASSERT_EQ(result.trials.size(), kOracle.size());
+  for (std::size_t i = 0; i < kOracle.size(); ++i) {
+    EXPECT_EQ(result.trials[i].outcome, kOracle[i].outcome) << "trial " << i;
+    expect_oracle_draw(result.trials[i], i);
   }
 }
 
@@ -120,197 +128,89 @@ TEST(FastPath, GoldenMapPublishesSealedReadOnlyCopy) {
   EXPECT_FALSE(map.mapped());
 }
 
-TEST(FastPath, ResettableWorkloadResolvesWarmMode) {
+TEST(FastPath, PrepareGoldenPublishesTheSealedCopy) {
   ToyWorkload::reset_run_counter();
   TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
-                             fast_supervisor_config());
+                             toy_supervisor_config());
   supervisor.prepare_golden();
-  EXPECT_EQ(supervisor.fork_mode(), ForkMode::kWarm);
-  EXPECT_NE(supervisor.golden_digest(), 0u);
+  ASSERT_EQ(supervisor.golden().size(), 64 * sizeof(double));
   EXPECT_EQ(supervisor.golden_output_bytes(), supervisor.golden().size());
+  EXPECT_EQ(supervisor.golden_digest(), fnv1a64(supervisor.golden()));
   EXPECT_FALSE(supervisor.adopted());
 }
 
-TEST(FastPath, NonResettableWorkloadResolvesTemplateMode) {
-  ToyWorkload::reset_run_counter();
-  TrialSupervisor supervisor(&phifi::testing::make_toy_no_reset,
-                             fast_supervisor_config());
-  supervisor.prepare_golden();
-  EXPECT_EQ(supervisor.fork_mode(), ForkMode::kTemplate);
-  EXPECT_NE(supervisor.golden_digest(), 0u);
+TEST(FastPath, MatchesCommittedOracleAtJobs1And4) {
+  const CampaignResult jobs1 =
+      run_campaign(&phifi::testing::make_toy_normal, fastpath_campaign(1, ""));
+  expect_oracle(jobs1);
+  // The first trial pays the template's setup; later ones ride its image.
+  EXPECT_FALSE(jobs1.trials.at(0).setup_skipped);
+  EXPECT_TRUE(jobs1.trials.at(1).setup_skipped);
+
+  expect_oracle(run_campaign(&phifi::testing::make_toy_normal,
+                             fastpath_campaign(4, "")));
 }
 
-TEST(FastPath, WarmModeMatchesLegacyBitIdenticalAtJobs1And4) {
-  const CampaignResult legacy = run_campaign(
-      &phifi::testing::make_toy_normal, false, fastpath_campaign(1, ""));
-  ASSERT_EQ(legacy.overall.total(), 12u);
-
-  const CampaignResult warm1 = run_campaign(
-      &phifi::testing::make_toy_normal, true, fastpath_campaign(1, ""));
-  EXPECT_EQ(warm1.trials.at(0).fork_mode, ForkMode::kWarm);
-  EXPECT_TRUE(warm1.trials.at(0).setup_skipped);
-  expect_same_campaign(legacy, warm1);
-
-  const CampaignResult warm4 = run_campaign(
-      &phifi::testing::make_toy_normal, true, fastpath_campaign(4, ""));
-  expect_same_campaign(legacy, warm4);
-}
-
-TEST(FastPath, TemplateModeMatchesLegacyBitIdenticalAtJobs1And4) {
-  const CampaignResult legacy = run_campaign(
-      &phifi::testing::make_toy_no_reset, false, fastpath_campaign(1, ""));
-  ASSERT_EQ(legacy.overall.total(), 12u);
-  EXPECT_EQ(legacy.trials.at(0).fork_mode, ForkMode::kLegacy);
-  EXPECT_FALSE(legacy.trials.at(0).setup_skipped);
-
-  const CampaignResult tmpl1 = run_campaign(
-      &phifi::testing::make_toy_no_reset, true, fastpath_campaign(1, ""));
-  EXPECT_EQ(tmpl1.trials.at(0).fork_mode, ForkMode::kTemplate);
-  // The first trial pays the template's setup; later ones ride the warm
-  // image.
-  EXPECT_FALSE(tmpl1.trials.at(0).setup_skipped);
-  EXPECT_TRUE(tmpl1.trials.at(1).setup_skipped);
-  expect_same_campaign(legacy, tmpl1);
-
-  const CampaignResult tmpl4 = run_campaign(
-      &phifi::testing::make_toy_no_reset, true, fastpath_campaign(4, ""));
-  expect_same_campaign(legacy, tmpl4);
-}
-
-TEST(FastPath, OversizeOutputIsSdcOnBothPathsAndStaysInItsSlot) {
+TEST(FastPath, OversizeOutputIsSdcAndStaysInItsSlot) {
   // Every trial child ends with an output 1024x the golden size, far past
-  // its slot's shm mapping. Both paths must call that wrong-shaped output
-  // an SDC, hand the observer no bytes past the channel, and leave every
-  // attempt's record exactly as its own child published it.
-  const CampaignResult reference = run_campaign(
-      &phifi::testing::make_toy_normal, false, fastpath_campaign(1, ""));
-  for (const bool fast : {false, true}) {
-    const CampaignResult grown = run_campaign(
-        &phifi::testing::make_toy_oversize, fast, fastpath_campaign(2, ""),
-        [](const TrialResult&, std::span<const std::byte> output) {
-          EXPECT_TRUE(output.empty());
-        });
-    EXPECT_EQ(grown.overall.sdc, reference.overall.total()) << fast;
-    ASSERT_EQ(grown.trials.size(), reference.trials.size());
-    for (std::size_t i = 0; i < grown.trials.size(); ++i) {
-      const TrialResult& a = grown.trials[i];
-      const TrialResult& b = reference.trials[i];
-      EXPECT_EQ(a.outcome, Outcome::kSdc) << "trial " << i;
-      EXPECT_EQ(a.window, b.window) << "trial " << i;
-      EXPECT_EQ(a.record.site_index, b.record.site_index) << "trial " << i;
-      EXPECT_EQ(a.record.element_index, b.record.element_index);
-      EXPECT_EQ(a.record.flipped_bits[0], b.record.flipped_bits[0]);
-    }
-  }
-}
-
-TEST(FastPath, WarmModeClassifiesCrashAsDue) {
-  // Crash-mode toys misbehave from the second run() in the process tree:
-  // the golden run is clean, every forked trial SIGSEGVs.
-  ToyWorkload::reset_run_counter();
-  TrialSupervisor supervisor(&phifi::testing::make_toy_crash,
-                             fast_supervisor_config());
-  supervisor.prepare_golden();
-  ASSERT_EQ(supervisor.fork_mode(), ForkMode::kWarm);
-  const TrialResult result = supervisor.run_trial({.trial_seed = 7});
-  EXPECT_EQ(result.outcome, Outcome::kDue);
-  EXPECT_EQ(result.due_kind, DueKind::kCrash);
-  EXPECT_EQ(result.fork_mode, ForkMode::kWarm);
-}
-
-TEST(FastPath, TemplateModeClassifiesCrashAsDue) {
-  ToyWorkload::reset_run_counter();
-  TrialSupervisor supervisor(
-      []() -> std::unique_ptr<Workload> {
-        return std::make_unique<ToyWorkload>(ToyWorkload::Mode::kCrash, 600,
-                                             /*resettable=*/false);
-      },
-      fast_supervisor_config());
-  supervisor.prepare_golden();
-  ASSERT_EQ(supervisor.fork_mode(), ForkMode::kTemplate);
-  const TrialResult result = supervisor.run_trial({.trial_seed = 7});
-  EXPECT_EQ(result.outcome, Outcome::kDue);
-  EXPECT_EQ(result.due_kind, DueKind::kCrash);
-  EXPECT_EQ(result.fork_mode, ForkMode::kTemplate);
-}
-
-TEST(FastPath, TemplateModeWatchdogKillsHungGrandchild) {
-  ToyWorkload::reset_run_counter();
-  fi::SupervisorConfig config = fast_supervisor_config();
-  config.heartbeat_divisions = 0;  // no extensions: hit the hard deadline
-  TrialSupervisor supervisor(
-      []() -> std::unique_ptr<Workload> {
-        return std::make_unique<ToyWorkload>(ToyWorkload::Mode::kHang, 600,
-                                             /*resettable=*/false);
-      },
-      config);
-  supervisor.prepare_golden();
-  ASSERT_EQ(supervisor.fork_mode(), ForkMode::kTemplate);
-  const TrialResult result = supervisor.run_trial({.trial_seed = 7});
-  EXPECT_EQ(result.outcome, Outcome::kDue);
-  EXPECT_EQ(result.due_kind, DueKind::kHang);
-}
-
-TEST(FastPath, FastPathJournalResumesUnderLegacyAndBack) {
-  // Mode must not leak into the journal's identity: a campaign SIGKILLed
-  // under the fast path resumes legacy (and the other way around), landing
-  // on the sequential legacy reference bit-for-bit.
-  const CampaignResult expected = run_campaign(
-      &phifi::testing::make_toy_normal, false, fastpath_campaign(1, ""));
-
-  struct Direction {
-    bool kill_fast;
-    bool resume_fast;
-  };
-  for (const Direction dir : {Direction{true, false}, Direction{false, true}}) {
-    const std::string journal = temp_path(
-        dir.kill_fast ? "fastpath_kill_fast.jnl" : "fastpath_kill_legacy.jnl");
-    fs::remove(journal);
-    const CampaignConfig config = fastpath_campaign(4, journal);
-    const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      ToyWorkload::reset_run_counter();
-      TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
-                                 dir.kill_fast ? fast_supervisor_config()
-                                               : toy_supervisor_config());
-      supervisor.prepare_golden();
-      Campaign campaign(supervisor, config);
-      int committed = 0;
-      campaign.run([&committed](const TrialResult&,
-                                std::span<const std::byte>) {
-        if (++committed == 3) ::kill(::getpid(), SIGKILL);
+  // its slot's shm mapping. That wrong-shaped output is an SDC, the
+  // observer gets no bytes past the channel, and every attempt's record
+  // is exactly what its own child published.
+  const CampaignResult grown = run_campaign(
+      &phifi::testing::make_toy_oversize, fastpath_campaign(2, ""),
+      [](const TrialResult&, std::span<const std::byte> output) {
+        EXPECT_TRUE(output.empty());
       });
-      ::_exit(42);  // not reached: the kill lands inside run()
-    }
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFSIGNALED(status));
-    ASSERT_EQ(WTERMSIG(status), SIGKILL);
-
-    CampaignConfig resume_config = fastpath_campaign(2, journal);
-    resume_config.resume = true;
-    const CampaignResult resumed =
-        run_campaign(&phifi::testing::make_toy_normal, dir.resume_fast,
-                     resume_config, nullptr);
-    EXPECT_GE(resumed.resumed_trials, 3u);
-    EXPECT_FALSE(resumed.interrupted);
-    expect_same_campaign(expected, resumed);
+  EXPECT_EQ(grown.overall.sdc, kOracle.size());
+  ASSERT_EQ(grown.trials.size(), kOracle.size());
+  for (std::size_t i = 0; i < kOracle.size(); ++i) {
+    EXPECT_EQ(grown.trials[i].outcome, Outcome::kSdc) << "trial " << i;
+    expect_oracle_draw(grown.trials[i], i);
   }
 }
 
-TEST(FastPath, TemplateCrashMidCampaignRespawnsAndStaysBitIdentical) {
+TEST(FastPath, SigkilledJournalResumesOntoTheOracle) {
+  // SIGKILL a jobs=4 campaign after three commits, resume it at jobs=2:
+  // the journal's replayed trials plus the freshly run ones land on the
+  // oracle.
+  const std::string journal = temp_path("fastpath_kill.jnl");
+  fs::remove(journal);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ToyWorkload::reset_run_counter();
+    TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
+                               toy_supervisor_config());
+    supervisor.prepare_golden();
+    Campaign campaign(supervisor, fastpath_campaign(4, journal));
+    int committed = 0;
+    campaign.run([&committed](const TrialResult&, std::span<const std::byte>) {
+      if (++committed == 3) ::kill(::getpid(), SIGKILL);
+    });
+    ::_exit(42);  // not reached: the kill lands inside run()
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status));
+  ASSERT_EQ(WTERMSIG(status), SIGKILL);
+
+  CampaignConfig resume_config = fastpath_campaign(2, journal);
+  resume_config.resume = true;
+  const CampaignResult resumed =
+      run_campaign(&phifi::testing::make_toy_normal, resume_config);
+  EXPECT_GE(resumed.resumed_trials, 3u);
+  EXPECT_FALSE(resumed.interrupted);
+  expect_oracle(resumed);
+}
+
+TEST(FastPath, TemplateCrashMidCampaignRespawnsOntoTheOracle) {
   // The drill: SIGKILL the slot's fork server partway through a campaign.
   // The supervisor must respawn it, replay the pending command if one was
-  // in flight, and finish with tallies identical to the legacy reference.
-  const CampaignResult expected = run_campaign(
-      &phifi::testing::make_toy_no_reset, false, fastpath_campaign(1, ""));
-
+  // in flight, and still land on the oracle.
   ToyWorkload::reset_run_counter();
-  TrialSupervisor supervisor(&phifi::testing::make_toy_no_reset,
-                             fast_supervisor_config());
+  TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
+                             toy_supervisor_config());
   supervisor.prepare_golden();
-  ASSERT_EQ(supervisor.fork_mode(), ForkMode::kTemplate);
   Campaign campaign(supervisor, fastpath_campaign(1, ""));
   int committed = 0;
   const CampaignResult result = campaign.run(
@@ -322,7 +222,7 @@ TEST(FastPath, TemplateCrashMidCampaignRespawnsAndStaysBitIdentical) {
         }
       });
   EXPECT_GE(supervisor.template_respawns(), 1u);
-  expect_same_campaign(expected, result);
+  expect_oracle(result);
 }
 
 TEST(FastPath, TemplateDeathMidTrialReplaysDeterministically) {
@@ -330,10 +230,9 @@ TEST(FastPath, TemplateDeathMidTrialReplaysDeterministically) {
   // grandchild is cleaned up and the command replayed against a fresh
   // template, converging on the exact same classified result.
   ToyWorkload::reset_run_counter();
-  TrialSupervisor supervisor(&phifi::testing::make_toy_no_reset,
-                             fast_supervisor_config());
+  TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
+                             toy_supervisor_config());
   supervisor.prepare_golden();
-  ASSERT_EQ(supervisor.fork_mode(), ForkMode::kTemplate);
   const TrialConfig config{.trial_seed = 0xdeadULL};
   const TrialResult reference = supervisor.run_trial(config);
 
@@ -348,7 +247,7 @@ TEST(FastPath, TemplateDeathMidTrialReplaysDeterministically) {
       replayed = std::move(done.front().result);
       break;
     }
-    std::this_thread::sleep_for(supervisor.next_poll_delay());
+    supervisor.wait_for_completion();
   }
   EXPECT_GE(supervisor.template_respawns(), 1u);
   EXPECT_EQ(replayed.outcome, reference.outcome);
@@ -359,25 +258,77 @@ TEST(FastPath, TemplateDeathMidTrialReplaysDeterministically) {
   EXPECT_EQ(replayed.record.flipped_bits[0], reference.record.flipped_bits[0]);
 }
 
+TEST(FastPath, CancelIsPromptWhenOrphansStayUnreaped) {
+  // Cancelling busy slots must neither leave orphaned trial processes
+  // behind nor wait on them: an orphan reparents to a subreaper or PID 1
+  // that may never reap it, and lingers there as a zombie. The helper
+  // process is such a subreaper, so any orphan shows up as its child;
+  // exit codes say which check failed.
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    int code = 0;
+    try {
+      if (::prctl(PR_SET_CHILD_SUBREAPER, 1) != 0) ::_exit(10);
+      ToyWorkload::reset_run_counter();
+      fi::SupervisorConfig config = toy_supervisor_config();
+      config.heartbeat_divisions = 0;  // the follow-up trial hits the deadline
+      TrialSupervisor supervisor(&phifi::testing::make_toy_hang, config);
+      supervisor.prepare_golden();
+      supervisor.ensure_slots(4);
+      for (unsigned slot = 0; slot < 4; ++slot) {
+        supervisor.start_trial(slot, {.trial_seed = 7 + slot});
+      }
+      // Let every template fork its grandchild and reach the hang.
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      const auto start = std::chrono::steady_clock::now();
+      supervisor.kill_active_slots();
+      const double cancel_seconds =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        start)
+              .count();
+      if (cancel_seconds >= 0.5 || supervisor.active_slots() != 0) {
+        code = 1;
+      } else if (::waitpid(-1, nullptr, WNOHANG) > 0) {
+        code = 4;  // the templates are reaped, so this is an orphan
+      } else {
+        const TrialResult after = supervisor.run_trial({.trial_seed = 99});
+        if (after.outcome != Outcome::kDue ||
+            after.due_kind != DueKind::kHang) {
+          code = 2;
+        }
+      }
+    } catch (...) {
+      code = 3;
+    }
+    ::_exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(helper, &status, 0), helper);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1 = cancel took >= 0.5s, 2 = follow-up trial misclassified, "
+         "3 = exception, 4 = cancel orphaned a trial process";
+}
+
 TEST(FastPath, AdoptedGoldenRunsTrialsWithoutAGoldenRun) {
   // First supervisor pays the golden run and records its digest; a second
   // one adopts digest + byte count (the fabric-worker resume path) and must
   // classify identically — without ever executing the workload in-process.
   ToyWorkload::reset_run_counter();
   TrialSupervisor first(&phifi::testing::make_toy_normal,
-                        fast_supervisor_config());
+                        toy_supervisor_config());
   first.prepare_golden();
   const TrialResult expected = first.run_trial({.trial_seed = 99});
 
   // (The toy's process-wide run counter is already past the golden run —
   // advanced by `first` in this same process — so the adopting supervisor's
-  // grandchildren stay on the legacy "second run" schedule.)
+  // grandchildren stay on the same "second run" schedule.)
   TrialSupervisor second(&phifi::testing::make_toy_normal,
-                         fast_supervisor_config());
+                         toy_supervisor_config());
   second.adopt_golden(first.golden_digest(), first.golden_output_bytes(),
                       first.golden_seconds());
   EXPECT_TRUE(second.adopted());
-  EXPECT_EQ(second.fork_mode(), ForkMode::kTemplate);
   EXPECT_EQ(second.golden().size(), 0u);  // bytes are not materialized
   const TrialResult adopted = second.run_trial({.trial_seed = 99});
   EXPECT_EQ(adopted.outcome, expected.outcome);

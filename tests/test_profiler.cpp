@@ -159,7 +159,6 @@ TEST(Profiler, NdjsonRoundTripPreservesEveryField) {
     for (std::uint64_t attempt = 0; attempt < 5; ++attempt) {
       TrialProfile profile;
       profile.attempt = attempt;
-      profile.fork_mode = attempt % 2 == 0 ? "warm" : "template";
       for (std::size_t p = 0; p < kProfilePhaseCount; ++p) {
         profile.phase_us[p] = attempt * 1000 + p;
       }
@@ -175,7 +174,6 @@ TEST(Profiler, NdjsonRoundTripPreservesEveryField) {
     const TrialProfile& trial = contents.trials[attempt];
     EXPECT_EQ(trial.attempt, attempt);
     EXPECT_EQ(trial.workload, "toy");  // stamped by set_workload
-    EXPECT_EQ(trial.fork_mode, attempt % 2 == 0 ? "warm" : "template");
     for (std::size_t p = 0; p < kProfilePhaseCount; ++p) {
       EXPECT_EQ(trial.phase_us[p], attempt * 1000 + p);
     }
@@ -257,79 +255,44 @@ TEST(ProfilerWire, StatsWithoutProfileDecodeEmpty) {
   EXPECT_EQ(decoded.profile, ProfileSnapshot{});
 }
 
-// Both execution paths — legacy cold-start and the fork-server fast path
-// — must commit one observation per phase per trial, with the right
-// fork_mode stamped on every NDJSON record.
-class ProfilerCampaignTest : public ::testing::Test {
- protected:
-  fi::CampaignResult run_with_profiler(bool fast, unsigned jobs,
-                                       TrialProfiler& profiler) {
+// A campaign commits one observation per phase per trial, at any jobs
+// count, with one NDJSON record per attempt in attempt order.
+TEST(ProfilerCampaign, FeedsEveryPhaseEveryTrialAtJobs1And2) {
+  for (const unsigned jobs : {1u, 2u}) {
+    const std::string path =
+        temp_path("profiler_j" + std::to_string(jobs) + ".ndjson");
+    fs::remove(path);
+    TrialProfiler profiler(path);
     phifi::testing::ToyWorkload::reset_run_counter();
-    fi::SupervisorConfig supervisor_config =
-        phifi::testing::toy_supervisor_config();
-    supervisor_config.trial_fast_path = fast;
     fi::TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
-                                   supervisor_config);
+                                   phifi::testing::toy_supervisor_config());
     supervisor.prepare_golden();
     fi::CampaignConfig config;
     config.trials = 10;
     config.seed = 0xbeefULL;
     config.jobs = jobs;
     config.profiler = &profiler;
-    fi::Campaign campaign(supervisor, config);
-    return campaign.run(nullptr);
-  }
-};
+    const fi::CampaignResult result = fi::Campaign(supervisor, config).run();
+    profiler.sync();
+    EXPECT_EQ(result.attempts, 10u) << jobs;
 
-TEST_F(ProfilerCampaignTest, LegacyPathFeedsEveryPhaseEveryTrial) {
-  const std::string path = temp_path("profiler_legacy.ndjson");
-  fs::remove(path);
-  TrialProfiler profiler(path);
-  const fi::CampaignResult result = run_with_profiler(false, 1, profiler);
-  profiler.sync();
-  EXPECT_EQ(result.attempts, 10u);
+    const ProfileSnapshot snapshot = profiler.snapshot();
+    EXPECT_EQ(snapshot.trials(), 10u) << jobs;
+    for (std::size_t p = 0; p < kProfilePhaseCount; ++p) {
+      EXPECT_EQ(snapshot.phases[p].count, 10u)
+          << to_string(static_cast<ProfilePhase>(p)) << " jobs " << jobs;
+    }
+    // Wall-clock phases really measured something: 10 forked trials
+    // cannot take zero total fork or run time.
+    EXPECT_GT(snapshot.phase(ProfilePhase::kFork).sum_us, 0u);
+    EXPECT_GT(snapshot.phase(ProfilePhase::kRun).sum_us, 0u);
 
-  const ProfileSnapshot snapshot = profiler.snapshot();
-  EXPECT_EQ(snapshot.trials(), 10u);
-  for (std::size_t p = 0; p < kProfilePhaseCount; ++p) {
-    EXPECT_EQ(snapshot.phases[p].count, 10u)
-        << to_string(static_cast<ProfilePhase>(p));
-  }
-  // Wall-clock phases really measured something: a run of 10 forked
-  // trials cannot take zero total fork or run time.
-  EXPECT_GT(snapshot.phase(ProfilePhase::kFork).sum_us, 0u);
-  EXPECT_GT(snapshot.phase(ProfilePhase::kRun).sum_us, 0u);
-
-  const ProfileContents contents = read_profile_file(path);
-  ASSERT_EQ(contents.trials.size(), 10u);
-  for (const TrialProfile& trial : contents.trials) {
-    EXPECT_EQ(trial.fork_mode, "legacy");
-  }
-  // Attempts committed in deterministic order, once each.
-  for (std::uint64_t i = 0; i < contents.trials.size(); ++i) {
-    EXPECT_EQ(contents.trials[i].attempt, i);
-  }
-}
-
-TEST_F(ProfilerCampaignTest, FastPathFeedsEveryPhaseAndMatchesLegacyCount) {
-  const std::string path = temp_path("profiler_fast.ndjson");
-  fs::remove(path);
-  TrialProfiler profiler(path);
-  const fi::CampaignResult result = run_with_profiler(true, 2, profiler);
-  profiler.sync();
-  EXPECT_EQ(result.attempts, 10u);
-
-  const ProfileSnapshot snapshot = profiler.snapshot();
-  EXPECT_EQ(snapshot.trials(), 10u);
-  for (std::size_t p = 0; p < kProfilePhaseCount; ++p) {
-    EXPECT_EQ(snapshot.phases[p].count, 10u)
-        << to_string(static_cast<ProfilePhase>(p));
-  }
-
-  const ProfileContents contents = read_profile_file(path);
-  ASSERT_EQ(contents.trials.size(), 10u);
-  for (const TrialProfile& trial : contents.trials) {
-    EXPECT_EQ(trial.fork_mode, "warm");  // resettable toy resolves warm
+    const ProfileContents contents = read_profile_file(path);
+    ASSERT_EQ(contents.trials.size(), 10u);
+    // Attempts committed in deterministic order, once each.
+    for (std::uint64_t i = 0; i < contents.trials.size(); ++i) {
+      EXPECT_EQ(contents.trials[i].attempt, i);
+    }
   }
 }
 

@@ -62,7 +62,7 @@ TEST(Histogram, RejectsDegenerateEdges) {
 
 TEST(Histogram, CanonicalEdgeSetsAreStrictlyAscending) {
   for (const auto& edges :
-       {default_latency_edges_ms(), watchdog_poll_edges_ms()}) {
+       {default_latency_edges_ms(), poll_interval_edges_ms()}) {
     ASSERT_FALSE(edges.empty());
     EXPECT_TRUE(std::is_sorted(edges.begin(), edges.end()));
     EXPECT_EQ(std::adjacent_find(edges.begin(), edges.end()), edges.end());
@@ -132,7 +132,6 @@ TrialTrace sample_trace_trial(int i) {
   trial.seconds = 0.125 * (i + 1);
   trial.heartbeats = 16u + static_cast<std::uint64_t>(i);
   trial.escalated_kill = (i % 2) == 1;
-  trial.fork_mode = i % 3 == 0 ? "legacy" : i % 3 == 1 ? "warm" : "template";
   trial.fork_seconds = 0.001 * (i + 1);
   trial.setup_skipped = i % 3 != 0;
   trial.ts_ms = 10.0 * i;
@@ -156,7 +155,6 @@ void expect_trial_trace_eq(const TrialTrace& a, const TrialTrace& b) {
   EXPECT_DOUBLE_EQ(a.seconds, b.seconds);
   EXPECT_EQ(a.heartbeats, b.heartbeats);
   EXPECT_EQ(a.escalated_kill, b.escalated_kill);
-  EXPECT_EQ(a.fork_mode, b.fork_mode);
   EXPECT_DOUBLE_EQ(a.fork_seconds, b.fork_seconds);
   EXPECT_EQ(a.setup_skipped, b.setup_skipped);
   EXPECT_DOUBLE_EQ(a.ts_ms, b.ts_ms);

@@ -3,14 +3,13 @@
 //
 // Misbehaving modes only act from the second run() onwards within a
 // process tree: the first run is the supervisor's in-process golden
-// execution, which must stay clean. Forked trial children inherit the
-// incremented counter and therefore misbehave. Call reset_run_counter()
-// before each prepare_golden().
+// execution, which must stay clean. Templates and their trial grandchildren
+// inherit the incremented counter and therefore misbehave. Call
+// reset_run_counter() before each prepare_golden().
 #pragma once
 
 #include <csignal>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -46,9 +45,8 @@ class ToyWorkload : public fi::Workload {
     kOversize,
   };
 
-  explicit ToyWorkload(Mode mode = Mode::kNormal, unsigned steps = 600,
-                       bool resettable = true)
-      : mode_(mode), steps_(steps), resettable_(resettable) {}
+  explicit ToyWorkload(Mode mode = Mode::kNormal, unsigned steps = 600)
+      : mode_(mode), steps_(steps) {}
 
   static void reset_run_counter() { global_runs_.store(0); }
 
@@ -90,15 +88,6 @@ class ToyWorkload : public fi::Workload {
     registry.add_global_array<double>("toy_output", "data",
                                       std::span<double>(out_));
     registry.add_global_scalar("scale", "constant", scale_);
-  }
-
-  bool reset() override {
-    if (!resettable_) return false;
-    // run() only accumulates into out_ (scale_ is read-only); note the
-    // static run counter is process state, deliberately NOT reset — warm
-    // children must see the same >0 counter legacy children inherit.
-    std::fill(out_.begin(), out_.end(), 0.0);
-    return true;
   }
 
   [[nodiscard]] std::span<const std::byte> output_bytes() const override {
@@ -161,18 +150,12 @@ class ToyWorkload : public fi::Workload {
 
   Mode mode_;
   unsigned steps_;
-  bool resettable_;
   std::vector<double> out_;
   double scale_ = 1.0;
 };
 
 inline std::unique_ptr<fi::Workload> make_toy_normal() {
   return std::make_unique<ToyWorkload>(ToyWorkload::Mode::kNormal);
-}
-inline std::unique_ptr<fi::Workload> make_toy_no_reset() {
-  // Declines reset(): forces the fast path into template mode in tests.
-  return std::make_unique<ToyWorkload>(ToyWorkload::Mode::kNormal, 600,
-                                       /*resettable=*/false);
 }
 inline std::unique_ptr<fi::Workload> make_toy_crash() {
   return std::make_unique<ToyWorkload>(ToyWorkload::Mode::kCrash);

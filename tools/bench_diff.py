@@ -21,7 +21,7 @@ the noise threshold:
 
 The threshold is deliberately generous (default 0.5 = 50% relative / +0.5
 absolute overhead) because CI machines are noisy; the gate exists to catch
-"the fast path stopped being fast" and "the profiler got expensive", not
+"parallel trials stopped scaling" and "the profiler got expensive", not
 2% jitter.
 
 Exit codes: 0 = no regression, 1 = at least one regression, 2 = usage or
@@ -33,7 +33,7 @@ import json
 import sys
 
 # Point keys that identify a row rather than measure it.
-IDENTITY_KEYS = ("workload", "jobs", "stats_interval_seconds", "fork_mode")
+IDENTITY_KEYS = ("workload", "jobs", "stats_interval_seconds")
 
 # Relative metrics and their direction: "up" means higher is better.
 RELATIVE_METRICS = {

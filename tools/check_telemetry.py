@@ -33,7 +33,6 @@ DUE_KINDS = {"none", "crash", "abnormal-exit", "hang", "rlimit", "stall",
              "infra"}
 FABRIC_KINDS = {"worker_join", "worker_leave", "lease_grant", "lease_adopt",
                 "lease_done", "lease_reclaim"}
-FORK_MODES = {"legacy", "warm", "template"}
 PROFILE_PHASES_US = ("fork_us", "setup_us", "inject_us", "run_us",
                      "classify_us", "rob_wait_us", "journal_us", "flush_us")
 
@@ -118,8 +117,7 @@ def schema_self_check(schema):
     expected = {
         "trace.trial": {"attempt", "outcome", "due_kind", "injected",
                         "progress_fraction", "window", "seconds", "ts_ms",
-                        "spans", "phases", "fork_mode", "fork_seconds",
-                        "setup_skipped"},
+                        "spans", "phases", "fork_seconds", "setup_skipped"},
         "trace.fabric": {"kind", "worker", "lease", "begin", "end",
                          "injected", "ts_ms"},
         "trace.end": {"completed", "masked", "sdc", "due", "not_injected",
@@ -131,8 +129,7 @@ def schema_self_check(schema):
                "aborted", "elapsed_seconds", "trials_per_sec", "cells"},
         "history.cell": {"model", "category", "window", "masked", "sdc",
                          "due", "sdc_rate"},
-        "profile": set(PROFILE_PHASES_US) | {"attempt", "workload",
-                                             "fork_mode"},
+        "profile": set(PROFILE_PHASES_US) | {"attempt", "workload"},
     }
     for family, fields in expected.items():
         require(family in schema,
@@ -191,16 +188,9 @@ def check_trial(record, where, prev_ts, jobs):
             f"{where}: progress_fraction {fraction} outside [0, 1]")
     check_number(record, "window", where, minimum=0)
     check_number(record, "seconds", where, minimum=0)
-    fork_mode = check_string(record, "fork_mode", where, allowed=FORK_MODES)
     check_number(record, "fork_seconds", where, minimum=0)
     require(isinstance(record.get("setup_skipped"), bool),
             f"{where}: 'setup_skipped' is not a bool")
-    if fork_mode == "legacy":
-        require(not record["setup_skipped"],
-                f"{where}: legacy trial claims setup_skipped=true")
-    elif fork_mode == "warm":
-        require(record["setup_skipped"],
-                f"{where}: warm trial claims setup_skipped=false")
     ts = check_number(record, "ts_ms", where, minimum=0)
     # ts_ms stamps the trial's *launch*; records commit in attempt order.
     # Single-worker campaigns launch in commit order, so the stream is
@@ -562,7 +552,6 @@ def check_profile(path):
                     f"{attempt}")
             seen_attempts.add(attempt)
             check_string(record, "workload", where)
-            check_string(record, "fork_mode", where, allowed=FORK_MODES)
             for key in PROFILE_PHASES_US:
                 value = check_number(record, key, where, minimum=0)
                 require(isinstance(value, int),

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
               << "                 [--metrics-format json|openmetrics]\n"
               << "                 [--progress <seconds>] "
                  "[--stop-ci-width <eps>]\n"
-              << "                 [--history <file>] [--trial-fast-path]\n"
+              << "                 [--history <file>]\n"
               << "                 [--coordinator <addr> "
                  "[--lease-ledger <file>]\n"
               << "                  [--lease-size <n>] "
@@ -62,10 +62,6 @@ int main(int argc, char** argv) {
               << "       phifi_run --template\n"
               << "  --stop-ci-width  stop once the SDC-proportion 95% CI\n"
               << "                   half-width is <= eps (e.g. 0.005)\n"
-              << "  --trial-fast-path\n"
-                 "                   fork trials from a warm post-setup\n"
-                 "                   image (fork-server fast path); tallies\n"
-                 "                   stay bit-identical to the default path\n"
               << "  --profile        write one NDJSON latency-anatomy\n"
                  "                   record per committed trial (read with\n"
                  "                   phifi_parse --profile)\n"
@@ -89,7 +85,6 @@ int main(int argc, char** argv) {
 
   int repetitions = 1;
   bool resume = false;
-  bool trial_fast_path = false;
   int jobs = 0;  // 0: leave the config file's value
   std::string trace_out;
   std::string profile_out;
@@ -117,8 +112,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--resume") {
       resume = true;
-    } else if (arg == "--trial-fast-path") {
-      trial_fast_path = true;
     } else if (arg == "--jobs") {
       const char* value = flag_value(i);
       if (value == nullptr) return 2;
@@ -234,7 +227,6 @@ int main(int argc, char** argv) {
   try {
     cli::RunnerConfig config = cli::parse_config(config_stream);
     if (resume) config.resume = true;
-    if (trial_fast_path) config.trial_fast_path = true;
     if (jobs > 0) config.jobs = static_cast<unsigned>(jobs);
     if (!trace_out.empty()) config.trace_file = trace_out;
     if (!profile_out.empty()) config.profile_file = profile_out;
