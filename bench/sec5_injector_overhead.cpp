@@ -29,30 +29,18 @@
 // should reach >= 3x the jobs=1 throughput; on a 1-core container it stays
 // near 1x by construction. The table also lands in BENCH_parallel.json so
 // the perf trajectory is recorded run over run.
-// The sixth table prices the fleet observability plane (docs/
-// FLEET_OBSERVABILITY.md): one coordinator + one forked worker over a
-// loopback unix socket, sweeping the worker's STATS snapshot interval
-// (off / 1s / 250ms). STATS frames ride the heartbeat timer off the trial
-// hot path, so throughput should be flat across the sweep; the table and
-// BENCH_fabric_observability.json make that claim measurable run over run.
-#include <sys/wait.h>
-
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_common.hpp"
 #include "core/campaign_journal.hpp"
 #include "core/progress.hpp"
-#include "fabric/coordinator.hpp"
-#include "fabric/options.hpp"
-#include "fabric/worker.hpp"
 #include "telemetry/estimator.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"
@@ -203,68 +191,6 @@ double parallel_trials_per_sec(const phifi::work::WorkloadInfo& info,
       std::chrono::duration<double>(Clock::now() - start).count();
   ::unlink(journal_path);
   if (telemetry) ::unlink(trace_path);
-  return seconds > 0.0 ? static_cast<double>(trials) / seconds : 0.0;
-}
-
-/// Fabric campaign throughput with one forked worker shipping STATS
-/// snapshots every `stats_interval` seconds (0 = off). The coordinator
-/// runs in this process; wall clock spans its whole lifetime, so any
-/// snapshot cost — worker-side encode or coordinator-side fold — lands in
-/// the number.
-double fabric_trials_per_sec(const phifi::work::WorkloadInfo& info,
-                             double stats_interval, std::size_t trials,
-                             std::uint64_t seed) {
-  using namespace phifi;
-  using Clock = std::chrono::steady_clock;
-
-  const std::string tag = std::to_string(::getpid()) + "_" +
-                          std::to_string(static_cast<int>(
-                              stats_interval * 1000.0));
-  const std::string socket_path = "/tmp/phifi_sec5_fab_" + tag + ".sock";
-  const std::string shard_path = "/tmp/phifi_sec5_fab_" + tag + ".jnl";
-  ::unlink(socket_path.c_str());
-  ::unlink(shard_path.c_str());
-
-  fi::CampaignConfig config = bench::bench_campaign_config(seed);
-  config.trials = trials;
-
-  fi::TrialSupervisor supervisor(info.factory,
-                                 bench::bench_supervisor_config());
-  supervisor.prepare_golden();
-  const std::uint64_t fingerprint = fi::campaign_fingerprint(
-      config, supervisor.workload_name(), supervisor.time_windows());
-
-  fabric::FabricOptions coordinator_options;
-  coordinator_options.address = "unix:" + socket_path;
-  coordinator_options.lease_size = 8;
-
-  const auto start = Clock::now();
-  const pid_t worker = ::fork();
-  if (worker == 0) {
-    fabric::FabricOptions worker_options = coordinator_options;
-    worker_options.shard_path = shard_path;
-    worker_options.stats_interval_seconds = stats_interval;
-    fi::TrialSupervisor child_supervisor(info.factory,
-                                         bench::bench_supervisor_config());
-    child_supervisor.prepare_golden();
-    std::ostringstream sink;
-    const fabric::WorkerResult result = fabric::run_worker(
-        child_supervisor, config, fingerprint, worker_options, nullptr,
-        nullptr, sink);
-    ::_exit(result.complete ? 0 : 1);
-  }
-
-  std::ostringstream sink;
-  const fabric::CoordinatorResult result = fabric::run_coordinator(
-      config, fingerprint, coordinator_options, nullptr, nullptr, nullptr,
-      nullptr, sink);
-  const double seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  int status = 0;
-  ::waitpid(worker, &status, 0);
-  ::unlink(socket_path.c_str());
-  ::unlink(shard_path.c_str());
-  if (!result.complete) return 0.0;
   return seconds > 0.0 ? static_cast<double>(trials) / seconds : 0.0;
 }
 
@@ -449,38 +375,5 @@ int main() {
   bench_point["journal_fsync"] = "batch";
   bench_point["points"] = std::move(points);
   bench::write_bench_doc(bench_point, "BENCH_parallel.json");
-
-  // Fleet observability cost: the STATS interval sweep. "off" is the
-  // baseline; the delta columns are the price of live fleet visibility.
-  util::Table stats_sweep(
-      "Fabric STATS snapshot interval (coordinator + 1 worker)");
-  stats_sweep.set_header({"stats interval", "trials/s", "vs off"});
-  const double kStatsSweep[] = {0.0, 1.0, 0.25};
-  util::json::Value stats_points = util::json::Value::array();
-  double stats_base = 0.0;
-  for (const double interval : kStatsSweep) {
-    const double rate = fabric_trials_per_sec(scale_info, interval,
-                                              kScalingTrials, /*seed=*/999);
-    if (interval == 0.0) stats_base = rate;
-    const double relative = stats_base > 0.0 ? rate / stats_base : 0.0;
-    const std::string label =
-        interval == 0.0 ? "off"
-                        : util::fmt(interval * 1000.0, 0) + " ms";
-    stats_sweep.add_row({label, util::fmt(rate, 1),
-                         util::fmt(relative, 2) + "x"});
-
-    util::json::Value point = util::json::Value::object();
-    point["stats_interval_seconds"] = interval;
-    point["trials_per_sec"] = rate;
-    point["relative_to_off"] = relative;
-    stats_points.push_back(std::move(point));
-  }
-  bench::print_table(stats_sweep);
-
-  util::json::Value stats_doc = bench::bench_doc("sec5_fabric_observability");
-  stats_doc["workload"] = scale_info.name;
-  stats_doc["trials"] = static_cast<std::uint64_t>(kScalingTrials);
-  stats_doc["points"] = std::move(stats_points);
-  bench::write_bench_doc(stats_doc, "BENCH_fabric_observability.json");
   return 0;
 }

@@ -259,11 +259,6 @@ RunnerConfig parse_config(std::istream& is) {
       config.fabric_reconnect_ms = parse_double(line_number, value);
     } else if (key == "fabric_serve_metrics") {
       config.fabric_serve_metrics = value;
-    } else if (key == "fabric_stats_seconds") {
-      config.fabric_stats_seconds = parse_double(line_number, value);
-      if (config.fabric_stats_seconds < 0.0) {
-        fail(line_number, "fabric_stats_seconds must be >= 0 (0 = off)");
-      }
     } else {
       fail(line_number, "unknown key '" + key + "'");
     }
@@ -387,9 +382,6 @@ std::string format_config(const RunnerConfig& config) {
   }
   if (!config.fabric_serve_metrics.empty()) {
     os << "fabric_serve_metrics = " << config.fabric_serve_metrics << "\n";
-  }
-  if (config.fabric_stats_seconds != 1.0) {
-    os << "fabric_stats_seconds = " << config.fabric_stats_seconds << "\n";
   }
   return os.str();
 }

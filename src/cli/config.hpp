@@ -99,9 +99,6 @@ struct RunnerConfig {
   /// "" = off). Serves /metrics, /campaign.json, /healthz while the
   /// campaign runs (docs/FLEET_OBSERVABILITY.md).
   std::string fabric_serve_metrics;
-  /// Worker: STATS snapshot interval in seconds (0 = off). Snapshots ride
-  /// the heartbeat timer, never the trial hot path.
-  double fabric_stats_seconds = 1.0;
 
   /// Cooperative shutdown flag (not a config-file key): wired by phifi_run
   /// to its SIGINT/SIGTERM handlers.

@@ -139,7 +139,7 @@ RunSummary run_fabric(const RunnerConfig& config,
   if (fabric_telemetry) campaign_config.metrics = &metrics;
   // Worker-side only in practice: the coordinator runs no trials, so its
   // commit path never fires. The worker's run_range feeds this profiler and
-  // ships its snapshot on the STATS heartbeat.
+  // ships its snapshot on every heartbeat.
   campaign_config.profiler = profiler;
   const std::uint64_t fingerprint = fi::campaign_fingerprint(
       campaign_config, supervisor.workload_name(),
@@ -154,7 +154,6 @@ RunSummary run_fabric(const RunnerConfig& config,
   options.heartbeat_seconds = config.fabric_heartbeat_seconds;
   options.lease_timeout_seconds = config.fabric_lease_timeout_seconds;
   options.reconnect_initial_ms = config.fabric_reconnect_ms;
-  options.stats_interval_seconds = config.fabric_stats_seconds;
   options.serve_metrics = config.fabric_serve_metrics;
 
   util::Table table("Fabric - " + config.workload);
@@ -187,8 +186,8 @@ RunSummary run_fabric(const RunnerConfig& config,
       trace->campaign(header);
     }
 
-    // The coordinator's estimator is fed the exact fleet stream (per-
-    // attempt LeaseDone details in attempt order), so its intervals are
+    // The coordinator's counters and estimator are fed the fleet fold (per-
+    // attempt LeaseDone details in attempt order), so they are
     // bit-identical to a --jobs 1 run of the same campaign.
     std::unique_ptr<telemetry::CampaignEstimator> estimator;
     if (fabric_telemetry) {
@@ -227,8 +226,7 @@ RunSummary run_fabric(const RunnerConfig& config,
            .due = result.fleet_due},
           result.fleet_not_injected, elapsed_seconds, estimator.get());
       record.run_id = telemetry::run_id_to_hex(result.run_id);
-      record.stopped_early =
-          result.stopped_early || result.fleet_stopped_early;
+      record.stopped_early = result.stopped_early;
       record.interrupted = result.interrupted;
       telemetry::append_history(config.history_file, record);
     }
@@ -241,15 +239,11 @@ RunSummary run_fabric(const RunnerConfig& config,
                                  : (result.interrupted ? "interrupted"
                                                        : "incomplete")});
     table.add_row({"run id", telemetry::run_id_to_hex(result.run_id)});
-    table.add_row({"injected (done prefix)",
-                   std::to_string(result.completed)});
-    if (result.fleet_boundary) {
-      table.add_row({"fleet tally (exact)",
-                     std::to_string(result.fleet_completed) + " = " +
-                         std::to_string(result.fleet_masked) + " masked / " +
-                         std::to_string(result.fleet_sdc) + " sdc / " +
-                         std::to_string(result.fleet_due) + " due"});
-    }
+    table.add_row({"fleet tally (exact)",
+                   std::to_string(result.fleet_completed) + " = " +
+                       std::to_string(result.fleet_masked) + " masked / " +
+                       std::to_string(result.fleet_sdc) + " sdc / " +
+                       std::to_string(result.fleet_due) + " due"});
     table.add_row({"workers seen", std::to_string(result.workers_seen)});
     table.add_row({"leases granted", std::to_string(result.leases_granted)});
     table.add_row({"leases reclaimed",

@@ -60,22 +60,8 @@ telemetry::TrialTrace make_trial_trace(const TrialResult& trial,
 /// latency histogram, which records only this process's observations.
 void feed_metrics(telemetry::MetricsRegistry& metrics,
                   const TrialResult& trial, bool replayed) {
-  if (trial.outcome == Outcome::kNotInjected) {
-    metrics.counter("campaign.not_injected").inc();
-    return;
-  }
-  metrics.counter("campaign.completed").inc();
-  switch (trial.outcome) {
-    case Outcome::kMasked: metrics.counter("campaign.masked").inc(); break;
-    case Outcome::kSdc: metrics.counter("campaign.sdc").inc(); break;
-    case Outcome::kDue:
-      metrics.counter("campaign.due").inc();
-      metrics
-          .counter("campaign.due." + std::string(to_string(trial.due_kind)))
-          .inc();
-      break;
-    case Outcome::kNotInjected: break;
-  }
+  count_outcome(metrics, trial.outcome, to_string(trial.due_kind));
+  if (trial.outcome == Outcome::kNotInjected) return;
   if (trial.escalated_kill) {
     metrics.counter("campaign.escalated_kills").inc();
   }
@@ -87,21 +73,14 @@ void feed_metrics(telemetry::MetricsRegistry& metrics,
   }
 }
 
-/// Feeds one committed injected trial into the streaming estimator, in the
-/// commit point's deterministic attempt order (replayed trials included,
-/// so estimator state is identical across resumes and jobs values).
+/// Feeds one committed trial into the streaming estimator, in the commit
+/// point's deterministic attempt order (replayed trials included, so
+/// estimator state is identical across resumes and jobs values).
 void feed_estimator(telemetry::CampaignEstimator& estimator,
                     const TrialResult& trial) {
-  auto outcome = telemetry::EstimatorOutcome::kMasked;
-  switch (trial.outcome) {
-    case Outcome::kMasked: outcome = telemetry::EstimatorOutcome::kMasked; break;
-    case Outcome::kSdc: outcome = telemetry::EstimatorOutcome::kSdc; break;
-    case Outcome::kDue: outcome = telemetry::EstimatorOutcome::kDue; break;
-    case Outcome::kNotInjected: return;
-  }
-  estimator.record(outcome, std::string(to_string(trial.record.model)),
-                   trial.window, trial.record.category,
-                   trial.record.injected);
+  estimate_outcome(estimator, trial.outcome,
+                   std::string(to_string(trial.record.model)), trial.window,
+                   trial.record.category, trial.record.injected);
 }
 
 /// A reaped trial waiting for its turn at the commit point. Completions
@@ -176,6 +155,36 @@ OutcomeTally& OutcomeTally::operator+=(const OutcomeTally& other) {
   sdc += other.sdc;
   due += other.due;
   return *this;
+}
+
+void count_outcome(telemetry::MetricsRegistry& metrics, Outcome outcome,
+                   std::string_view due_kind) {
+  switch (outcome) {
+    case Outcome::kMasked: metrics.counter("campaign.masked").inc(); break;
+    case Outcome::kSdc: metrics.counter("campaign.sdc").inc(); break;
+    case Outcome::kDue:
+      metrics.counter("campaign.due").inc();
+      metrics.counter("campaign.due." + std::string(due_kind)).inc();
+      break;
+    case Outcome::kNotInjected:
+      metrics.counter("campaign.not_injected").inc();
+      return;
+  }
+  metrics.counter("campaign.completed").inc();
+}
+
+void estimate_outcome(telemetry::CampaignEstimator& estimator,
+                      Outcome outcome, const std::string& model,
+                      unsigned window, const std::string& category,
+                      bool injected) {
+  auto mapped = telemetry::EstimatorOutcome::kMasked;
+  switch (outcome) {
+    case Outcome::kMasked: mapped = telemetry::EstimatorOutcome::kMasked; break;
+    case Outcome::kSdc: mapped = telemetry::EstimatorOutcome::kSdc; break;
+    case Outcome::kDue: mapped = telemetry::EstimatorOutcome::kDue; break;
+    case Outcome::kNotInjected: return;
+  }
+  estimator.record(mapped, model, window, category, injected);
 }
 
 void accumulate_trial(CampaignResult& result, const TrialResult& trial) {

@@ -15,6 +15,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/campaign_journal.hpp"
@@ -165,6 +166,22 @@ struct CampaignResult {
 /// three can never disagree on aggregation.
 void accumulate_trial(CampaignResult& result, const TrialResult& trial);
 
+/// The one outcome→counter mapping: an injected outcome bumps
+/// campaign.completed and campaign.masked/sdc/due (a DUE also
+/// campaign.due.<due_kind>); a NotInjected one bumps campaign.not_injected.
+/// The commit point and the fabric coordinator's fleet fold both count
+/// through here, so a coordinator's counters read like a local run's.
+void count_outcome(telemetry::MetricsRegistry& metrics, Outcome outcome,
+                   std::string_view due_kind);
+
+/// The one outcome→estimator mapping, shared the same way: records an
+/// injected outcome in its model×window×category cell and skips
+/// NotInjected attempts.
+void estimate_outcome(telemetry::CampaignEstimator& estimator,
+                      Outcome outcome, const std::string& model,
+                      unsigned window, const std::string& category,
+                      bool injected);
+
 /// The seed for attempt `attempt_index` of a campaign: a SplitMix64 whiten
 /// of campaign_seed ⊕ f(attempt_index). Counter-indexed (not a sequential
 /// draw stream) so N in-flight workers, resumes, and infrastructure retries
@@ -192,8 +209,8 @@ struct FinishLine {
 /// trials or, with stop_ci_width > 0 (--stop-ci-width), once the Wilson
 /// 95% CI half-width of its SDC proportion is at or under stop_ci_width.
 /// Shared by the live commit point, journal replay, the fabric shard merge
-/// and the coordinator (fleet fold and lease completion), so they can
-/// never disagree on where a campaign ends.
+/// and the coordinator's fleet fold, so they can never disagree on where a
+/// campaign ends.
 FinishLine campaign_finish_line(const CampaignConfig& config,
                                 const OutcomeTally& overall);
 

@@ -22,14 +22,6 @@ void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
   out.push_back(v);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back((v >> (8 * i)) & 0xff);
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back((v >> (8 * i)) & 0xff);
-}
-
 void put_f64(std::vector<std::uint8_t>& out, double v) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
@@ -53,17 +45,13 @@ class Cursor {
   }
   std::uint32_t u32() {
     need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{data_[pos_ + i]} << (8 * i);
     pos_ += 4;
-    return v;
+    return get_u32(data_ + pos_ - 4);
   }
   std::uint64_t u64() {
     need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{data_[pos_ + i]} << (8 * i);
     pos_ += 8;
-    return v;
+    return get_u64(data_ + pos_ - 8);
   }
   double f64() {
     const std::uint64_t bits = u64();
@@ -163,8 +151,10 @@ std::vector<std::uint8_t> serialize_header(const JournalHeader& header) {
   return out;
 }
 
-/// Frames a payload as size | payload | crc.
-std::vector<std::uint8_t> frame(const std::vector<std::uint8_t>& payload) {
+}  // namespace
+
+std::vector<std::uint8_t> journal_frame(
+    const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> out;
   out.reserve(payload.size() + 8);
   put_u32(out, static_cast<std::uint32_t>(payload.size()));
@@ -173,7 +163,22 @@ std::vector<std::uint8_t> frame(const std::vector<std::uint8_t>& payload) {
   return out;
 }
 
-}  // namespace
+const std::uint8_t* read_journal_frame(const std::vector<std::uint8_t>& data,
+                                       std::size_t pos, std::size_t* size,
+                                       std::size_t* next) {
+  if (pos + 4 > data.size()) return nullptr;
+  const std::uint32_t payload_size = get_u32(data.data() + pos);
+  if (payload_size > (1u << 20) || pos + 8 + payload_size > data.size()) {
+    return nullptr;
+  }
+  const std::uint8_t* payload = data.data() + pos + 4;
+  if (journal_crc32(payload, payload_size) != get_u32(payload + payload_size)) {
+    return nullptr;
+  }
+  *size = payload_size;
+  *next = pos + 8 + payload_size;
+  return payload;
+}
 
 std::uint32_t journal_crc32(const void* data, std::size_t size) {
   static const std::array<std::uint32_t, 256> table = [] {
@@ -208,7 +213,7 @@ CampaignJournalWriter::CampaignJournalWriter(const std::string& path,
                              "': " + std::strerror(errno));
   }
   write_all(kMagic, sizeof(kMagic));
-  const auto framed = frame(serialize_header(header));
+  const auto framed = journal_frame(serialize_header(header));
   write_all(framed.data(), framed.size());
   if (fsync_ == JournalFsync::kEveryRecord) ::fsync(fd_);
 }
@@ -250,7 +255,7 @@ void CampaignJournalWriter::write_all(const void* data, std::size_t size) {
 }
 
 void CampaignJournalWriter::append(const JournalRecord& record) {
-  const auto framed = frame(serialize_record(record));
+  const auto framed = journal_frame(serialize_record(record));
   write_all(framed.data(), framed.size());
   ++written_;
   last_fsync_seconds_ = 0.0;
@@ -299,25 +304,6 @@ JournalContents read_journal(const std::string& path) {
   }
   ::close(fd);
 
-  // A frame is readable at `pos` if size, payload and crc all fit and the
-  // crc matches; returns the payload span or nullptr.
-  const auto try_frame = [&file](std::size_t pos, std::size_t* payload_size,
-                                 std::size_t* next) -> const std::uint8_t* {
-    if (pos + 4 > file.size()) return nullptr;
-    std::uint32_t size = 0;
-    for (int i = 0; i < 4; ++i) size |= std::uint32_t{file[pos + i]} << (8 * i);
-    if (pos + 4 + size + 4 > file.size() || size > (1u << 20)) return nullptr;
-    const std::uint8_t* payload = file.data() + pos + 4;
-    std::uint32_t stored_crc = 0;
-    for (int i = 0; i < 4; ++i) {
-      stored_crc |= std::uint32_t{file[pos + 4 + size + i]} << (8 * i);
-    }
-    if (journal_crc32(payload, size) != stored_crc) return nullptr;
-    *payload_size = size;
-    *next = pos + 4 + size + 4;
-    return payload;
-  };
-
   if (file.size() < sizeof(kMagic) ||
       std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0) {
     throw std::runtime_error("journal: '" + path +
@@ -328,7 +314,8 @@ JournalContents read_journal(const std::string& path) {
   std::size_t pos = sizeof(kMagic);
   std::size_t payload_size = 0;
   std::size_t next = 0;
-  const std::uint8_t* payload = try_frame(pos, &payload_size, &next);
+  const std::uint8_t* payload =
+      read_journal_frame(file, pos, &payload_size, &next);
   if (payload == nullptr) {
     throw std::runtime_error("journal: '" + path + "' has a corrupt header");
   }
@@ -354,7 +341,7 @@ JournalContents read_journal(const std::string& path) {
   // crash leaves behind. Everything before it is intact (each record has
   // its own checksum), so the campaign loses at most the in-flight trial.
   while (pos < file.size()) {
-    payload = try_frame(pos, &payload_size, &next);
+    payload = read_journal_frame(file, pos, &payload_size, &next);
     if (payload == nullptr) break;
     JournalRecord record;
     try {

@@ -147,4 +147,43 @@ JournalContents read_journal(const std::string& path);
 /// tools that audit journals.
 std::uint32_t journal_crc32(const void* data, std::size_t size);
 
+// The one little-endian integer codec and the one checksummed frame, shared
+// by the journal, the fabric lease ledger and the fabric wire protocol.
+
+inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+  }
+}
+
+inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+  }
+}
+
+inline std::uint32_t get_u32(const std::uint8_t* data) {
+  std::uint32_t value = 0;
+  for (int i = 0; i < 4; ++i) value |= std::uint32_t{data[i]} << (8 * i);
+  return value;
+}
+
+inline std::uint64_t get_u64(const std::uint8_t* data) {
+  std::uint64_t value = 0;
+  for (int i = 0; i < 8; ++i) value |= std::uint64_t{data[i]} << (8 * i);
+  return value;
+}
+
+/// Frames a payload as `u32 size | payload | u32 crc32(payload)`.
+std::vector<std::uint8_t> journal_frame(
+    const std::vector<std::uint8_t>& payload);
+
+/// The payload of the frame at `pos` in `data` when its size, payload and
+/// crc all fit and the crc matches, else nullptr (a torn or corrupt tail).
+/// On success `*size` is the payload size and `*next` the offset just past
+/// the frame.
+const std::uint8_t* read_journal_frame(const std::vector<std::uint8_t>& data,
+                                       std::size_t pos, std::size_t* size,
+                                       std::size_t* next);
+
 }  // namespace phifi::fi

@@ -40,12 +40,6 @@ struct WorkerConn {
   std::uint64_t worker = 0;
   /// Asked for a lease while none was grantable; served on next reclaim.
   bool hungry = false;
-  // Last cumulative per-lease counts reported (heartbeat/done), so the
-  // aggregate campaign counters advance by deltas, never double-counting.
-  std::uint64_t last_injected = 0;
-  std::uint64_t last_masked = 0;
-  std::uint64_t last_sdc = 0;
-  std::uint64_t last_due = 0;
 };
 
 /// What the coordinator remembers about a worker *identity* — unlike
@@ -56,16 +50,19 @@ struct WorkerView {
   Clock::time_point joined{};
   Clock::time_point last_seen{};  ///< last frame of any kind
   bool have_stats = false;
-  WorkerStats stats;              ///< last STATS snapshot, verbatim
+  WorkerStats stats;              ///< latest heartbeat snapshot, verbatim
   std::uint64_t lease = 0;        ///< current lease id (0 = none)
   std::uint64_t lease_begin = 0;
   std::uint64_t lease_end = 0;
   Clock::time_point lease_since{};
 };
 
-/// The exact fleet tally: per-attempt LeaseDone details buffered by range
-/// begin, folded at the contiguous frontier up to the campaign finish line
-/// (as merge.cpp does), so the live numbers are bit-identical to a
+/// The fleet tally, the coordinator's one record of outcomes: per-attempt
+/// LeaseDone details buffered by range begin, folded at the contiguous
+/// frontier up to the campaign finish line (as merge.cpp walks the merged
+/// journal), so every number the coordinator reports — completion, the
+/// campaign.* counters and progress line, /campaign.json, the trace end
+/// record, --history and CoordinatorResult — is bit-identical to a
 /// post-campaign phifi_merge + phifi_parse of the same accepted ranges.
 struct FleetState {
   std::map<std::uint64_t, std::vector<AttemptOutcome>> details;
@@ -116,30 +113,6 @@ void trace_fabric(const LoopState& state, const std::string& kind,
   state.trace->fabric(event);
 }
 
-/// Folds a worker's cumulative per-lease counts into the campaign-wide
-/// counters by delta, updating the connection's high-water marks.
-void feed_aggregate(LoopState& state, WorkerConn& conn, const Message& msg) {
-  if (state.metrics == nullptr) return;
-  const auto delta = [](std::uint64_t now, std::uint64_t& last) {
-    const std::uint64_t d = now > last ? now - last : 0;
-    last = std::max(last, now);
-    return d;
-  };
-  state.metrics->counter("campaign.completed")
-      .inc(delta(msg.injected, conn.last_injected));
-  state.metrics->counter("campaign.masked")
-      .inc(delta(msg.masked, conn.last_masked));
-  state.metrics->counter("campaign.sdc").inc(delta(msg.sdc, conn.last_sdc));
-  state.metrics->counter("campaign.due").inc(delta(msg.due, conn.last_due));
-}
-
-void reset_lease_counts(WorkerConn& conn) {
-  conn.last_injected = 0;
-  conn.last_masked = 0;
-  conn.last_sdc = 0;
-  conn.last_due = 0;
-}
-
 Clock::time_point lease_deadline(const LoopState& state) {
   return Clock::now() + std::chrono::duration_cast<Clock::duration>(
                             std::chrono::duration<double>(
@@ -147,62 +120,44 @@ Clock::time_point lease_deadline(const LoopState& state) {
 }
 
 void ledger_append(LoopState& state, LedgerKind kind, const Lease& lease,
-                   std::uint64_t injected = 0, std::uint64_t sdc = 0,
                    const std::string& detail = std::string()) {
   if (state.ledger == nullptr) return;
-  LedgerRecord record;
-  record.kind = kind;
-  record.lease = lease.id;
-  record.begin = lease.begin;
-  record.end = lease.end;
-  record.injected = injected;
-  record.sdc = sdc;
-  record.detail = detail;
-  state.ledger->append(record);
+  state.ledger->append({kind, lease.id, lease.begin, lease.end, detail});
 }
 
-telemetry::EstimatorOutcome to_estimator_outcome(fi::Outcome outcome) {
-  switch (outcome) {
-    case fi::Outcome::kSdc:
-      return telemetry::EstimatorOutcome::kSdc;
-    case fi::Outcome::kDue:
-      return telemetry::EstimatorOutcome::kDue;
-    case fi::Outcome::kMasked:
-    case fi::Outcome::kNotInjected:
-      // NotInjected attempts never reach the estimator (advance_fleet
-      // filters them); mapping them like masked keeps this total.
-      return telemetry::EstimatorOutcome::kMasked;
-  }
-  return telemetry::EstimatorOutcome::kMasked;  // unreachable
-}
-
-/// Buffers the per-attempt detail of one accepted DONE range. A count
-/// mismatch (or undecodable payload) drops the detail: the fleet frontier
-/// then stalls at that range, which degrades the live tally to "partial"
-/// but never to "wrong".
-void register_detail(LoopState& state, std::uint64_t begin,
-                     std::uint64_t end, const std::string& text) {
-  if (text.empty()) return;
+/// The one gate a DONE passes, live or replayed from the ledger: its detail
+/// must decode to exactly one entry per attempt of [begin, end), each with a
+/// known outcome, and its lease must be outstanding with that range. Then
+/// the lease retires and the detail waits at the fleet frontier. Anything
+/// else is logged and ignored: a lease whose DONE did not verify stays
+/// outstanding, runs out its deadline and is re-executed.
+bool accept_done(LoopState& state, std::uint64_t worker,
+                 std::uint64_t lease, std::uint64_t begin, std::uint64_t end,
+                 const std::string& detail) {
   std::vector<AttemptOutcome> attempts;
   try {
-    attempts = decode_attempts(text);
+    attempts = decode_attempts(detail);
+    if (attempts.size() != end - begin) {
+      throw std::runtime_error("detail has " +
+                               std::to_string(attempts.size()) +
+                               " entries for the range");
+    }
   } catch (const std::runtime_error& error) {
-    util::log_warn() << "fabric: dropping undecodable lease detail for ["
-                     << begin << ", " << end << "): " << error.what();
-    return;
+    util::log_warn() << "fabric: ignoring lease-done for lease " << lease
+                     << " [" << begin << ", " << end << ") from worker "
+                     << worker << ": " << error.what();
+    return false;
   }
-  if (attempts.size() != end - begin) {
-    util::log_warn() << "fabric: lease detail for [" << begin << ", " << end
-                     << ") has " << attempts.size()
-                     << " entries; expected " << (end - begin)
-                     << " — dropping it";
-    return;
-  }
+  // A stale DONE (range reclaimed and re-executed elsewhere) is dropped;
+  // the merge dedups any overlap in the shards.
+  if (!state.table->complete(lease, begin, end)) return false;
   state.fleet->details.emplace(begin, std::move(attempts));
+  return true;
 }
 
-/// Folds buffered details at the contiguous frontier into the fleet tally
-/// and the estimator, applying the campaign finish line after every
+/// Folds buffered details at the contiguous frontier into the fleet tally,
+/// the campaign.* counters and the estimator — through the commit point's
+/// own outcome mappings — applying the campaign finish line after every
 /// injected attempt (merge.cpp does exactly this walk over the merged
 /// journal). Publishes the estimator gauges when anything advanced.
 void advance_fleet(LoopState& state) {
@@ -213,25 +168,21 @@ void advance_fleet(LoopState& state) {
     if (it == fleet.details.end()) break;
     for (const AttemptOutcome& attempt : it->second) {
       if (fleet.boundary) break;  // rest of the range is overshoot
-      fi::Outcome outcome = fi::Outcome::kNotInjected;
-      try {
-        outcome = outcome_from_name(attempt.outcome);
-      } catch (const std::runtime_error& error) {
-        util::log_warn() << "fabric: " << error.what()
-                         << " in lease detail; counting as NotInjected";
+      if (state.metrics != nullptr) {
+        fi::count_outcome(*state.metrics, attempt.outcome, attempt.due_kind);
       }
-      if (outcome == fi::Outcome::kNotInjected) {
+      if (attempt.outcome == fi::Outcome::kNotInjected) {
         ++fleet.not_injected;
         continue;
       }
-      fleet.tally.add(outcome);
-      if (outcome == fi::Outcome::kDue) {
+      fleet.tally.add(attempt.outcome);
+      if (attempt.outcome == fi::Outcome::kDue) {
         ++fleet.due_kinds[attempt.due_kind];
       }
       if (state.estimator != nullptr) {
-        state.estimator->record(to_estimator_outcome(outcome),
-                                attempt.model, attempt.window,
-                                attempt.category, attempt.injected);
+        fi::estimate_outcome(*state.estimator, attempt.outcome, attempt.model,
+                             attempt.window, attempt.category,
+                             attempt.injected);
       }
       const fi::FinishLine finish =
           fi::campaign_finish_line(*state.config, fleet.tally);
@@ -248,7 +199,7 @@ void advance_fleet(LoopState& state) {
 }
 
 /// Folds the latest profile snapshot of every worker that sent one. Each
-/// STATS snapshot is cumulative, so re-folding the latest from scratch on
+/// heartbeat snapshot is cumulative, so re-folding the latest from scratch on
 /// every refresh is exact — the result is bit-identical to the histogram a
 /// --jobs 1 run of the same committed trials would hold (profiler.hpp).
 telemetry::ProfileSnapshot fold_fleet_profile(const LoopState& state) {
@@ -275,7 +226,7 @@ void refresh_worker_gauges(LoopState& state) {
     state.metrics->gauge(prefix + "lease_age_seconds")
         .set(view.lease != 0 ? seconds_since(view.lease_since, now) : 0.0);
     state.metrics->gauge(prefix + "trials_per_sec")
-        .set(view.have_stats ? view.stats.trials_per_sec : 0.0);
+        .set(view.have_stats ? view.stats.trials_per_sec() : 0.0);
     if (view.have_stats && view.stats.profile.trials() > 0) {
       state.metrics->gauge(prefix + "p95_run_ms")
           .set(telemetry::profile_percentile_ms(
@@ -310,7 +261,6 @@ std::string build_campaign_json(const LoopState& state) {
   doc["run_id"] = telemetry::run_id_to_hex(state.run_id);
   doc["fingerprint"] = telemetry::run_id_to_hex(state.fingerprint);
   doc["trials_target"] = state.table->trials();
-  doc["prefix_injected"] = state.table->prefix_injected();
   doc["uptime_seconds"] = seconds_since(state.started, now);
 
   const FleetState& fleet = *state.fleet;
@@ -382,11 +332,7 @@ std::string build_campaign_json(const LoopState& state) {
     if (view.have_stats) {
       row["executed"] = view.stats.executed;
       row["leases_done"] = view.stats.leases_done;
-      row["masked"] = view.stats.masked;
-      row["sdc"] = view.stats.sdc;
-      row["due"] = view.stats.due;
-      row["not_injected"] = view.stats.not_injected;
-      row["trials_per_sec"] = view.stats.trials_per_sec;
+      row["trials_per_sec"] = view.stats.trials_per_sec();
       row["uptime_seconds"] = view.stats.uptime_seconds;
       if (view.stats.profile.trials() > 0) {
         row["p95_run_ms"] = telemetry::profile_percentile_ms(
@@ -419,7 +365,6 @@ bool try_grant(LoopState& state, WorkerConn& conn) {
   grant.end = lease->end;
   conn.link->send(grant);  // phicheck:wire-after(grant)
   conn.hungry = false;
-  reset_lease_counts(conn);
   ++state.result->leases_granted;
   if (state.metrics != nullptr) {
     state.metrics->counter("fabric.leases_granted").inc();
@@ -431,18 +376,6 @@ bool try_grant(LoopState& state, WorkerConn& conn) {
   view.lease_since = Clock::now();
   trace_fabric(state, "lease_grant", conn.worker, &*lease);
   return true;
-}
-
-/// The campaign-completion criterion: the finish line over the contiguous
-/// done prefix, of which only the injected total and the SDC count enter
-/// the rule (worker-reported, so the SDC count is clamped to the total).
-/// Evaluated at lease granularity; the merge truncates at the exact
-/// boundary, so a lease-level overshoot here is harmless.
-fi::FinishLine campaign_done(const LoopState& state) {
-  const std::uint64_t injected = state.table->prefix_injected();
-  const std::uint64_t sdc = std::min(state.table->prefix_sdc(), injected);
-  return fi::campaign_finish_line(*state.config,
-                                  {.masked = injected - sdc, .sdc = sdc});
 }
 
 void handle_hello(LoopState& state, WorkerConn& conn, const Message& msg) {
@@ -507,7 +440,6 @@ void handle_hello(LoopState& state, WorkerConn& conn, const Message& msg) {
       grant.begin = msg.begin;
       grant.end = msg.end;
       conn.link->send(grant);
-      reset_lease_counts(conn);
       view.lease = msg.lease;
       view.lease_begin = msg.begin;
       view.lease_end = msg.end;
@@ -534,7 +466,7 @@ void handle_message(LoopState& state, WorkerConn& conn, const Message& msg) {
       handle_hello(state, conn, msg);
       break;
     case MsgType::kLeaseRequest: {
-      if (campaign_done(state).reached) {
+      if (state.fleet->boundary) {
         Message shutdown;
         shutdown.type = MsgType::kShutdown;
         conn.link->send(shutdown);
@@ -556,48 +488,49 @@ void handle_message(LoopState& state, WorkerConn& conn, const Message& msg) {
       break;
     }
     case MsgType::kHeartbeat:
-      // A stale heartbeat (lease already reclaimed) is ignored: the
-      // worker learns via the revoke already sent, or at reconnect.
-      if (state.table->heartbeat(msg.lease, lease_deadline(state))) {
-        feed_aggregate(state, conn, msg);
-      }
-      break;
-    case MsgType::kStats:
-      // Observability only — a torn or hostile payload costs nothing but
-      // a log line; the exact tally never depends on STATS.
-      if (conn.worker != 0) {
+      // Liveness first, whatever the snapshot holds. A stale heartbeat
+      // (lease already reclaimed) or one between leases (lease 0) refreshes
+      // nothing; a revoked worker learns via the revoke already sent, or at
+      // reconnect.
+      state.table->heartbeat(msg.lease, lease_deadline(state));
+      // The snapshot is observability only: a torn or hostile one costs a
+      // log line, and no tally reads it.
+      if (conn.worker != 0 && !msg.text.empty()) {
         try {
           WorkerView& view = (*state.views)[conn.worker];
           view.stats = decode_stats(msg.text);
           view.have_stats = true;
         } catch (const std::runtime_error& error) {
-          util::log_warn() << "fabric: dropping malformed stats from worker "
+          util::log_warn() << "fabric: dropping malformed snapshot from "
+                              "worker "
                            << conn.worker << ": " << error.what();
         }
       }
       break;
     case MsgType::kLeaseDone: {
-      Lease lease{msg.lease, msg.begin, msg.end, conn.worker, {}};
-      if (state.table->complete(msg.lease, msg.injected, msg.sdc)) {
-        // The detail rides into the ledger so a restarted coordinator
-        // rebuilds the exact fleet tally from replay alone.
-        ledger_append(state, LedgerKind::kDone, lease, msg.injected,
-                      msg.sdc, msg.text);
-        feed_aggregate(state, conn, msg);
-        register_detail(state, msg.begin, msg.end, msg.text);
-        advance_fleet(state);
-        if (conn.worker != 0) {
-          WorkerView& view = (*state.views)[conn.worker];
-          if (view.lease == msg.lease) view.lease = 0;
-        }
-        trace_fabric(state, "lease_done", conn.worker, &lease, msg.injected);
-        util::log_debug() << "fabric: lease " << msg.lease << " done by "
-                          << conn.worker << ", prefix "
-                          << state.table->prefix_injected() << "/"
-                          << state.table->trials();
+      if (!accept_done(state, conn.worker, msg.lease, msg.begin, msg.end,
+                       msg.text)) {
+        break;
       }
-      // Stale done (range reclaimed and re-executed elsewhere): drop it;
-      // the merge dedups any overlap in the shards.
+      const Lease lease{msg.lease, msg.begin, msg.end, conn.worker, {}};
+      const std::vector<AttemptOutcome>& attempts =
+          state.fleet->details.at(msg.begin);
+      const auto injected = static_cast<std::uint64_t>(std::count_if(
+          attempts.begin(), attempts.end(), [](const AttemptOutcome& a) {
+            return a.outcome != fi::Outcome::kNotInjected;
+          }));
+      // The detail rides into the ledger so a restarted coordinator
+      // rebuilds the fleet tally from replay alone.
+      ledger_append(state, LedgerKind::kDone, lease, msg.text);
+      advance_fleet(state);
+      if (conn.worker != 0) {
+        WorkerView& view = (*state.views)[conn.worker];
+        if (view.lease == msg.lease) view.lease = 0;
+      }
+      trace_fabric(state, "lease_done", conn.worker, &lease, injected);
+      util::log_debug() << "fabric: lease " << msg.lease << " done by "
+                        << conn.worker << ", fleet frontier "
+                        << state.fleet->frontier;
       break;
     }
     case MsgType::kGoodbye:
@@ -671,6 +604,8 @@ CoordinatorResult run_coordinator(const fi::CampaignConfig& campaign,
                                   telemetry::CampaignEstimator* estimator,
                                   telemetry::ProgressEmitter* progress,
                                   std::ostream& out) {
+  // The run() retry budget; once the fold has walked all of it the
+  // campaign is over even short of the finish line, as a --jobs 1 run's is.
   const std::uint64_t budget = static_cast<std::uint64_t>(
       campaign.trials * (1 + campaign.max_retry_factor));
   LeaseTable table(campaign.trials, budget, options.lease_size);
@@ -727,8 +662,8 @@ CoordinatorResult run_coordinator(const fi::CampaignConfig& campaign,
                                 grace);
             break;
           case LedgerKind::kDone:
-            table.restore_done(record.lease, record.injected, record.sdc);
-            register_detail(state, record.begin, record.end, record.detail);
+            accept_done(state, 0, record.lease, record.begin, record.end,
+                        record.detail);
             break;
           case LedgerKind::kReclaim:
             table.restore_reclaim(record.lease);
@@ -794,12 +729,8 @@ CoordinatorResult run_coordinator(const fi::CampaignConfig& campaign,
       result.interrupted = true;
       break;
     }
-    const fi::FinishLine finish = campaign_done(state);
-    if (finish.reached) {
-      result.complete = true;
-      result.stopped_early = finish.stopped_early;
-      break;
-    }
+    // The campaign ends where the fleet fold says it does.
+    if (fleet.boundary || fleet.frontier >= budget) break;
 
     sweep_expired(state);
 
@@ -911,8 +842,8 @@ CoordinatorResult run_coordinator(const fi::CampaignConfig& campaign,
         fds.push_back({conn->link->fd(), POLLIN, 0});
       }
     }
-    if (scrape != nullptr) scrape->collect_fds(fds);
     if (fds.empty()) break;  // every worker has hung up
+    if (scrape != nullptr) scrape->collect_fds(fds);
     util::io::poll_retry(fds.data(), fds.size(), 50);
     if (scrape != nullptr) scrape->service();
     for (auto& conn : conns) {
@@ -935,7 +866,8 @@ CoordinatorResult run_coordinator(const fi::CampaignConfig& campaign,
     }
   }
 
-  result.completed = table.prefix_injected();
+  result.complete = fleet.boundary;
+  result.stopped_early = fleet.stopped_early;
   result.fleet_completed = fleet.tally.total();
   result.fleet_masked = fleet.tally.masked;
   result.fleet_sdc = fleet.tally.sdc;
@@ -943,7 +875,6 @@ CoordinatorResult run_coordinator(const fi::CampaignConfig& campaign,
   result.fleet_not_injected = fleet.not_injected;
   result.fleet_due_kinds = fleet.due_kinds;
   result.fleet_boundary = fleet.boundary;
-  result.fleet_stopped_early = fleet.stopped_early;
   if (metrics != nullptr) {
     metrics->gauge("fabric.workers_live").set(0.0);
     metrics->gauge("fabric.leases_outstanding")
@@ -960,7 +891,7 @@ CoordinatorResult run_coordinator(const fi::CampaignConfig& campaign,
     end.due = fleet.tally.due;
     end.not_injected = fleet.not_injected;
     end.interrupted = result.interrupted;
-    end.stopped_early = result.stopped_early || fleet.stopped_early;
+    end.stopped_early = fleet.stopped_early;
     end.elapsed_ms = trace->now_ms();
     end.due_kinds = fleet.due_kinds;
     trace->end(end);
@@ -970,7 +901,7 @@ CoordinatorResult run_coordinator(const fi::CampaignConfig& campaign,
               ? (result.stopped_early ? "stopped early (CI target)"
                                       : "complete")
               : (result.interrupted ? "interrupted" : "incomplete"))
-      << ", " << result.completed << " injected in prefix, "
+      << ", " << result.fleet_completed << " injected, "
       << result.leases_granted << " leases granted, "
       << result.leases_reclaimed << " reclaimed\n";
   return result;

@@ -2,7 +2,8 @@
 // reclaims them on stall/crash/partition, and survives its own crashes
 // via the lease ledger. See docs/FABRIC.md for the protocol and the
 // failure matrix, and docs/FLEET_OBSERVABILITY.md for the live
-// aggregation plane (STATS frames, the scrape endpoint, correlation ids).
+// aggregation plane (the fleet fold, heartbeat snapshots, the scrape
+// endpoint, correlation ids).
 #pragma once
 
 #include <atomic>
@@ -20,51 +21,46 @@
 
 namespace phifi::fabric {
 
+/// What a coordinator run ends with. Every tally is the fleet fold: the
+/// per-attempt LeaseDone details folded in attempt order up to the
+/// campaign finish line, bit-identical to what phifi_parse reports over the
+/// merged shards.
 struct CoordinatorResult {
-  /// The contiguous done prefix reached the trial count (or the
-  /// --stop-ci-width boundary at lease granularity).
+  /// The fold reached the finish line: the trial count, or the
+  /// --stop-ci-width target (then stopped_early). Equals fleet_boundary.
   bool complete = false;
   bool interrupted = false;   ///< stop_flag fired
-  bool stopped_early = false; ///< completion came from the stop rule
+  bool stopped_early = false; ///< the finish line was the CI stop
   std::uint64_t workers_seen = 0;
   std::uint64_t leases_granted = 0;
   std::uint64_t leases_reclaimed = 0;
-  /// Injected completions in the contiguous done prefix. May exceed the
-  /// trial count (the final lease runs to completion); the merge truncates
-  /// at the exact boundary.
-  std::uint64_t completed = 0;
   /// Campaign run id this coordinator served under (resolved from
   /// options.run_id, the resumed ledger, or freshly generated).
   std::uint64_t run_id = 0;
-  /// Exact fleet tally, folded from the per-attempt LeaseDone details in
-  /// contiguous attempt order with the merge boundary rule — bit-identical
-  /// to what phifi_parse reports over the merged shards. All zero when no
-  /// worker attached details (a pre-observability worker build).
   std::uint64_t fleet_completed = 0;  ///< injected attempts inside boundary
   std::uint64_t fleet_masked = 0;
   std::uint64_t fleet_sdc = 0;
   std::uint64_t fleet_due = 0;
   std::uint64_t fleet_not_injected = 0;
   std::map<std::string, std::uint64_t> fleet_due_kinds;
-  /// The fleet tally reached the exact campaign boundary (trial count or
-  /// CI stop) — i.e. fleet_* above are final, not a partial prefix.
+  /// The fold reached the finish line, so fleet_* above are final rather
+  /// than a partial prefix.
   bool fleet_boundary = false;
-  bool fleet_stopped_early = false;  ///< that boundary was the CI stop
 };
 
-/// Runs the coordinator event loop until the campaign completes, the work
-/// space is exhausted, or `campaign.stop_flag` fires. Single-threaded:
-/// one poll() loop owns the listener, every worker connection, lease
-/// deadlines, the ledger, the scrape endpoint, and the progress/metrics/
-/// estimator feeds.
+/// Runs the coordinator event loop until the fleet fold reaches the finish
+/// line or has walked the whole retry budget, or `campaign.stop_flag`
+/// fires. Single-threaded: one poll() loop owns the listener, every worker
+/// connection, lease deadlines, the ledger, the scrape endpoint, and the
+/// progress/metrics/estimator feeds.
 ///
 /// `fingerprint` is the campaign fingerprint workers must match — derive
 /// it with campaign_fingerprint() from a prepared supervisor so the
 /// coordinator validates against exactly what a worker computes.
 ///
-/// `estimator` (optional) receives the exact fleet stream: per-attempt
-/// outcomes from LeaseDone details, folded in attempt order up to the
-/// campaign boundary, so its intervals match a --jobs 1 run bit for bit.
+/// `metrics` (optional) gets the campaign.* counters and `estimator`
+/// (optional) the outcomes of that same fold, through the commit point's
+/// own mappings, so both match a --jobs 1 run bit for bit.
 CoordinatorResult run_coordinator(const fi::CampaignConfig& campaign,
                                   std::uint64_t fingerprint,
                                   const FabricOptions& options,

@@ -8,43 +8,19 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "core/campaign_journal.hpp"  // journal_crc32
+#include "core/campaign_journal.hpp"  // the journal's codec and frame
 #include "util/posix_io.hpp"
 
 namespace phifi::fabric {
 
 namespace {
 
-constexpr char kMagic[8] = {'P', 'H', 'I', 'F', 'I', 'L', 'L', '1'};
-constexpr std::size_t kRecordPayload = 1 + 5 * 8;
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((value >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((value >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint32_t get_u32(const std::uint8_t* data) {
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(data[i]) << (8 * i);
-  }
-  return value;
-}
-
-std::uint64_t get_u64(const std::uint8_t* data) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(data[i]) << (8 * i);
-  }
-  return value;
-}
+constexpr char kMagic[8] = {'P', 'H', 'I', 'F', 'I', 'L', 'L', '2'};
+/// The magic of ledgers whose DONE records carried counts and an optional
+/// detail; refused by name.
+constexpr char kMagicV1[8] = {'P', 'H', 'I', 'F', 'I', 'L', 'L', '1'};
+/// u8 kind, u64 lease, u64 begin, u64 end, u32 detail length.
+constexpr std::size_t kRecordPayload = 1 + 3 * 8 + 4;
 
 void write_all(int fd, const void* data, std::size_t size,
                const char* what) {
@@ -56,11 +32,7 @@ void write_all(int fd, const void* data, std::size_t size,
 
 /// Appends one `u32 size | payload | u32 crc` frame.
 void write_frame(int fd, const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> frame;
-  frame.reserve(payload.size() + 8);
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  put_u32(frame, fi::journal_crc32(payload.data(), payload.size()));
+  const std::vector<std::uint8_t> frame = fi::journal_frame(payload);
   write_all(fd, frame.data(), frame.size(), "write");
 }
 
@@ -113,11 +85,13 @@ bool LeaseTable::heartbeat(std::uint64_t lease_id,
   return true;
 }
 
-bool LeaseTable::complete(std::uint64_t lease_id, std::uint64_t injected,
-                          std::uint64_t sdc) {
+bool LeaseTable::complete(std::uint64_t lease_id, std::uint64_t begin,
+                          std::uint64_t end) {
   const auto it = active_.find(lease_id);
-  if (it == active_.end()) return false;
-  done_[it->second.begin] = {it->second.end, injected, sdc};
+  if (it == active_.end() || it->second.begin != begin ||
+      it->second.end != end) {
+    return false;
+  }
   active_.erase(it);
   return true;
 }
@@ -136,40 +110,6 @@ std::vector<Lease> LeaseTable::expire(Clock::time_point now) {
   return expired;
 }
 
-std::vector<Lease> LeaseTable::leases_of(std::uint64_t worker) const {
-  std::vector<Lease> leases;
-  for (const auto& [id, lease] : active_) {
-    if (lease.worker == worker) leases.push_back(lease);
-  }
-  return leases;
-}
-
-std::uint64_t LeaseTable::prefix_injected() const {
-  std::uint64_t frontier = 0;
-  std::uint64_t injected = 0;
-  for (const auto& [begin, range] : done_) {
-    if (begin != frontier) break;
-    injected += range.injected;
-    frontier = range.end;
-  }
-  return injected;
-}
-
-std::uint64_t LeaseTable::prefix_sdc() const {
-  std::uint64_t frontier = 0;
-  std::uint64_t sdc = 0;
-  for (const auto& [begin, range] : done_) {
-    if (begin != frontier) break;
-    sdc += range.sdc;
-    frontier = range.end;
-  }
-  return sdc;
-}
-
-bool LeaseTable::exhausted() const {
-  return pending_.empty() && next_fresh_ >= budget_;
-}
-
 void LeaseTable::restore_grant(std::uint64_t id, std::uint64_t begin,
                                std::uint64_t end,
                                Clock::time_point deadline) {
@@ -184,11 +124,6 @@ void LeaseTable::restore_grant(std::uint64_t id, std::uint64_t begin,
   next_fresh_ = std::max(next_fresh_, end);
   // A re-grant of a previously reclaimed range consumes the pending entry.
   pending_.erase(begin);
-}
-
-void LeaseTable::restore_done(std::uint64_t id, std::uint64_t injected,
-                              std::uint64_t sdc) {
-  complete(id, injected, sdc);
 }
 
 void LeaseTable::restore_reclaim(std::uint64_t id) {
@@ -216,60 +151,52 @@ LedgerContents read_ledger(const std::string& path) {
   }
   ::close(fd);
 
-  LedgerContents contents;
-  std::size_t offset = sizeof(kMagic);
-  if (data.size() < offset ||
+  if (data.size() >= sizeof(kMagicV1) &&
+      std::memcmp(data.data(), kMagicV1, sizeof(kMagicV1)) == 0) {
+    throw std::runtime_error(
+        "lease ledger: '" + path +
+        "' is a PHIFILL1 ledger, written before every DONE record carried "
+        "its per-attempt detail, so it cannot rebuild the fleet tally. "
+        "Remove it to restart the lease space; the worker shard journals "
+        "keep every committed attempt");
+  }
+  if (data.size() < sizeof(kMagic) ||
       std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
     throw std::runtime_error("lease ledger: '" + path +
                              "' is not a lease ledger (bad magic)");
   }
-  // Header frame.
-  const auto try_frame =
-      [&](std::vector<std::uint8_t>* payload) -> bool {
-    if (data.size() < offset + 8) return false;
-    const std::uint32_t size = get_u32(data.data() + offset);
-    if (size > (1u << 20) || data.size() < offset + 8 + size) return false;
-    const std::uint8_t* body = data.data() + offset + 4;
-    if (get_u32(body + size) != fi::journal_crc32(body, size)) return false;
-    payload->assign(body, body + size);
-    offset += 8 + size;
-    return true;
-  };
-  std::vector<std::uint8_t> payload;
-  // 16-byte headers predate the run-id field; tolerate both.
-  if (!try_frame(&payload) ||
-      (payload.size() != 16 && payload.size() != 24)) {
+  LedgerContents contents;
+  std::size_t size = 0;
+  std::size_t next = 0;
+  const std::uint8_t* payload =
+      fi::read_journal_frame(data, sizeof(kMagic), &size, &next);
+  if (payload == nullptr || size != 24) {
     throw std::runtime_error("lease ledger: '" + path +
                              "' has a missing or corrupt header");
   }
-  contents.fingerprint = get_u64(payload.data());
-  contents.trials = get_u64(payload.data() + 8);
-  if (payload.size() == 24) {
-    contents.run_id = get_u64(payload.data() + 16);
-  }
-  contents.valid_bytes = offset;
+  contents.fingerprint = fi::get_u64(payload);
+  contents.trials = fi::get_u64(payload + 8);
+  contents.run_id = fi::get_u64(payload + 16);
+  contents.valid_bytes = next;
 
-  while (try_frame(&payload)) {
-    if (payload.size() < kRecordPayload) break;  // corrupt: drop the tail
+  // Records: stop at the first unreadable or misshapen frame — the torn
+  // tail a crash leaves behind.
+  while ((payload = fi::read_journal_frame(data, contents.valid_bytes, &size,
+                                           &next)) != nullptr) {
+    if (size < kRecordPayload ||
+        size != kRecordPayload + fi::get_u32(payload + 25)) {
+      break;
+    }
     LedgerRecord record;
     record.kind = static_cast<LedgerKind>(payload[0]);
-    record.lease = get_u64(payload.data() + 1);
-    record.begin = get_u64(payload.data() + 9);
-    record.end = get_u64(payload.data() + 17);
-    record.injected = get_u64(payload.data() + 25);
-    record.sdc = get_u64(payload.data() + 33);
-    if (payload.size() > kRecordPayload) {
-      // Extended record: u32 detail length + the detail bytes.
-      if (payload.size() < kRecordPayload + 4) break;
-      const std::uint32_t detail_len =
-          get_u32(payload.data() + kRecordPayload);
-      if (payload.size() != kRecordPayload + 4 + detail_len) break;
-      record.detail.assign(
-          reinterpret_cast<const char*>(payload.data() + kRecordPayload + 4),
-          detail_len);
-    }
+    record.lease = fi::get_u64(payload + 1);
+    record.begin = fi::get_u64(payload + 9);
+    record.end = fi::get_u64(payload + 17);
+    record.detail.assign(
+        reinterpret_cast<const char*>(payload + kRecordPayload),
+        size - kRecordPayload);
     contents.records.push_back(std::move(record));
-    contents.valid_bytes = offset;
+    contents.valid_bytes = next;
   }
   contents.dropped_bytes = data.size() - contents.valid_bytes;
   return contents;
@@ -287,9 +214,9 @@ LeaseLedgerWriter::LeaseLedgerWriter(const std::string& path,
   }
   write_all(fd_, kMagic, sizeof(kMagic), "write magic");
   std::vector<std::uint8_t> payload;
-  put_u64(payload, fingerprint);
-  put_u64(payload, trials);
-  put_u64(payload, run_id);
+  fi::put_u64(payload, fingerprint);
+  fi::put_u64(payload, trials);
+  fi::put_u64(payload, run_id);
   write_frame(fd_, payload);
   ::fsync(fd_);
 }
@@ -320,14 +247,12 @@ LeaseLedgerWriter::~LeaseLedgerWriter() {
 
 void LeaseLedgerWriter::append(const LedgerRecord& record) {
   std::vector<std::uint8_t> payload;
-  payload.reserve(kRecordPayload + 4 + record.detail.size());
+  payload.reserve(kRecordPayload + record.detail.size());
   payload.push_back(static_cast<std::uint8_t>(record.kind));
-  put_u64(payload, record.lease);
-  put_u64(payload, record.begin);
-  put_u64(payload, record.end);
-  put_u64(payload, record.injected);
-  put_u64(payload, record.sdc);
-  put_u32(payload, static_cast<std::uint32_t>(record.detail.size()));
+  fi::put_u64(payload, record.lease);
+  fi::put_u64(payload, record.begin);
+  fi::put_u64(payload, record.end);
+  fi::put_u32(payload, static_cast<std::uint32_t>(record.detail.size()));
   payload.insert(payload.end(), record.detail.begin(), record.detail.end());
   write_frame(fd_, payload);
   // phicheck:blocking-ok(the deliberate one: a GRANT/DONE must be on disk before the matching wire frame or a coordinator crash forgets leases it promised (docs/FABRIC.md); bench: one fsync per lease transition, ~0.1-1ms on ext4 SSD, amortized over an entire lease of trials)

@@ -5,7 +5,9 @@
 // heartbeat deadline: a worker that stalls, crashes, or partitions misses
 // its deadline and the lease is reclaimed and re-issued — safe because
 // trial seeds are counter-indexed (re-executed attempts are bit-identical)
-// and the shard merge dedups overlapping records.
+// and the shard merge dedups overlapping records. The table tracks ranges
+// only; outcomes live in the per-attempt detail each DONE carries, which
+// the coordinator folds (coordinator.cpp).
 //
 // Every lease transition is appended to a ledger file (framed + CRC'd like
 // the journal) before the wire message that announces it, so a coordinator
@@ -13,18 +15,17 @@
 // that reconnect mid-lease, and re-lease orphaned ranges.
 //
 // Ledger layout (integers little-endian):
-//   magic "PHIFILL1"
+//   magic "PHIFILL2"
 //   u32 header_size | header payload | u32 crc32(header payload)
-//     header payload: u64 fingerprint, u64 trials
-//                     [, u64 run_id — absent in pre-observability ledgers]
+//     header payload: u64 fingerprint, u64 trials, u64 run_id
 //   repeated records, each:
 //   u32 payload_size | record payload | u32 crc32(record payload)
 //     record payload: u8 kind, u64 lease, u64 begin, u64 end,
-//                     u64 injected, u64 sdc
-//                     [, u32 detail_len + detail bytes — DONE records
-//                      carry the per-attempt outcome detail (fabric/
-//                      stats.hpp) so a restarted coordinator can rebuild
-//                      its exact fleet estimator; absent in old ledgers]
+//                     u32 detail_len + detail bytes (the per-attempt
+//                     outcome detail of a DONE, fabric/stats.hpp; empty
+//                     for GRANT and RECLAIM)
+// A "PHIFILL1" ledger (written before DONE records had to carry a detail)
+// is refused: its DONE records cannot rebuild the fleet tally.
 #pragma once
 
 #include <chrono>
@@ -74,46 +75,24 @@ class LeaseTable {
   /// lease ids — a revoked worker phoning in about a reclaimed lease.
   bool heartbeat(std::uint64_t lease_id, Clock::time_point deadline);
 
-  /// Marks a lease's range done with its outcome counts. False for stale
-  /// lease ids (the range was reclaimed and belongs to someone else now).
-  bool complete(std::uint64_t lease_id, std::uint64_t injected,
-                std::uint64_t sdc);
+  /// Retires an outstanding lease whose range is [begin, end). False for
+  /// stale lease ids (the range was reclaimed and belongs to someone else
+  /// now) and for a range that is not the lease's.
+  bool complete(std::uint64_t lease_id, std::uint64_t begin,
+                std::uint64_t end);
 
   /// Reclaims every lease whose deadline has passed; returns them.
   std::vector<Lease> expire(Clock::time_point now);
 
-  /// Returns this worker's outstanding leases without reclaiming them —
-  /// on a connection drop the deadline keeps running, so a quick
-  /// reconnect re-adopts and a dead worker expires.
-  [[nodiscard]] std::vector<Lease> leases_of(std::uint64_t worker) const;
-
-  /// Injected completions in the contiguous done prefix from index 0 —
-  /// the coordinator's campaign-completion criterion (a done range beyond
-  /// a hole does not count until the hole fills).
-  [[nodiscard]] std::uint64_t prefix_injected() const;
-  /// SDC count in the same prefix (feeds the --stop-ci-width check).
-  [[nodiscard]] std::uint64_t prefix_sdc() const;
-
   [[nodiscard]] std::uint64_t outstanding() const { return active_.size(); }
-  /// True when nothing can ever be granted again: the fresh space is
-  /// exhausted and no reclaimed range is pending.
-  [[nodiscard]] bool exhausted() const;
   [[nodiscard]] std::uint64_t trials() const { return trials_; }
 
-  // ---- ledger replay (coordinator restart) ----
+  // ---- ledger replay (coordinator restart; DONE replays via complete) ----
   void restore_grant(std::uint64_t id, std::uint64_t begin,
                      std::uint64_t end, Clock::time_point deadline);
-  void restore_done(std::uint64_t id, std::uint64_t injected,
-                    std::uint64_t sdc);
   void restore_reclaim(std::uint64_t id);
 
  private:
-  struct DoneRange {
-    std::uint64_t end = 0;
-    std::uint64_t injected = 0;
-    std::uint64_t sdc = 0;
-  };
-
   std::uint64_t trials_;
   std::uint64_t budget_;
   std::uint64_t lease_size_;
@@ -122,7 +101,6 @@ class LeaseTable {
   std::map<std::uint64_t, Lease> active_;  ///< by lease id
   /// Reclaimed ranges awaiting re-grant, keyed by begin.
   std::map<std::uint64_t, std::uint64_t> pending_;
-  std::map<std::uint64_t, DoneRange> done_;  ///< by begin
 };
 
 // phicheck:exhaustive-switch — replay (read_ledger) must handle every record
@@ -138,18 +116,15 @@ struct LedgerRecord {
   std::uint64_t lease = 0;
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
-  std::uint64_t injected = 0;
-  std::uint64_t sdc = 0;
   /// Per-attempt outcome detail (encode_attempts) on DONE records; empty
-  /// otherwise and in ledgers written before the observability plane.
+  /// otherwise.
   std::string detail;
 };
 
 struct LedgerContents {
   std::uint64_t fingerprint = 0;
   std::uint64_t trials = 0;
-  /// Campaign run id; 0 when the ledger predates correlation ids.
-  std::uint64_t run_id = 0;
+  std::uint64_t run_id = 0;  ///< campaign run id
   std::vector<LedgerRecord> records;
   /// File offset just past the last valid record; resume truncates here.
   std::uint64_t valid_bytes = 0;
@@ -158,8 +133,8 @@ struct LedgerContents {
 };
 
 /// Loads a ledger. A torn tail is dropped and reported, mirroring the
-/// journal. Throws std::runtime_error if the file cannot be opened or its
-/// header is missing/corrupt.
+/// journal. Throws std::runtime_error if the file cannot be opened, is a
+/// PHIFILL1 ledger, or its header is missing/corrupt.
 LedgerContents read_ledger(const std::string& path);
 
 class LeaseLedgerWriter {

@@ -18,7 +18,9 @@ struct FabricOptions {
   /// Attempt indices per lease. Smaller = finer re-balancing after a
   /// worker loss, more coordinator round trips.
   std::uint64_t lease_size = 32;
-  /// Worker heartbeat period while executing a lease.
+  /// Worker heartbeat period once welcomed. A heartbeat refreshes the held
+  /// lease's deadline (lease 0 between leases) and carries the worker's
+  /// observability snapshot (fabric/stats.hpp).
   double heartbeat_seconds = 1.0;
   /// Coordinator reclaims a lease this long after its last heartbeat.
   /// Must comfortably exceed heartbeat_seconds plus one trial's runtime.
@@ -26,9 +28,6 @@ struct FabricOptions {
   /// Worker reconnect backoff: initial delay, doubled per failure up to
   /// 10 doublings.
   double reconnect_initial_ms = 200.0;
-  /// Worker: period of the STATS observability snapshot (fabric/stats.hpp),
-  /// sent from the same off-hot-path tick as heartbeats. 0 disables.
-  double stats_interval_seconds = 1.0;
   /// Coordinator: scrape endpoint address ("tcp:host:port" or
   /// "unix:/path"; "" = no endpoint). Serves /metrics, /campaign.json,
   /// /healthz from the coordinator poll loop (fabric/http.hpp).

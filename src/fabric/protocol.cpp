@@ -13,7 +13,7 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "core/campaign_journal.hpp"  // journal_crc32: one CRC in the repo
+#include "core/campaign_journal.hpp"  // the journal's codec and frame
 #include "util/posix_io.hpp"
 
 namespace phifi::fabric {
@@ -22,37 +22,11 @@ namespace {
 
 /// Guards against a desynchronized stream asking us to buffer gigabytes:
 /// most frames are ~100 bytes, but a LeaseDone carries the per-attempt
-/// outcome detail for its whole range and a Stats frame carries the
-/// worker's estimator cells, so the cap is generous.
+/// outcome detail for its whole range, so the cap is generous.
 constexpr std::uint32_t kMaxFrame = 1 << 20;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((value >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((value >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint32_t get_u32(const std::uint8_t* data) {
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(data[i]) << (8 * i);
-  }
-  return value;
-}
-
-std::uint64_t get_u64(const std::uint8_t* data) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(data[i]) << (8 * i);
-  }
-  return value;
-}
+/// u8 type, six u64 fields, u32 text length.
+constexpr std::uint32_t kFixedPayload = 1 + 6 * 8 + 4;
 
 void make_nonblocking_cloexec(int fd) {
   ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
@@ -73,68 +47,51 @@ std::string_view to_string(MsgType type) {
     case MsgType::kHeartbeat: return "heartbeat";
     case MsgType::kShutdown: return "shutdown";
     case MsgType::kGoodbye: return "goodbye";
-    case MsgType::kStats: return "stats";
   }
   return "unknown";
 }
 
 std::vector<std::uint8_t> encode_message(const Message& message) {
   std::vector<std::uint8_t> payload;
-  payload.reserve(96 + message.text.size());
+  payload.reserve(kFixedPayload + message.text.size());
   payload.push_back(static_cast<std::uint8_t>(message.type));
-  put_u64(payload, message.worker);
-  put_u64(payload, message.fingerprint);
-  put_u64(payload, message.lease);
-  put_u64(payload, message.begin);
-  put_u64(payload, message.end);
-  put_u64(payload, message.progress);
-  put_u64(payload, message.injected);
-  put_u64(payload, message.masked);
-  put_u64(payload, message.sdc);
-  put_u64(payload, message.due);
-  put_u64(payload, message.run);
-  put_u32(payload, static_cast<std::uint32_t>(message.text.size()));
+  fi::put_u64(payload, message.worker);
+  fi::put_u64(payload, message.fingerprint);
+  fi::put_u64(payload, message.lease);
+  fi::put_u64(payload, message.begin);
+  fi::put_u64(payload, message.end);
+  fi::put_u64(payload, message.run);
+  fi::put_u32(payload, static_cast<std::uint32_t>(message.text.size()));
   payload.insert(payload.end(), message.text.begin(), message.text.end());
-
-  std::vector<std::uint8_t> frame;
-  frame.reserve(payload.size() + 8);
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  put_u32(frame, fi::journal_crc32(payload.data(), payload.size()));
-  return frame;
+  return fi::journal_frame(payload);
 }
 
 bool decode_message(std::vector<std::uint8_t>& buffer, Message* out) {
   if (buffer.size() < 4) return false;
-  const std::uint32_t size = get_u32(buffer.data());
-  if (size < 93 || size > kMaxFrame) {
+  const std::uint32_t size = fi::get_u32(buffer.data());
+  if (size < kFixedPayload || size > kMaxFrame) {
     throw std::runtime_error("fabric: corrupt frame (size " +
                              std::to_string(size) + ")");
   }
   if (buffer.size() < 4 + static_cast<std::size_t>(size) + 4) return false;
   const std::uint8_t* payload = buffer.data() + 4;
-  const std::uint32_t crc = get_u32(payload + size);
-  if (crc != fi::journal_crc32(payload, size)) {
+  if (fi::get_u32(payload + size) != fi::journal_crc32(payload, size)) {
     throw std::runtime_error("fabric: corrupt frame (bad checksum)");
   }
   Message message;
   message.type = static_cast<MsgType>(payload[0]);
-  message.worker = get_u64(payload + 1);
-  message.fingerprint = get_u64(payload + 9);
-  message.lease = get_u64(payload + 17);
-  message.begin = get_u64(payload + 25);
-  message.end = get_u64(payload + 33);
-  message.progress = get_u64(payload + 41);
-  message.injected = get_u64(payload + 49);
-  message.masked = get_u64(payload + 57);
-  message.sdc = get_u64(payload + 65);
-  message.due = get_u64(payload + 73);
-  message.run = get_u64(payload + 81);
-  const std::uint32_t text_len = get_u32(payload + 89);
-  if (93 + static_cast<std::size_t>(text_len) != size) {
+  message.worker = fi::get_u64(payload + 1);
+  message.fingerprint = fi::get_u64(payload + 9);
+  message.lease = fi::get_u64(payload + 17);
+  message.begin = fi::get_u64(payload + 25);
+  message.end = fi::get_u64(payload + 33);
+  message.run = fi::get_u64(payload + 41);
+  const std::uint32_t text_len = fi::get_u32(payload + 49);
+  if (kFixedPayload + static_cast<std::size_t>(text_len) != size) {
     throw std::runtime_error("fabric: corrupt frame (bad text length)");
   }
-  message.text.assign(reinterpret_cast<const char*>(payload + 93), text_len);
+  message.text.assign(reinterpret_cast<const char*>(payload + kFixedPayload),
+                      text_len);
   buffer.erase(buffer.begin(),
                buffer.begin() + 4 + static_cast<std::size_t>(size) + 4);
   *out = std::move(message);

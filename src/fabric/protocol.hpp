@@ -10,9 +10,13 @@
 // a trial (the ZOFI design point: orchestration cost must not tax the
 // trial loop).
 //
-// Frame layout (integers little-endian, mirroring the journal):
+// Frame layout (integers little-endian, the journal's frame):
 //   u32 payload_size | payload | u32 crc32(payload)
 // Payload: u8 type, then the fixed u64 fields, then u32 text_len + text.
+//
+// No frame carries outcome counts. A LeaseDone carries the per-attempt
+// detail of its range (fabric/stats.hpp), and the coordinator derives every
+// tally it reports from those details alone.
 #pragma once
 
 #include <cstdint>
@@ -32,11 +36,11 @@ enum class MsgType : std::uint8_t {
   kLeaseRequest,  ///< worker → coordinator: give me a range
   kLeaseGrant,    ///< coordinator → worker: lease_id covers [begin, end)
   kLeaseRevoke,   ///< coordinator → worker: abandon lease_id (reclaimed)
-  kLeaseDone,     ///< worker → coordinator: lease_id finished, counts attached
-  kHeartbeat,     ///< worker → coordinator: lease liveness + progress
+  kLeaseDone,     ///< worker → coordinator: lease_id finished (text = detail)
+  kHeartbeat,     ///< worker → coordinator: lease liveness (lease 0 between
+                  ///< leases) + observability snapshot (text)
   kShutdown,      ///< coordinator → worker: campaign over, exit
   kGoodbye,       ///< worker → coordinator: leaving voluntarily
-  kStats,         ///< worker → coordinator: observability snapshot (text)
 };
 
 std::string_view to_string(MsgType type);
@@ -50,13 +54,8 @@ struct Message {
   std::uint64_t lease = 0;        ///< lease id
   std::uint64_t begin = 0;        ///< lease range start (inclusive)
   std::uint64_t end = 0;          ///< lease range end (exclusive)
-  std::uint64_t progress = 0;     ///< next uncommitted index in the lease
-  std::uint64_t injected = 0;     ///< injected completions in the lease
-  std::uint64_t masked = 0;       ///< of which Masked
-  std::uint64_t sdc = 0;          ///< of which SDC
-  std::uint64_t due = 0;          ///< of which DUE
   std::uint64_t run = 0;          ///< campaign run id (WELCOME → worker)
-  std::string text;               ///< reject reason / stats / lease detail
+  std::string text;               ///< reject reason / snapshot / lease detail
 };
 
 /// Serializes one message into a complete frame.

@@ -11,25 +11,13 @@ namespace {
 
 using util::json::Value;
 
-std::uint64_t u64_or(const Value& object, const std::string& key) {
-  return static_cast<std::uint64_t>(object.number_or(key, 0.0));
-}
-
-// phicheck:ndjson-writer(stats.counts) out
-Value counts_to_json(const telemetry::EstimatorCounts& counts) {
-  Value out = Value::object();
-  out["masked"] = counts.masked;
-  out["sdc"] = counts.sdc;
-  out["due"] = counts.due;
-  return out;
-}
-
-telemetry::EstimatorCounts counts_from_json(const Value& object) {
-  telemetry::EstimatorCounts counts;
-  counts.masked = u64_or(object, "masked");
-  counts.sdc = u64_or(object, "sdc");
-  counts.due = u64_or(object, "due");
-  return counts;
+fi::Outcome outcome_from_name(const std::string& name) {
+  for (const fi::Outcome outcome :
+       {fi::Outcome::kMasked, fi::Outcome::kSdc, fi::Outcome::kDue,
+        fi::Outcome::kNotInjected}) {
+    if (name == fi::to_string(outcome)) return outcome;
+  }
+  throw std::runtime_error("fabric: unknown outcome name '" + name + "'");
 }
 
 }  // namespace
@@ -39,7 +27,7 @@ std::string encode_attempts(const std::vector<AttemptOutcome>& attempts) {
   Value array = Value::array();
   for (const AttemptOutcome& attempt : attempts) {
     Value entry = Value::object();
-    entry["o"] = attempt.outcome;
+    entry["o"] = std::string(fi::to_string(attempt.outcome));
     entry["k"] = attempt.due_kind;
     entry["m"] = attempt.model;
     entry["c"] = attempt.category;
@@ -63,15 +51,12 @@ std::vector<AttemptOutcome> decode_attempts(const std::string& text) {
       throw std::runtime_error("fabric: attempt detail entry is not an object");
     }
     AttemptOutcome attempt;
-    attempt.outcome = entry.string_or("o", "");
+    attempt.outcome = outcome_from_name(entry.string_or("o", ""));
     attempt.due_kind = entry.string_or("k", "none");
     attempt.model = entry.string_or("m", "");
     attempt.category = entry.string_or("c", "");
     attempt.window = static_cast<unsigned>(entry.number_or("w", 0.0));
     attempt.injected = entry.bool_or("i", false);
-    if (attempt.outcome.empty()) {
-      throw std::runtime_error("fabric: attempt detail entry lacks outcome");
-    }
     attempts.push_back(std::move(attempt));
   }
   return attempts;
@@ -79,7 +64,7 @@ std::vector<AttemptOutcome> decode_attempts(const std::string& text) {
 
 AttemptOutcome attempt_from_trial(const fi::TrialResult& trial) {
   AttemptOutcome attempt;
-  attempt.outcome = std::string(fi::to_string(trial.outcome));
+  attempt.outcome = trial.outcome;
   attempt.due_kind = std::string(fi::to_string(trial.due_kind));
   attempt.model = std::string(fi::to_string(trial.record.model));
   attempt.category = trial.record.category;
@@ -88,46 +73,12 @@ AttemptOutcome attempt_from_trial(const fi::TrialResult& trial) {
   return attempt;
 }
 
-fi::Outcome outcome_from_name(const std::string& name) {
-  if (name == fi::to_string(fi::Outcome::kMasked)) {
-    return fi::Outcome::kMasked;
-  }
-  if (name == fi::to_string(fi::Outcome::kSdc)) return fi::Outcome::kSdc;
-  if (name == fi::to_string(fi::Outcome::kDue)) return fi::Outcome::kDue;
-  if (name == fi::to_string(fi::Outcome::kNotInjected)) {
-    return fi::Outcome::kNotInjected;
-  }
-  throw std::runtime_error("fabric: unknown outcome name '" + name + "'");
-}
-
 // phicheck:ndjson-writer(stats.worker) out
-// phicheck:ndjson-writer(stats.estimator_cell) cell
 std::string encode_stats(const WorkerStats& stats) {
   Value out = Value::object();
   out["executed"] = stats.executed;
   out["leases_done"] = stats.leases_done;
-  out["masked"] = stats.masked;
-  out["sdc"] = stats.sdc;
-  out["due"] = stats.due;
-  out["not_injected"] = stats.not_injected;
-  out["trials_per_sec"] = stats.trials_per_sec;
   out["uptime_seconds"] = stats.uptime_seconds;
-  Value kinds = Value::object();
-  for (const auto& [kind, count] : stats.due_kinds) {
-    if (count > 0) kinds[kind] = count;
-  }
-  out["due_kinds"] = std::move(kinds);
-  Value estimator = counts_to_json(stats.estimator.overall);
-  Value cells = Value::array();
-  for (const auto& [key, counts] : stats.estimator.cells) {
-    Value cell = counts_to_json(counts);
-    cell["model"] = key.model;
-    cell["window"] = key.window;
-    cell["category"] = key.category;
-    cells.push_back(std::move(cell));
-  }
-  estimator["cells"] = std::move(cells);
-  out["estimator"] = std::move(estimator);
   if (stats.profile.trials() > 0) {
     out["profile"] = telemetry::profile_snapshot_to_json(stats.profile);
   }
@@ -140,35 +91,11 @@ WorkerStats decode_stats(const std::string& text) {
     throw std::runtime_error("fabric: stats payload is not a JSON object");
   }
   WorkerStats stats;
-  stats.executed = u64_or(parsed, "executed");
-  stats.leases_done = u64_or(parsed, "leases_done");
-  stats.masked = u64_or(parsed, "masked");
-  stats.sdc = u64_or(parsed, "sdc");
-  stats.due = u64_or(parsed, "due");
-  stats.not_injected = u64_or(parsed, "not_injected");
-  stats.trials_per_sec = parsed.number_or("trials_per_sec", 0.0);
+  stats.executed =
+      static_cast<std::uint64_t>(parsed.number_or("executed", 0.0));
+  stats.leases_done =
+      static_cast<std::uint64_t>(parsed.number_or("leases_done", 0.0));
   stats.uptime_seconds = parsed.number_or("uptime_seconds", 0.0);
-  if (const Value* kinds = parsed.find("due_kinds");
-      kinds != nullptr && kinds->is_object()) {
-    for (const auto& [kind, count] : kinds->as_object()) {
-      stats.due_kinds[kind] = static_cast<std::uint64_t>(count.as_double());
-    }
-  }
-  if (const Value* estimator = parsed.find("estimator");
-      estimator != nullptr && estimator->is_object()) {
-    stats.estimator.overall = counts_from_json(*estimator);
-    if (const Value* cells = estimator->find("cells");
-        cells != nullptr && cells->is_array()) {
-      for (const Value& cell : cells->as_array()) {
-        telemetry::EstimatorCellKey key;
-        key.model = cell.string_or("model", "");
-        key.window = static_cast<unsigned>(cell.number_or("window", 0.0));
-        key.category = cell.string_or("category", "");
-        stats.estimator.cells.emplace_back(std::move(key),
-                                           counts_from_json(cell));
-      }
-    }
-  }
   if (const Value* profile = parsed.find("profile");
       profile != nullptr && profile->is_object()) {
     stats.profile = telemetry::profile_snapshot_from_json(*profile);

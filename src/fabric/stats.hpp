@@ -1,34 +1,35 @@
-// Fleet observability payloads: the STATS frame body and the per-attempt
-// outcome detail attached to LeaseDone frames and ledger DONE records.
+// Fleet observability payloads: the per-attempt outcome detail attached to
+// LeaseDone frames and ledger DONE records, and the worker snapshot that
+// rides every heartbeat.
 //
 // Both payloads ride the protocol's `text` field as compact JSON. They are
-// produced off the trial hot path (STATS on the heartbeat timer, detail
-// once per completed lease), which is the FINJ/ZOFI division of labor:
-// centralized collection of monitoring data without taxing the trial loop.
+// produced off the trial hot path (the snapshot on the heartbeat timer, the
+// detail once per completed lease), which is the FINJ/ZOFI division of
+// labor: centralized collection of monitoring data without taxing the trial
+// loop.
 //
-// The per-attempt detail is what makes the coordinator's fleet tally
-// *exact* rather than approximate: accepted LeaseDone ranges tile the
-// attempt-index space disjointly, so replaying their details in attempt
-// order reproduces, bit for bit, the estimator state a --jobs 1 run would
-// reach at the same boundary (see docs/FLEET_OBSERVABILITY.md).
+// The per-attempt detail is the coordinator's only record of outcomes:
+// accepted LeaseDone ranges tile the attempt-index space disjointly, so
+// folding their details in attempt order reproduces, bit for bit, the
+// tallies and estimator state a --jobs 1 run reaches at the same boundary
+// (see docs/FLEET_OBSERVABILITY.md). The snapshot carries no outcomes: it
+// describes the worker process, not the campaign.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "core/outcome.hpp"
 #include "core/supervisor.hpp"
-#include "telemetry/estimator.hpp"
 #include "telemetry/profiler.hpp"
 
 namespace phifi::fabric {
 
-/// One committed attempt's classification — everything the fleet
-/// estimator and the merge boundary rule need, nothing timing-dependent.
+/// One committed attempt's classification — everything the fleet fold and
+/// the merge boundary rule need, nothing timing-dependent.
 struct AttemptOutcome {
-  std::string outcome;   ///< "Masked" / "SDC" / "DUE" / "NotInjected"
+  fi::Outcome outcome = fi::Outcome::kNotInjected;
   std::string due_kind;  ///< "none" / "crash" / "hang" / ...
   std::string model;     ///< fault model name
   std::string category;  ///< code-portion category
@@ -41,39 +42,33 @@ struct AttemptOutcome {
 std::string encode_attempts(const std::vector<AttemptOutcome>& attempts);
 
 /// Decodes an attempt-detail payload. Throws std::runtime_error on
-/// malformed input; an empty string decodes to an empty vector (a frame
-/// from a sender that attached no detail).
+/// malformed input, including an outcome name that is not one of
+/// fi::Outcome's (a torn or hostile frame); an empty string decodes to an
+/// empty vector.
 std::vector<AttemptOutcome> decode_attempts(const std::string& text);
 
 /// Classifies one committed trial into the wire form — the single mapping
-/// both the worker (at commit) and the coordinator (on ledger replay of a
-/// merged journal) use, so the fleet tally cannot drift from the shards.
+/// the worker applies at commit and on shard resume, so the fleet fold
+/// cannot drift from the shards.
 AttemptOutcome attempt_from_trial(const fi::TrialResult& trial);
 
-/// Maps an AttemptOutcome::outcome name back to the core enum. Throws
-/// std::runtime_error on an unknown name (a malformed or hostile frame).
-fi::Outcome outcome_from_name(const std::string& name);
-
-/// A worker's periodic observability snapshot: cumulative tallies over
-/// everything this process has committed (including overshoot and work on
-/// leases later reclaimed elsewhere — it describes the worker, not the
-/// campaign; the exact campaign tally comes from LeaseDone details).
+/// A worker's periodic snapshot, sent on every heartbeat. Cumulative over
+/// this process, so a lost heartbeat costs only freshness.
 struct WorkerStats {
   std::uint64_t executed = 0;      ///< attempts committed by this process
-  std::uint64_t leases_done = 0;   ///< leases completed and acknowledged
-  std::uint64_t masked = 0;
-  std::uint64_t sdc = 0;
-  std::uint64_t due = 0;
-  std::uint64_t not_injected = 0;
-  double trials_per_sec = 0.0;     ///< committed attempts / uptime
+  std::uint64_t leases_done = 0;   ///< leases completed and reported
   double uptime_seconds = 0.0;     ///< since the worker process started
-  std::map<std::string, std::uint64_t> due_kinds;
-  telemetry::EstimatorSnapshot estimator;  ///< this worker's cells
   /// Cumulative latency-anatomy histograms (only encoded when non-empty;
   /// a worker running without --profile sends none). The coordinator
   /// re-folds the latest snapshot of every worker, so percentiles are
   /// exact over the fleet, not an average of averages.
   telemetry::ProfileSnapshot profile;
+
+  [[nodiscard]] double trials_per_sec() const {
+    return uptime_seconds > 0.0
+               ? static_cast<double>(executed) / uptime_seconds
+               : 0.0;
+  }
 };
 
 std::string encode_stats(const WorkerStats& stats);

@@ -14,10 +14,8 @@
 #include <thread>
 
 #include "core/campaign_journal.hpp"
-#include "core/outcome.hpp"
 #include "fabric/protocol.hpp"
 #include "fabric/stats.hpp"
-#include "telemetry/estimator.hpp"
 #include "telemetry/history.hpp"  // run_id_to_hex
 #include "util/log.hpp"
 #include "util/posix_io.hpp"
@@ -32,34 +30,6 @@ bool file_exists(const std::string& path) {
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0;
 }
-
-/// Cumulative outcome counts for one lease (what heartbeats and the final
-/// kLeaseDone report).
-struct LeaseCounts {
-  std::uint64_t injected = 0;
-  std::uint64_t masked = 0;
-  std::uint64_t sdc = 0;
-  std::uint64_t due = 0;
-
-  void add(fi::Outcome outcome) {
-    switch (outcome) {
-      case fi::Outcome::kMasked:
-        ++injected;
-        ++masked;
-        break;
-      case fi::Outcome::kSdc:
-        ++injected;
-        ++sdc;
-        break;
-      case fi::Outcome::kDue:
-        ++injected;
-        ++due;
-        break;
-      case fi::Outcome::kNotInjected:
-        break;
-    }
-  }
-};
 
 struct CurrentLease {
   std::uint64_t id = 0;
@@ -84,11 +54,9 @@ class WorkerLoop {
         metrics_(metrics),
         trace_(trace),
         out_(&out) {
-    // The worker's own trial stream: run_range feeds the trace (with the
-    // correlation context set on WELCOME) and the worker-local estimator
-    // whose snapshot rides each STATS frame.
+    // The worker's own trial stream: run_range feeds the trace, with the
+    // correlation context set on WELCOME.
     config_.trace = trace_;
-    config_.estimator = &estimator_;
   }
 
   WorkerResult run();
@@ -100,10 +68,9 @@ class WorkerLoop {
   void drain_link();
   void handle(const Message& msg);
   bool tick();  ///< run_range's on_tick: pump link, heartbeat; false = stop
-  void maybe_send_stats();
+  void maybe_heartbeat();
   void execute_lease();
   void send_done();
-  void note_commit(const fi::TrialResult& trial);
   bool stop_requested() const {
     return config_.stop_flag != nullptr &&
            config_.stop_flag->load(std::memory_order_relaxed);
@@ -131,21 +98,17 @@ class WorkerLoop {
   Clock::time_point next_connect_{Clock::now()};
 
   std::optional<CurrentLease> lease_;
-  LeaseCounts counts_;
   Clock::time_point last_heartbeat_{};
   // Set by handle() while run_range is inside tick(); examined after.
   bool shutdown_seen_ = false;
   bool revoked_ = false;
 
-  // Observability: campaign run id (adopted from WELCOME), the cumulative
-  // tallies each STATS frame reports, and the worker-local estimator.
+  // Observability: campaign run id (adopted from WELCOME) and the process
+  // start the heartbeat snapshot's uptime counts from.
   std::uint64_t run_id_ = 0;
   bool trace_header_written_ = false;
   bool resumed_shard_ = false;
-  telemetry::CampaignEstimator estimator_;
-  WorkerStats stats_;
   Clock::time_point started_{Clock::now()};
-  Clock::time_point last_stats_{};
 };
 
 void WorkerLoop::open_shard() {
@@ -317,7 +280,6 @@ void WorkerLoop::handle(const Message& msg) {
     case MsgType::kLeaseDone:
     case MsgType::kHeartbeat:
     case MsgType::kGoodbye:
-    case MsgType::kStats:
     default:  // default stays for out-of-range bytes decoded off the wire
       util::log_warn() << "fabric: worker ignoring unexpected "
                        << to_string(msg.type);
@@ -344,42 +306,31 @@ void WorkerLoop::drain_link() {
   }
 }
 
-/// Ships the periodic observability snapshot — cumulative tallies,
-/// throughput, and the worker-local estimator cells — on the same
-/// off-hot-path timer as heartbeats. Best-effort: a lost frame costs
-/// nothing but staleness in the coordinator's live view.
-void WorkerLoop::maybe_send_stats() {
-  if (options_->stats_interval_seconds <= 0.0) return;
+/// The worker's one periodic frame, every heartbeat_seconds once welcomed:
+/// it keeps the held lease alive (lease 0 between leases) and carries the
+/// cumulative snapshot. Sent between trials only, never inside one.
+void WorkerLoop::maybe_heartbeat() {
   if (link_ == nullptr || !link_->alive() || !welcomed_) return;
   const auto now = Clock::now();
-  if (last_stats_ != Clock::time_point{} &&
-      std::chrono::duration<double>(now - last_stats_).count() <
-          options_->stats_interval_seconds) {
+  if (std::chrono::duration<double>(now - last_heartbeat_).count() <
+      options_->heartbeat_seconds) {
     return;
   }
-  last_stats_ = now;
-  WorkerStats stats = stats_;
+  last_heartbeat_ = now;
+  WorkerStats stats;
   stats.executed = result_.executed;
   stats.leases_done = result_.leases_done;
   stats.uptime_seconds =
       std::chrono::duration<double>(now - started_).count();
-  stats.trials_per_sec =
-      stats.uptime_seconds > 0.0
-          ? static_cast<double>(result_.executed) / stats.uptime_seconds
-          : 0.0;
-  stats.estimator = estimator_.snapshot();
-  // Latency anatomy rides the same frame when the worker profiles: the
-  // cumulative snapshot, so a lost frame only costs freshness and the
-  // coordinator can re-fold the latest from each worker exactly.
   if (config_.profiler != nullptr) {
     stats.profile = config_.profiler->snapshot();
   }
-  Message msg;
-  msg.type = MsgType::kStats;
-  msg.worker = result_.worker_id;
-  if (lease_.has_value()) msg.lease = lease_->id;
-  msg.text = encode_stats(stats);
-  link_->send(msg);
+  Message beat;
+  beat.type = MsgType::kHeartbeat;
+  beat.worker = result_.worker_id;
+  if (lease_.has_value()) beat.lease = lease_->id;
+  beat.text = encode_stats(stats);
+  link_->send(beat);
 }
 
 bool WorkerLoop::tick() {
@@ -391,43 +342,8 @@ bool WorkerLoop::tick() {
   ensure_link();
   drain_link();
   if (shutdown_seen_ || revoked_) return false;
-  if (link_ != nullptr && link_->alive() && welcomed_ &&
-      lease_.has_value()) {
-    const auto now = Clock::now();
-    if (std::chrono::duration<double>(now - last_heartbeat_).count() >=
-        options_->heartbeat_seconds) {
-      last_heartbeat_ = now;
-      Message beat;
-      beat.type = MsgType::kHeartbeat;
-      beat.worker = result_.worker_id;
-      beat.lease = lease_->id;
-      beat.injected = counts_.injected;
-      beat.masked = counts_.masked;
-      beat.sdc = counts_.sdc;
-      beat.due = counts_.due;
-      link_->send(beat);
-    }
-  }
-  maybe_send_stats();
+  maybe_heartbeat();
   return true;
-}
-
-void WorkerLoop::note_commit(const fi::TrialResult& trial) {
-  switch (trial.outcome) {
-    case fi::Outcome::kMasked:
-      ++stats_.masked;
-      break;
-    case fi::Outcome::kSdc:
-      ++stats_.sdc;
-      break;
-    case fi::Outcome::kDue:
-      ++stats_.due;
-      ++stats_.due_kinds[std::string(to_string(trial.due_kind))];
-      break;
-    case fi::Outcome::kNotInjected:
-      ++stats_.not_injected;
-      break;
-  }
 }
 
 void WorkerLoop::send_done() {
@@ -438,28 +354,24 @@ void WorkerLoop::send_done() {
   done.lease = lease_->id;
   done.begin = lease_->begin;
   done.end = lease_->end;
-  done.progress = lease_->end;
-  done.injected = counts_.injected;
-  done.masked = counts_.masked;
-  done.sdc = counts_.sdc;
-  done.due = counts_.due;
-  // Attach the per-attempt classification of the whole range (positional:
-  // entry i is attempt begin+i) — what lets the coordinator keep an exact
-  // fleet tally without reading any shard.
+  // The per-attempt classification of the whole range (positional: entry i
+  // is attempt begin+i) — the coordinator's only record of its outcomes.
   std::vector<AttemptOutcome> attempts;
   attempts.reserve(lease_->end - lease_->begin);
   for (std::uint64_t index = lease_->begin; index < lease_->end; ++index) {
     const auto it = done_.find(index);
     if (it == done_.end()) {
-      attempts.clear();  // incomplete (cannot happen) — send no detail
-      break;
+      throw std::logic_error("fabric: lease [" +
+                             std::to_string(lease_->begin) + ", " +
+                             std::to_string(lease_->end) +
+                             ") reported done without attempt " +
+                             std::to_string(index) + " in the shard");
     }
     attempts.push_back(it->second);
   }
   done.text = encode_attempts(attempts);
   util::log_debug() << "fabric: worker " << result_.worker_id
-                    << " done with lease " << done.lease << " ("
-                    << done.injected << " injected)";
+                    << " done with lease " << done.lease;
   link_->send(done);  // phicheck:wire-after(done)
   ++result_.leases_done;
   lease_.reset();
@@ -473,17 +385,14 @@ void WorkerLoop::send_done() {
 
 void WorkerLoop::execute_lease() {
   // Skip the prefix this shard already holds (a restarted worker resuming
-  // its own lease). Base counts come from those records.
-  counts_ = {};
+  // its own lease).
   std::uint64_t first_missing = lease_->begin;
   for (auto it = done_.lower_bound(lease_->begin);
        it != done_.end() && it->first == first_missing &&
        it->first < lease_->end;
        ++it) {
-    counts_.add(outcome_from_name(it->second.outcome));
     ++first_missing;
   }
-  last_heartbeat_ = Clock::now();
 
   if (first_missing < lease_->end) {
     fi::Campaign campaign(*supervisor_, config_);
@@ -494,8 +403,6 @@ void WorkerLoop::execute_lease() {
     hooks.journal = shard_.get();
     hooks.on_commit = [this](const fi::JournalRecord& record) {
       done_.emplace(record.attempt_index, attempt_from_trial(record.trial));
-      counts_.add(record.trial.outcome);
-      note_commit(record.trial);
       ++result_.executed;
     };
     hooks.on_tick = [this] { return tick(); };
@@ -558,7 +465,7 @@ WorkerResult WorkerLoop::run() {
       link_->send(request);
       requested_ = true;
     }
-    maybe_send_stats();
+    maybe_heartbeat();
     pollfd pfd{link_->fd(), POLLIN, 0};
     util::io::poll_retry(&pfd, 1, 100);
     drain_link();

@@ -176,9 +176,10 @@ class TrialProfiler {
   std::uint64_t records_ = 0;
 };
 
-/// JSON codecs for the STATS wire (fabric/stats.cpp embeds the snapshot in
-/// the worker heartbeat payload) and for tests. Buckets are encoded
-/// sparsely ({"<index>": count, ...}) to keep heartbeat frames small.
+/// JSON codecs for the fabric heartbeat (fabric/stats.cpp embeds the
+/// snapshot in the worker's heartbeat payload) and for tests. Buckets are
+/// encoded sparsely ({"<index>": count, ...}) to keep heartbeat frames
+/// small.
 [[nodiscard]] util::json::Value profile_snapshot_to_json(
     const ProfileSnapshot& snapshot);
 [[nodiscard]] ProfileSnapshot profile_snapshot_from_json(

@@ -89,9 +89,10 @@ std::string ProgressEmitter::render() const {
                      std::to_string(target) + " trials, " + fmt1(rate) +
                      "/s, ETA " + fmt_eta(eta_seconds);
 
-  // Fabric (coordinator) view: the campaign.completed counter is fed the
-  // aggregate of every worker's reports, so the rate and ETA above are
-  // already fabric-wide trials/s — this just makes the fan-out visible.
+  // Fabric (coordinator) view: the campaign.* counters are the fleet fold,
+  // fed exactly as a local run's commit point feeds them, so the rate and
+  // ETA above are fabric-wide trials/s — this just makes the fan-out
+  // visible.
   const Gauge* workers_live = registry_->find_gauge("fabric.workers_live");
   if (workers_live != nullptr) {
     const Gauge* leased = registry_->find_gauge("fabric.leases_outstanding");
@@ -107,11 +108,7 @@ std::string ProgressEmitter::render() const {
   if (completed == 0 || total == 0) {
     // Cold start: nothing completed yet (or the registry has no campaign
     // counters at all) — an all-zero outcome split would be misleading.
-    // On a fabric coordinator the first numbers arrive with the first
-    // worker report, so say that instead of implying local execution.
-    return line + (workers_live != nullptr
-                       ? " | waiting for first worker snapshot"
-                       : " | waiting for first completed trial");
+    return line + " | waiting for first completed trial";
   }
   line += " | masked " + fmt1(percent(masked)) + "% sdc " +
           fmt1(percent(sdc)) + "% due " + fmt1(percent(due)) + "%";

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,11 +44,6 @@ Message sample_message() {
   message.lease = 42;
   message.begin = 128;
   message.end = 160;
-  message.progress = 150;
-  message.injected = 22;
-  message.masked = 11;
-  message.sdc = 6;
-  message.due = 5;
   message.run = 0xfaceb00c12345678ULL;
   message.text = "diagnostics ride along";
   return message;
@@ -65,27 +61,22 @@ TEST(FabricProtocol, MessageRoundTripsThroughFrame) {
   EXPECT_EQ(got.lease, sent.lease);
   EXPECT_EQ(got.begin, sent.begin);
   EXPECT_EQ(got.end, sent.end);
-  EXPECT_EQ(got.progress, sent.progress);
-  EXPECT_EQ(got.injected, sent.injected);
-  EXPECT_EQ(got.masked, sent.masked);
-  EXPECT_EQ(got.sdc, sent.sdc);
-  EXPECT_EQ(got.due, sent.due);
   EXPECT_EQ(got.run, sent.run);
   EXPECT_EQ(got.text, sent.text);
 }
 
-TEST(FabricProtocol, StatsFrameCarriesSnapshotText) {
-  Message stats;
-  stats.type = MsgType::kStats;
-  stats.worker = 3;
-  stats.lease = 9;
-  stats.text = R"({"executed":17,"trials_per_sec":4.5})";
-  std::vector<std::uint8_t> buffer = encode_message(stats);
+TEST(FabricProtocol, HeartbeatCarriesSnapshotBetweenLeases) {
+  Message beat;
+  beat.type = MsgType::kHeartbeat;
+  beat.worker = 3;  // lease 0: the worker holds no lease right now
+  beat.text = R"({"executed":17,"uptime_seconds":4.5})";
+  std::vector<std::uint8_t> buffer = encode_message(beat);
   Message got;
   ASSERT_TRUE(decode_message(buffer, &got));
-  EXPECT_EQ(got.type, MsgType::kStats);
+  EXPECT_EQ(got.type, MsgType::kHeartbeat);
   EXPECT_EQ(got.worker, 3u);
-  EXPECT_EQ(got.text, stats.text);
+  EXPECT_EQ(got.lease, 0u);
+  EXPECT_EQ(got.text, beat.text);
 }
 
 TEST(FabricProtocol, PartialFrameIsNotAMessage) {
@@ -191,20 +182,21 @@ TEST(FabricProtocol, ConnectionExchangesFramesOverUnixSocket) {
 // -------------------------------------------------- observability codecs
 
 TEST(FabricStats, AttemptDetailRoundTrips) {
-  std::vector<AttemptOutcome> attempts(3);
-  attempts[0].outcome = "Masked";
+  std::vector<AttemptOutcome> attempts(4);
+  attempts[0].outcome = fi::Outcome::kMasked;
   attempts[0].model = "single";
   attempts[0].category = "compute";
   attempts[0].window = 1;
   attempts[0].injected = true;
-  attempts[1].outcome = "DUE";
+  attempts[1].outcome = fi::Outcome::kDue;
   attempts[1].due_kind = "hang";
   attempts[1].model = "double";
   attempts[1].category = "control";
   attempts[1].window = 2;
   attempts[1].injected = true;
-  attempts[2].outcome = "NotInjected";
-  attempts[2].injected = false;
+  attempts[2].outcome = fi::Outcome::kNotInjected;
+  attempts[3].outcome = fi::Outcome::kSdc;
+  attempts[3].injected = true;
 
   const std::vector<AttemptOutcome> got =
       decode_attempts(encode_attempts(attempts));
@@ -219,54 +211,25 @@ TEST(FabricStats, AttemptDetailRoundTrips) {
   }
   EXPECT_TRUE(decode_attempts("").empty());
   EXPECT_THROW(decode_attempts("{}"), std::runtime_error);
+  // An entry without an outcome, or with one that is not an fi::Outcome
+  // name, is a torn or hostile detail: refused, never counted as anything.
   EXPECT_THROW(decode_attempts(R"([{"k":"hang"}])"), std::runtime_error);
-}
-
-TEST(FabricStats, OutcomeNamesRoundTripThroughToString) {
-  for (const fi::Outcome outcome :
-       {fi::Outcome::kMasked, fi::Outcome::kSdc, fi::Outcome::kDue,
-        fi::Outcome::kNotInjected}) {
-    EXPECT_EQ(outcome_from_name(std::string(fi::to_string(outcome))),
-              outcome);
-  }
-  EXPECT_THROW(outcome_from_name("Garbled"), std::runtime_error);
+  EXPECT_THROW(decode_attempts(R"([{"o":"Garbled"}])"), std::runtime_error);
 }
 
 TEST(FabricStats, WorkerStatsRoundTrip) {
   WorkerStats stats;
   stats.executed = 120;
   stats.leases_done = 4;
-  stats.masked = 70;
-  stats.sdc = 30;
-  stats.due = 15;
-  stats.not_injected = 5;
-  stats.trials_per_sec = 12.5;
-  stats.uptime_seconds = 9.75;
-  stats.due_kinds["hang"] = 10;
-  stats.due_kinds["crash"] = 5;
-  stats.estimator.overall = {70, 30, 15};
-  telemetry::EstimatorCellKey key;
-  key.model = "single";
-  key.window = 2;
-  key.category = "compute";
-  stats.estimator.cells.emplace_back(key,
-                                     telemetry::EstimatorCounts{40, 20, 8});
+  stats.uptime_seconds = 9.6;
 
   const WorkerStats got = decode_stats(encode_stats(stats));
   EXPECT_EQ(got.executed, stats.executed);
   EXPECT_EQ(got.leases_done, stats.leases_done);
-  EXPECT_EQ(got.masked, stats.masked);
-  EXPECT_EQ(got.sdc, stats.sdc);
-  EXPECT_EQ(got.due, stats.due);
-  EXPECT_EQ(got.not_injected, stats.not_injected);
-  EXPECT_DOUBLE_EQ(got.trials_per_sec, stats.trials_per_sec);
   EXPECT_DOUBLE_EQ(got.uptime_seconds, stats.uptime_seconds);
-  EXPECT_EQ(got.due_kinds, stats.due_kinds);
-  EXPECT_EQ(got.estimator.overall.masked, 70u);
-  EXPECT_EQ(got.estimator.overall.sdc, 30u);
-  ASSERT_EQ(got.estimator.cells.size(), 1u);
-  EXPECT_EQ(got.estimator.cells[0].first, key);
-  EXPECT_EQ(got.estimator.cells[0].second.due, 8u);
+  // Throughput is derived from the snapshot, not carried in it.
+  EXPECT_DOUBLE_EQ(got.trials_per_sec(), 12.5);
+  EXPECT_DOUBLE_EQ(WorkerStats{}.trials_per_sec(), 0.0);
   EXPECT_THROW(decode_stats("[]"), std::runtime_error);
 }
 
@@ -288,23 +251,21 @@ TEST(LeaseTable, GrantsContiguousRangesUpToBudget) {
   EXPECT_EQ(c->begin, 8u);
   EXPECT_EQ(c->end, 12u);  // clamped to the budget
   EXPECT_FALSE(table.grant(1, deadline).has_value());
-  EXPECT_TRUE(table.exhausted());
   EXPECT_EQ(table.outstanding(), 3u);
 }
 
-TEST(LeaseTable, PrefixCountsRequireContiguity) {
+TEST(LeaseTable, CompleteRequiresTheLeaseRange) {
   LeaseTable table(10, 40, 4);
   const auto deadline = Clock::now() + std::chrono::seconds(60);
-  const auto a = table.grant(1, deadline);
-  const auto b = table.grant(2, deadline);
-  ASSERT_TRUE(a && b);
-  // Completing the SECOND range alone leaves the prefix empty.
-  EXPECT_TRUE(table.complete(b->id, 4, 1));
-  EXPECT_EQ(table.prefix_injected(), 0u);
-  // Filling the hole releases both.
-  EXPECT_TRUE(table.complete(a->id, 3, 2));
-  EXPECT_EQ(table.prefix_injected(), 7u);
-  EXPECT_EQ(table.prefix_sdc(), 3u);
+  const auto lease = table.grant(1, deadline);
+  ASSERT_TRUE(lease.has_value());
+  // A DONE naming a range that is not the lease's retires nothing.
+  EXPECT_FALSE(table.complete(lease->id, lease->begin, lease->end + 1));
+  EXPECT_EQ(table.outstanding(), 1u);
+  EXPECT_TRUE(table.complete(lease->id, lease->begin, lease->end));
+  EXPECT_EQ(table.outstanding(), 0u);
+  // A second DONE for the same lease is stale.
+  EXPECT_FALSE(table.complete(lease->id, lease->begin, lease->end));
 }
 
 TEST(LeaseTable, ExpiredLeaseIsReclaimedAndRegranted) {
@@ -321,7 +282,7 @@ TEST(LeaseTable, ExpiredLeaseIsReclaimedAndRegranted) {
 
   // Stale completions and heartbeats for the reclaimed lease are refused.
   EXPECT_FALSE(table.heartbeat(stale->id, now + std::chrono::seconds(60)));
-  EXPECT_FALSE(table.complete(stale->id, 4, 0));
+  EXPECT_FALSE(table.complete(stale->id, stale->begin, stale->end));
 
   // The reclaimed range is re-granted before fresh space.
   const auto regrant = table.grant(3, now + std::chrono::seconds(60));
@@ -339,8 +300,7 @@ TEST(LeaseTable, AdoptReattachesOutstandingLease) {
   // A reconnecting worker (new id) adopts and refreshes the deadline.
   EXPECT_TRUE(table.adopt(lease->id, 9, now + std::chrono::seconds(60)));
   EXPECT_TRUE(table.expire(now + std::chrono::seconds(1)).empty());
-  EXPECT_TRUE(table.complete(lease->id, 4, 0));
-  EXPECT_EQ(table.prefix_injected(), 4u);
+  EXPECT_TRUE(table.complete(lease->id, lease->begin, lease->end));
   // Adopting a completed lease fails.
   EXPECT_FALSE(table.adopt(lease->id, 9, now + std::chrono::seconds(60)));
 }
@@ -353,11 +313,10 @@ TEST(LeaseLedger, RoundTripsRecords) {
   {
     LeaseLedgerWriter writer(path, /*fingerprint=*/0xabcdULL,
                              /*trials=*/100, /*run_id=*/0x5eedULL);
-    writer.append({LedgerKind::kGrant, 1, 0, 8, 0, 0, ""});
-    writer.append(
-        {LedgerKind::kDone, 1, 0, 8, 8, 3, R"([{"o":"Masked"}])"});
-    writer.append({LedgerKind::kGrant, 2, 8, 16, 0, 0, ""});
-    writer.append({LedgerKind::kReclaim, 2, 8, 16, 0, 0, ""});
+    writer.append({LedgerKind::kGrant, 1, 0, 8, ""});
+    writer.append({LedgerKind::kDone, 1, 0, 8, R"([{"o":"Masked"}])"});
+    writer.append({LedgerKind::kGrant, 2, 8, 16, ""});
+    writer.append({LedgerKind::kReclaim, 2, 8, 16, ""});
   }
   const LedgerContents contents = read_ledger(path);
   EXPECT_EQ(contents.fingerprint, 0xabcdULL);
@@ -367,8 +326,7 @@ TEST(LeaseLedger, RoundTripsRecords) {
   ASSERT_EQ(contents.records.size(), 4u);
   EXPECT_EQ(contents.records[0].kind, LedgerKind::kGrant);
   EXPECT_EQ(contents.records[1].kind, LedgerKind::kDone);
-  EXPECT_EQ(contents.records[1].injected, 8u);
-  EXPECT_EQ(contents.records[1].sdc, 3u);
+  EXPECT_EQ(contents.records[1].end, 8u);
   // The per-attempt detail survives the round trip byte for byte — a
   // restarted coordinator rebuilds its fleet tally from exactly this.
   EXPECT_EQ(contents.records[1].detail, R"([{"o":"Masked"}])");
@@ -382,8 +340,8 @@ TEST(LeaseLedger, TornTailIsDroppedAndResumable) {
   fs::remove(path);
   {
     LeaseLedgerWriter writer(path, 0x1111ULL, 50, 0x2222ULL);
-    writer.append({LedgerKind::kGrant, 1, 0, 8, 0, 0, ""});
-    writer.append({LedgerKind::kGrant, 2, 8, 16, 0, 0, ""});
+    writer.append({LedgerKind::kGrant, 1, 0, 8, ""});
+    writer.append({LedgerKind::kGrant, 2, 8, 16, ""});
   }
   // Tear the final record mid-write, as a coordinator crash would.
   const auto full_size = fs::file_size(path);
@@ -396,13 +354,33 @@ TEST(LeaseLedger, TornTailIsDroppedAndResumable) {
   // Resume appends after the torn tail is truncated away.
   {
     LeaseLedgerWriter writer(path, torn.valid_bytes);
-    writer.append({LedgerKind::kGrant, 2, 8, 16, 0, 0, ""});
-    writer.append({LedgerKind::kDone, 1, 0, 8, 8, 0, ""});
+    writer.append({LedgerKind::kGrant, 2, 8, 16, ""});
+    writer.append({LedgerKind::kDone, 1, 0, 8, R"([{"o":"SDC"}])"});
   }
   const LedgerContents healed = read_ledger(path);
   EXPECT_EQ(healed.dropped_bytes, 0u);
   ASSERT_EQ(healed.records.size(), 3u);
   EXPECT_EQ(healed.records[2].kind, LedgerKind::kDone);
+  EXPECT_EQ(healed.records[2].detail, R"([{"o":"SDC"}])");
+  fs::remove(path);
+}
+
+TEST(LeaseLedger, Phifill1LedgerIsRefusedByName) {
+  // A ledger from before DONE records had to carry their detail cannot
+  // rebuild the fleet tally, so it must not be replayed as if it could.
+  const std::string path = temp_path("ledger_v1.bin");
+  fs::remove(path);
+  {
+    std::ofstream old(path, std::ios::binary);
+    old << "PHIFILL1" << std::string(24, '\0');
+  }
+  try {
+    read_ledger(path);
+    FAIL() << "a PHIFILL1 ledger must be refused";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("PHIFILL1"), std::string::npos)
+        << error.what();
+  }
   fs::remove(path);
 }
 
@@ -411,12 +389,11 @@ TEST(LeaseLedger, ReplayRebuildsTableState) {
   LeaseTable table(20, 80, 8);
   const auto grace = Clock::now() + std::chrono::seconds(60);
   table.restore_grant(1, 0, 8, grace);
-  table.restore_done(1, 8, 2);
+  EXPECT_TRUE(table.complete(1, 0, 8));
   table.restore_grant(2, 8, 16, grace);
   table.restore_reclaim(2);
   table.restore_grant(3, 8, 16, grace);
 
-  EXPECT_EQ(table.prefix_injected(), 8u);
   EXPECT_EQ(table.outstanding(), 1u);
   // Restored leases are orphaned until a worker adopts them.
   EXPECT_TRUE(table.adopt(3, 5, grace));

@@ -1,7 +1,8 @@
 // End-to-end fabric failure drills: a worker SIGKILLed mid-lease whose
-// range is reclaimed and re-executed, and a coordinator SIGKILLed
-// mid-campaign that restarts from its lease ledger — in both cases the
-// merged shards must be bit-identical to a --jobs 1 run.
+// range is reclaimed and re-executed, a client whose LeaseDone detail does
+// not verify, and a coordinator SIGKILLed mid-campaign that restarts from
+// its lease ledger — in every case the merged shards must be bit-identical
+// to a --jobs 1 run, and every coordinator view is the fleet fold.
 //
 // Workers and the doomed coordinator run in forked children (fabric roles
 // are separate processes in production too); the surviving coordinator
@@ -18,6 +19,8 @@
 #include <cerrno>
 #include <chrono>
 #include <filesystem>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -34,6 +37,7 @@
 #include "telemetry/estimator.hpp"
 #include "telemetry/history.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/progress.hpp"
 #include "telemetry/trace.hpp"
 #include "tests/toy_workload.hpp"
 #include "util/json.hpp"
@@ -131,6 +135,65 @@ bool wait_for(Connection& link, MsgType want, Message* out, int timeout_ms) {
   return false;
 }
 
+/// A hand-rolled worker holding one lease: its link, the WELCOME and the
+/// GRANT it got.
+struct LeasedClient {
+  std::unique_ptr<Connection> link;
+  Message welcome;
+  Message grant;
+};
+
+/// Connects (retrying while the coordinator starts up), says HELLO and
+/// takes one lease. nullopt on any failure.
+std::optional<LeasedClient> lease_one(const std::string& address,
+                                      std::uint64_t fingerprint) {
+  const Address parsed = parse_address(address);
+  int fd = -1;
+  for (int i = 0; i < 500 && fd < 0; ++i) {
+    fd = connect_to(parsed);
+    if (fd < 0) ::usleep(10000);
+  }
+  if (fd < 0) return std::nullopt;
+  LeasedClient client;
+  client.link = std::make_unique<Connection>(fd);
+  Message hello;
+  hello.type = MsgType::kHello;
+  hello.fingerprint = fingerprint;
+  if (!client.link->send(hello) ||
+      !wait_for(*client.link, MsgType::kWelcome, &client.welcome, 5000)) {
+    return std::nullopt;
+  }
+  Message request;
+  request.type = MsgType::kLeaseRequest;
+  request.worker = client.welcome.worker;
+  if (!client.link->send(request) ||
+      !wait_for(*client.link, MsgType::kLeaseGrant, &client.grant, 5000)) {
+    return std::nullopt;
+  }
+  return client;
+}
+
+/// The LEASE_DONE `client` sends for its lease, carrying `detail`.
+Message done_for(const LeasedClient& client, const std::string& detail) {
+  Message done;
+  done.type = MsgType::kLeaseDone;
+  done.worker = client.welcome.worker;
+  done.lease = client.grant.lease;
+  done.begin = client.grant.begin;
+  done.end = client.grant.end;
+  done.text = detail;
+  return done;
+}
+
+/// The detail of `n` attempts that all had outcome `outcome`.
+std::string uniform_detail(std::uint64_t n, const std::string& outcome) {
+  std::string detail = "[";
+  for (std::uint64_t i = 0; i < n; ++i) {
+    detail += (i == 0 ? "{\"o\":\"" : ",{\"o\":\"") + outcome + "\"}";
+  }
+  return detail + "]";
+}
+
 /// Child-side: a worker that takes ONE lease, commits `kill_after`
 /// records to its shard, then SIGKILLs itself mid-lease — the crash the
 /// reclaim machinery exists for.
@@ -143,29 +206,8 @@ bool wait_for(Connection& link, MsgType want, Message* out, int timeout_ms) {
   fi::TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                                  toy_supervisor_config());
   supervisor.prepare_golden();
-
-  const Address parsed = parse_address(address);
-  int fd = -1;
-  for (int i = 0; i < 500 && fd < 0; ++i) {
-    fd = connect_to(parsed);
-    if (fd < 0) ::usleep(10000);
-  }
-  if (fd < 0) ::_exit(4);
-  Connection link(fd);
-
-  Message hello;
-  hello.type = MsgType::kHello;
-  hello.fingerprint = fingerprint;
-  if (!link.send(hello)) ::_exit(4);
-  Message welcome;
-  if (!wait_for(link, MsgType::kWelcome, &welcome, 5000)) ::_exit(4);
-
-  Message request;
-  request.type = MsgType::kLeaseRequest;
-  request.worker = welcome.worker;
-  if (!link.send(request)) ::_exit(4);
-  Message grant;
-  if (!wait_for(link, MsgType::kLeaseGrant, &grant, 5000)) ::_exit(4);
+  const std::optional<LeasedClient> client = lease_one(address, fingerprint);
+  if (!client.has_value()) ::_exit(4);
 
   fi::JournalHeader header;
   header.fingerprint = fingerprint;
@@ -185,8 +227,23 @@ bool wait_for(Connection& link, MsgType want, Message* out, int timeout_ms) {
       ::kill(::getpid(), SIGKILL);
     }
   };
-  campaign.run_range(grant.begin, grant.end, hooks);
+  campaign.run_range(client->grant.begin, client->grant.end, hooks);
   ::_exit(5);  // unreachable if the kill fired as intended
+}
+
+/// Child-side: a client that takes ONE lease, runs nothing, and reports it
+/// done twice with a detail that does not verify — none at all (what a
+/// sender that only claims counts looks like), then one entry per attempt
+/// with an outcome no fi::Outcome is named — and leaves.
+[[noreturn]] void child_unverifiable_done(std::uint64_t fingerprint,
+                                          const std::string& address) {
+  const std::optional<LeasedClient> client = lease_one(address, fingerprint);
+  if (!client.has_value()) ::_exit(4);
+  const std::string garbled =
+      uniform_detail(client->grant.end - client->grant.begin, "Garbled");
+  const bool sent = client->link->send(done_for(*client, "")) &&
+                    client->link->send(done_for(*client, garbled));
+  ::_exit(sent ? 0 : 4);
 }
 
 TEST(FabricCampaign, WorkerKillIsReclaimedAndMatchesJobs1) {
@@ -282,6 +339,70 @@ TEST(FabricCampaign, WorkerKillIsReclaimedAndMatchesJobs1) {
   expect_same_records(reference.records, merged.records);
 }
 
+TEST(FabricCampaign, UnverifiableLeaseDoneIsIgnoredAndReExecuted) {
+  util::init_log_from_env();
+  const fi::CampaignConfig config = fabric_campaign(/*trials=*/12);
+  const fi::JournalContents reference =
+      reference_journal(config, &phifi::testing::make_toy_normal,
+                        temp_path("fab_bogus_ref.jnl"));
+  const std::uint64_t fingerprint = reference.header.fingerprint;
+
+  const std::string socket_path = temp_path("fab_bogus.sock");
+  const std::string shard = temp_path("fab_bogus_shard.jnl");
+  for (const auto& path : {socket_path, shard}) fs::remove(path);
+
+  FabricOptions coordinator_options;
+  coordinator_options.address = "unix:" + socket_path;
+  coordinator_options.lease_size = 3;
+  coordinator_options.heartbeat_seconds = 0.05;
+  coordinator_options.lease_timeout_seconds = 0.6;
+
+  // The unverifiable client takes the first lease; the real worker joins
+  // 300ms later and must end up executing that range too.
+  const pid_t bogus = ::fork();
+  ASSERT_GE(bogus, 0);
+  if (bogus == 0) {
+    child_unverifiable_done(fingerprint, coordinator_options.address);
+  }
+  FabricOptions worker_options = coordinator_options;
+  worker_options.shard_path = shard;
+  worker_options.reconnect_initial_ms = 30.0;
+  const pid_t worker = ::fork();
+  ASSERT_GE(worker, 0);
+  if (worker == 0) {
+    child_run_worker(config, &phifi::testing::make_toy_normal, fingerprint,
+                     worker_options, /*startup_delay_ms=*/300);
+  }
+
+  std::ostringstream sink;
+  const CoordinatorResult result =
+      run_coordinator(config, fingerprint, coordinator_options, nullptr,
+                      nullptr, nullptr, nullptr, sink);
+  EXPECT_TRUE(result.complete) << sink.str();
+  EXPECT_TRUE(result.fleet_boundary);
+  EXPECT_EQ(result.fleet_completed, config.trials);
+  // Neither DONE retired the lease: it ran out its deadline.
+  EXPECT_GE(result.leases_reclaimed, 1u);
+
+  int status = 0;
+  ASSERT_EQ(::waitpid(bogus, &status, 0), bogus);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  ASSERT_EQ(::waitpid(worker, &status, 0), worker);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  // The real worker's shard alone covers the campaign, bogus range included.
+  MergeOptions merge_options;
+  merge_options.shards = {shard};
+  merge_options.out_path = temp_path("fab_bogus_merged.jnl");
+  const MergeSummary summary = merge_shards(
+      config, "Toy", reference.header.time_windows, merge_options);
+  EXPECT_EQ(summary.injected, config.trials);
+  expect_same_records(reference.records,
+                      fi::read_journal(merge_options.out_path).records);
+}
+
 // ------------------------------------------------- observability plane
 
 /// Blocking-ish HTTP GET against the coordinator's scrape endpoint (unix
@@ -366,7 +487,6 @@ TEST(FabricCampaign, ObservabilityPlaneServesLiveFleetState) {
   FabricOptions survivor_options = coordinator_options;
   survivor_options.shard_path = shard_survivor;
   survivor_options.reconnect_initial_ms = 30.0;
-  survivor_options.stats_interval_seconds = 0.05;
   const pid_t survivor = ::fork();
   ASSERT_GE(survivor, 0);
   if (survivor == 0) {
@@ -502,6 +622,219 @@ TEST(FabricCampaign, ObservabilityPlaneServesLiveFleetState) {
             result.fleet_sdc);
 }
 
+TEST(FabricCampaign, CoordinatorCountersAreTheFleetTally) {
+  // One 16-attempt lease covers a 10-trial campaign, so the worker runs
+  // past the finish line. The coordinator's counters and progress line must
+  // stop where its fleet fold and the merge do.
+  const fi::CampaignConfig config = fabric_campaign(/*trials=*/10);
+  const fi::JournalContents reference =
+      reference_journal(config, &phifi::testing::make_toy_normal,
+                        temp_path("fab_count_ref.jnl"));
+  const std::uint64_t fingerprint = reference.header.fingerprint;
+
+  const std::string socket_path = temp_path("fab_count.sock");
+  const std::string shard = temp_path("fab_count_shard.jnl");
+  for (const auto& path : {socket_path, shard}) fs::remove(path);
+
+  FabricOptions options;
+  options.address = "unix:" + socket_path;
+  options.lease_size = 16;
+  options.heartbeat_seconds = 0.05;
+  FabricOptions worker_options = options;
+  worker_options.shard_path = shard;
+  worker_options.reconnect_initial_ms = 30.0;
+  const pid_t worker = ::fork();
+  ASSERT_GE(worker, 0);
+  if (worker == 0) {
+    child_run_worker(config, &phifi::testing::make_toy_normal, fingerprint,
+                     worker_options, /*startup_delay_ms=*/0);
+  }
+
+  telemetry::MetricsRegistry metrics;
+  std::ostringstream progress_lines;
+  telemetry::ProgressEmitter progress(metrics, progress_lines,
+                                      /*interval_seconds=*/3600.0);
+  std::ostringstream sink;
+  const CoordinatorResult result = run_coordinator(
+      config, fingerprint, options, &metrics, nullptr, nullptr, &progress,
+      sink);
+  int status = 0;
+  ASSERT_EQ(::waitpid(worker, &status, 0), worker);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_TRUE(result.complete) << sink.str();
+  EXPECT_TRUE(result.fleet_boundary);
+
+  MergeOptions merge_options;
+  merge_options.shards = {shard};
+  merge_options.out_path = temp_path("fab_count_merged.jnl");
+  const MergeSummary summary = merge_shards(
+      config, "Toy", reference.header.time_windows, merge_options);
+  expect_same_records(reference.records,
+                      fi::read_journal(merge_options.out_path).records);
+
+  const auto counter = [&metrics](const std::string& name) {
+    const telemetry::Counter* found = metrics.find_counter(name);
+    return found == nullptr ? std::uint64_t{0} : found->value();
+  };
+  EXPECT_EQ(result.fleet_completed, config.trials);
+  EXPECT_EQ(counter("campaign.completed"), result.fleet_completed);
+  EXPECT_EQ(counter("campaign.masked"), result.fleet_masked);
+  EXPECT_EQ(counter("campaign.sdc"), result.fleet_sdc);
+  EXPECT_EQ(counter("campaign.due"), result.fleet_due);
+  EXPECT_EQ(counter("campaign.not_injected"), result.fleet_not_injected);
+  EXPECT_EQ(result.fleet_completed, summary.overall.total());
+  EXPECT_EQ(result.fleet_masked, summary.overall.masked);
+  EXPECT_EQ(result.fleet_sdc, summary.overall.sdc);
+  EXPECT_EQ(result.fleet_due, summary.overall.due);
+
+  // The final progress line is the fold too, not the lease's overshoot.
+  std::string last_line;
+  std::istringstream lines(progress_lines.str());
+  for (std::string line; std::getline(lines, line);) last_line = line;
+  EXPECT_EQ(last_line.rfind("[progress] 10/10 trials", 0), 0u)
+      << progress_lines.str();
+}
+
+/// run_coordinator on a thread of this process, for drills whose clients
+/// are hand-rolled on the test thread. Destruction stops and joins it.
+class CoordinatorThread {
+ public:
+  CoordinatorThread(fi::CampaignConfig config, std::uint64_t fingerprint,
+                    FabricOptions options)
+      : config_(std::move(config)), options_(std::move(options)) {
+    config_.stop_flag = &stop_;
+    thread_ = std::thread([this, fingerprint] {
+      result_ = run_coordinator(config_, fingerprint, options_, nullptr,
+                                nullptr, nullptr, nullptr, sink_);
+      finished_.store(true);
+    });
+  }
+  ~CoordinatorThread() {
+    stop_.store(true);
+    thread_.join();
+  }
+  CoordinatorThread(const CoordinatorThread&) = delete;
+  CoordinatorThread& operator=(const CoordinatorThread&) = delete;
+
+  [[nodiscard]] bool finished() const { return finished_.load(); }
+  /// The result once the loop has ended by itself within `timeout_ms`;
+  /// nullptr otherwise.
+  const CoordinatorResult* wait(int timeout_ms) {
+    for (int i = 0; i < timeout_ms && !finished(); ++i) ::usleep(1000);
+    return finished() ? &result_ : nullptr;
+  }
+
+ private:
+  fi::CampaignConfig config_;
+  FabricOptions options_;
+  std::atomic<bool> stop_{false};
+  std::atomic<bool> finished_{false};
+  CoordinatorResult result_;
+  std::ostringstream sink_;
+  std::thread thread_;
+};
+
+TEST(FabricCampaign, DoneBeyondAHoleWaitsForTheHole) {
+  // Two hand-rolled clients hold [0,2) and [2,4) of a 4-trial campaign.
+  // The second reports first: its range is folded — and the campaign can
+  // end — only once the first range is in.
+  const std::uint64_t fingerprint = 0x401eULL;
+  const std::string socket_path = temp_path("fab_hole.sock");
+  const std::string scrape_path = temp_path("fab_hole_http.sock");
+  for (const auto& path : {socket_path, scrape_path}) fs::remove(path);
+  FabricOptions options;
+  options.address = "unix:" + socket_path;
+  options.lease_size = 2;
+  options.lease_timeout_seconds = 60.0;
+  options.serve_metrics = "unix:" + scrape_path;
+  CoordinatorThread coordinator(fabric_campaign(/*trials=*/4), fingerprint,
+                                options);
+
+  std::optional<LeasedClient> first = lease_one(options.address, fingerprint);
+  ASSERT_TRUE(first.has_value());
+  std::optional<LeasedClient> second =
+      lease_one(options.address, fingerprint);
+  ASSERT_TRUE(second.has_value());
+  ASSERT_EQ(first->grant.begin, 0u);
+  ASSERT_EQ(second->grant.begin, 2u);
+
+  // The DONE beyond the hole. The grant answering the next request on the
+  // same stream proves the coordinator has handled it.
+  ASSERT_TRUE(
+      second->link->send(done_for(*second, uniform_detail(2, "Masked"))));
+  Message request;
+  request.type = MsgType::kLeaseRequest;
+  request.worker = second->welcome.worker;
+  ASSERT_TRUE(second->link->send(request));
+  Message next_grant;
+  ASSERT_TRUE(wait_for(*second->link, MsgType::kLeaseGrant, &next_grant,
+                       5000));
+  std::string body;
+  for (int i = 0; i < 100 && body.empty(); ++i) {
+    body = http_body(scrape(scrape_path, "/campaign.json"));
+  }
+  ASSERT_FALSE(body.empty());
+  const util::json::Value held = util::json::parse(body);
+  EXPECT_EQ(held.number_or("completed", -1.0), 0.0) << body;
+  EXPECT_FALSE(held.bool_or("fleet_boundary", true)) << body;
+  EXPECT_FALSE(coordinator.finished());
+
+  // Filling the hole folds both ranges and ends the campaign on that DONE.
+  ASSERT_TRUE(
+      first->link->send(done_for(*first, uniform_detail(2, "Masked"))));
+  Message shutdown;
+  EXPECT_TRUE(wait_for(*first->link, MsgType::kShutdown, &shutdown, 5000));
+  EXPECT_TRUE(wait_for(*second->link, MsgType::kShutdown, &shutdown, 5000));
+  first->link->close();
+  second->link->close();
+  const CoordinatorResult* result = coordinator.wait(10000);
+  ASSERT_NE(result, nullptr) << "filling the hole did not end the campaign";
+  EXPECT_TRUE(result->complete);
+  EXPECT_TRUE(result->fleet_boundary);
+  EXPECT_EQ(result->fleet_completed, 4u);
+  EXPECT_EQ(result->fleet_masked, 4u);
+}
+
+TEST(FabricCampaign, ExhaustedAttemptBudgetEndsTheCampaignIncomplete) {
+  // Every attempt of a 2-trial campaign's budget (2 x (1 + 3 retries) = 8)
+  // comes back NotInjected. Once the fold has walked the whole budget the
+  // coordinator ends, short of the finish line, as a --jobs 1 run would.
+  const std::uint64_t fingerprint = 0xb0d9e7ULL;
+  const std::string socket_path = temp_path("fab_budget.sock");
+  fs::remove(socket_path);
+  FabricOptions options;
+  options.address = "unix:" + socket_path;
+  options.lease_size = 4;
+  options.lease_timeout_seconds = 60.0;
+  CoordinatorThread coordinator(fabric_campaign(/*trials=*/2), fingerprint,
+                                options);
+
+  std::optional<LeasedClient> client = lease_one(options.address, fingerprint);
+  ASSERT_TRUE(client.has_value());
+  ASSERT_TRUE(client->link->send(
+      done_for(*client, uniform_detail(4, "NotInjected"))));
+  Message request;
+  request.type = MsgType::kLeaseRequest;
+  request.worker = client->welcome.worker;
+  ASSERT_TRUE(client->link->send(request));
+  ASSERT_TRUE(wait_for(*client->link, MsgType::kLeaseGrant, &client->grant,
+                       5000));
+  ASSERT_EQ(client->grant.begin, 4u);
+  ASSERT_EQ(client->grant.end, 8u);
+  ASSERT_TRUE(client->link->send(
+      done_for(*client, uniform_detail(4, "NotInjected"))));
+  Message shutdown;
+  EXPECT_TRUE(wait_for(*client->link, MsgType::kShutdown, &shutdown, 5000));
+  client->link->close();
+  const CoordinatorResult* result = coordinator.wait(10000);
+  ASSERT_NE(result, nullptr) << "an exhausted budget did not end the loop";
+  EXPECT_FALSE(result->complete);
+  EXPECT_FALSE(result->interrupted);
+  EXPECT_EQ(result->fleet_completed, 0u);
+  EXPECT_EQ(result->fleet_not_injected, 8u);
+}
+
 TEST(FabricCampaign, CoordinatorCrashResumesFromLedgerAndMatchesJobs1) {
   // The slow toy (~0.3s/trial) keeps the campaign alive long enough to
   // SIGKILL the coordinator mid-flight at a deterministic ledger point.
@@ -571,7 +904,10 @@ TEST(FabricCampaign, CoordinatorCrashResumesFromLedgerAndMatchesJobs1) {
       run_coordinator(config, fingerprint, coordinator_options, &metrics,
                       nullptr, nullptr, nullptr, sink);
   EXPECT_TRUE(result.complete) << sink.str();
-  EXPECT_GE(result.completed, config.trials);
+  // The fleet fold rebuilt from the ledger's DONE details and the live
+  // ones after the restart lands exactly on the trial count.
+  EXPECT_TRUE(result.fleet_boundary);
+  EXPECT_EQ(result.fleet_completed, config.trials);
 
   ASSERT_EQ(::waitpid(worker, &status, 0), worker);
   ASSERT_TRUE(WIFEXITED(status));

@@ -5,10 +5,9 @@
 
 Each BENCH_*.json document (bench/bench_common.hpp's bench_doc) carries a
 `bench` name, a `schema_version`, and a `points` array. Points are matched
-between the two documents by their identity keys (workload / jobs /
-stats_interval_seconds — whatever non-metric keys the point carries), and
-only *relative* metrics are compared: speedups, overhead fractions, and
-x-vs-baseline ratios. Absolute ms/trial and trials/s depend on the host
+between the two documents by their identity keys (workload / jobs —
+whatever non-metric keys the point carries), and only *relative* metrics
+are compared: speedups and overhead fractions. Absolute ms/trial and trials/s depend on the host
 the bench ran on, so a committed baseline can only make portable claims
 about ratios ("jobs=4 is >= 3x jobs=1", "profiler on is within noise of
 off") — and those are exactly what this gate protects.
@@ -16,7 +15,7 @@ off") — and those are exactly what this gate protects.
 A relative metric regresses when it moves *against* the claim by more than
 the noise threshold:
 
-  - speedup / relative_to_off (higher is better): current < baseline * (1 - t)
+  - speedup (higher is better): current < baseline * (1 - t)
   - overhead_fraction (lower is better): current > baseline + t
 
 The threshold is deliberately generous (default 0.5 = 50% relative / +0.5
@@ -33,14 +32,13 @@ import json
 import sys
 
 # Point keys that identify a row rather than measure it.
-IDENTITY_KEYS = ("workload", "jobs", "stats_interval_seconds")
+IDENTITY_KEYS = ("workload", "jobs")
 
 # Relative metrics and their direction: "up" means higher is better.
 RELATIVE_METRICS = {
     "speedup": "up",
     "speedup_telemetry_off": "up",
     "speedup_telemetry_on": "up",
-    "relative_to_off": "up",
     "overhead_fraction": "down",
 }
 

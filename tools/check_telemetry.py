@@ -682,9 +682,20 @@ def main():
         print("check_telemetry: trace and profile agree")
 
     if trace is not None and counters is not None:
-        trial_count, counts, _, fabric_counts, _ = trace
-        # A coordinator's campaign.* counters aggregate worker lease
-        # reports; its trace has no trial records to tally them against.
+        trial_count, counts, end, fabric_counts, _ = trace
+        if trial_count == 0 and sum(fabric_counts.values()) > 0:
+            # Coordinator: no trial records, but its campaign.* counters and
+            # its end record are both the fleet fold of the LeaseDone
+            # details, so a same-run pair must agree exactly.
+            require(end is not None,
+                    "coordinator trace has no end record to cross-check")
+            for key in ("completed", "masked", "sdc", "due"):
+                value = counters.get(f"campaign.{key}", 0)
+                require(value == end[key],
+                        f"campaign.{key} = {value} but the coordinator's "
+                        f"end record says {end[key]}")
+            print("check_telemetry: coordinator counters and fleet tally "
+                  "agree")
         for outcome, counter in (("Masked", "campaign.masked"),
                                  ("SDC", "campaign.sdc"),
                                  ("DUE", "campaign.due")):

@@ -1,6 +1,6 @@
 // ndjson-schema checker: tools/phicheck/ndjson_schema.txt is the single
 // source of truth for every NDJSON record family the project emits (trace,
-// history, STATS wire payload). Writer functions carry
+// history, fabric wire payloads). Writer functions carry
 //
 //   // phicheck:ndjson-writer(trace.trial) record
 //

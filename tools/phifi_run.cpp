@@ -76,10 +76,7 @@ int main(int argc, char** argv) {
               << "  --serve-metrics  coordinator: serve /metrics,\n"
                  "                   /campaign.json, /healthz on this\n"
                  "                   address while the campaign runs\n"
-                 "                   (tcp:host:port or unix:/path)\n"
-              << "  --stats-interval worker: seconds between STATS\n"
-                 "                   snapshots to the coordinator (0 = "
-                 "off)\n";
+                 "                   (tcp:host:port or unix:/path)\n";
     return 2;
   }
 
@@ -98,7 +95,6 @@ int main(int argc, char** argv) {
   std::string serve_metrics;
   long lease_size = 0;            // 0: leave the config file's value
   double lease_timeout = -1.0;    // <0: leave the config file's value
-  double stats_interval = -1.0;   // <0: leave the config file's value
   double progress_seconds = -1.0;  // <0: leave the config file's value
   double stop_ci_width = -1.0;     // <0: leave the config file's value
   const auto flag_value = [&](int& i) -> const char* {
@@ -165,14 +161,6 @@ int main(int argc, char** argv) {
       const char* value = flag_value(i);
       if (value == nullptr) return 2;
       serve_metrics = value;
-    } else if (arg == "--stats-interval") {
-      const char* value = flag_value(i);
-      if (value == nullptr) return 2;
-      stats_interval = std::atof(value);
-      if (stats_interval < 0.0) {
-        std::cerr << "phifi_run: bad --stats-interval '" << value << "'\n";
-        return 2;
-      }
     } else if (arg == "--lease-size") {
       const char* value = flag_value(i);
       if (value == nullptr) return 2;
@@ -250,7 +238,6 @@ int main(int argc, char** argv) {
       config.fabric_lease_timeout_seconds = lease_timeout;
     }
     if (!serve_metrics.empty()) config.fabric_serve_metrics = serve_metrics;
-    if (stats_interval >= 0.0) config.fabric_stats_seconds = stats_interval;
     config.stop_flag = &g_stop;
     if (config.resume && config.journal_file.empty()) {
       std::cerr << "phifi_run: --resume requires 'journal_file' in the "

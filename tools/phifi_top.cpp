@@ -142,7 +142,7 @@ std::string render(const Value& doc, bool ansi) {
       out << line;
     }
   } else {
-    out << dim << "  waiting for first worker snapshot\n" << reset;
+    out << dim << "  waiting for the first completed lease\n" << reset;
   }
 
   const Value* leases = doc.find("leases");
