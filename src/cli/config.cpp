@@ -143,8 +143,6 @@ RunnerConfig parse_config(std::istream& is) {
       config.workload = value;
     } else if (key == "seed") {
       config.seed = parse_u64(line_number, value);
-    } else if (key == "log_file") {
-      config.log_file = value;
     } else if (key == "report_file") {
       config.report_file = value;
     } else if (key == "journal_file") {
@@ -291,7 +289,6 @@ std::string format_config(const RunnerConfig& config) {
      << "\n"
      << "workload = " << config.workload << "\n"
      << "seed = " << config.seed << "\n";
-  if (!config.log_file.empty()) os << "log_file = " << config.log_file << "\n";
   if (!config.report_file.empty()) {
     os << "report_file = " << config.report_file << "\n";
   }

@@ -29,7 +29,6 @@ struct RunnerConfig {
   RunMode mode = RunMode::kInject;
   std::string workload = "DGEMM";
   std::uint64_t seed = 1;
-  std::string log_file;     ///< per-trial CSV log ("" = no log)
   std::string report_file;  ///< markdown reliability report ("" = none)
 
   // Durability: write-ahead journal + resume (see core/campaign_journal).

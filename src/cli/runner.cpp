@@ -8,7 +8,6 @@
 
 #include "analysis/pvf.hpp"
 #include "core/campaign_journal.hpp"
-#include "core/trial_log.hpp"
 #include "fabric/coordinator.hpp"
 #include "fabric/lease.hpp"
 #include "fabric/options.hpp"
@@ -457,17 +456,6 @@ RunSummary run_from_config(const RunnerConfig& config, std::ostream& out) {
       inputs.algebraic =
           config.workload == "DGEMM" || config.workload == "LUD";
       report_stream << report::render_report(inputs);
-    }
-
-    if (!config.log_file.empty()) {
-      std::ofstream log_stream(config.log_file);
-      if (!log_stream) {
-        throw std::runtime_error("cannot open log file '" +
-                                 config.log_file + "'");
-      }
-      fi::TrialLogWriter writer(log_stream);
-      writer.append_all(result);
-      summary.logged_trials = writer.written();
     }
 
     util::Table table("Injection campaign - " + config.workload);

@@ -15,7 +15,6 @@ struct RunSummary {
   fi::OutcomeTally outcomes;      ///< inject mode
   double sdc_fit = 0.0;           ///< beam mode
   double due_fit = 0.0;           ///< beam mode
-  std::uint64_t logged_trials = 0;
   std::uint64_t resumed_trials = 0;  ///< replayed from the journal
   bool interrupted = false;  ///< stopped by SIGINT/SIGTERM; journal flushed
   bool aborted = false;      ///< circuit breaker tripped
@@ -34,8 +33,8 @@ struct RunSummary {
   std::uint64_t fabric_reclaimed = 0; ///< coordinator: leases reclaimed
 };
 
-/// Runs the configured campaign. Reports to `out`; per-trial logs go to
-/// config.log_file if set. Returns the summary (also printed).
+/// Runs the configured campaign. Reports to `out`; the per-trial record is
+/// config.journal_file, if set. Returns the summary (also printed).
 /// Throws std::runtime_error for unknown workloads.
 RunSummary run_from_config(const RunnerConfig& config, std::ostream& out);
 

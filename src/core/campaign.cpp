@@ -6,7 +6,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -18,41 +17,6 @@
 namespace phifi::fi {
 
 namespace {
-
-/// Flattens one trial into the string-typed trace record (the telemetry
-/// layer deliberately knows nothing about core enums).
-telemetry::TrialTrace make_trial_trace(const TrialResult& trial,
-                                       std::uint64_t attempt, double ts_ms,
-                                       unsigned slot) {
-  telemetry::TrialTrace t;
-  t.attempt = attempt;
-  t.outcome = std::string(to_string(trial.outcome));
-  t.due_kind = std::string(to_string(trial.due_kind));
-  t.injected = trial.record.injected;
-  t.model = std::string(to_string(trial.record.model));
-  t.site = trial.record.site_name;
-  t.category = trial.record.category;
-  t.frame = trial.record.frame == FrameKind::kWorker ? "worker" : "global";
-  t.worker = trial.record.worker;
-  t.slot = slot;
-  t.progress_fraction = trial.record.progress_fraction;
-  t.window = trial.window;
-  t.seconds = trial.seconds;
-  t.heartbeats = trial.heartbeats;
-  t.escalated_kill = trial.escalated_kill;
-  t.fork_seconds = trial.fork_done_seconds;
-  t.setup_skipped = trial.setup_skipped;
-  t.ts_ms = ts_ms;
-  t.spans.push_back({"fork", 0.0, trial.fork_done_seconds * 1e3});
-  t.spans.push_back(
-      {"run", trial.fork_done_seconds * 1e3, trial.reaped_seconds * 1e3});
-  t.spans.push_back({"classify", trial.reaped_seconds * 1e3,
-                     trial.classified_seconds * 1e3});
-  for (const PhaseRecord& phase : trial.phases) {
-    t.phases.push_back({phase.name, phase.fraction, phase.t_seconds * 1e3});
-  }
-  return t;
-}
 
 /// Feeds one completed attempt into the metrics registry. Replayed
 /// (journal-resumed) trials bump the campaign.* counters — the live
@@ -85,12 +49,10 @@ void feed_estimator(telemetry::CampaignEstimator& estimator,
 
 /// A reaped trial waiting for its turn at the commit point. Completions
 /// arrive in whatever order the workers finish; they are buffered here and
-/// committed (journal, trace, tallies, observer) strictly in attempt-index
-/// order so any jobs value yields bit-identical campaign state.
+/// committed (journal, tallies, observer) strictly in attempt-index order
+/// so any jobs value yields bit-identical campaign state.
 struct PendingTrial {
   TrialResult trial;
-  double ts_ms = 0.0;
-  unsigned slot = 0;
   /// Output snapshot for the observer, captured at reap time because the
   /// slot's shm channel may be reused before this attempt commits.
   std::vector<std::byte> output;
@@ -358,8 +320,7 @@ CampaignResult Campaign::run(const TrialObserver& observer) {
           break;
         }
         accumulate_trial(result, record.trial);
-        // The resumed trace file already holds these trials; only the
-        // metrics and estimator (process-local) need the replay.
+        // Only the process-local metrics and estimator need the replay.
         if (config_.metrics != nullptr) {
           feed_metrics(*config_.metrics, record.trial, /*replayed=*/true);
         }
@@ -483,8 +444,7 @@ RangeResult Campaign::execute(std::uint64_t begin, std::uint64_t end,
   std::uint64_t commit_index = begin;  // next index to commit
   std::set<std::uint64_t> retry_queue;  // infra-failed indices, smallest first
   std::map<std::uint64_t, PendingTrial> pending;
-  // Per-slot (attempt index, launch timestamp) of the in-flight trial.
-  std::vector<std::optional<std::pair<std::uint64_t, double>>> inflight(jobs);
+  std::vector<std::uint64_t> slot_attempt(jobs);  // attempt running per slot
   std::size_t consecutive_failures = 0;
   bool draining = false;  // stop requested: no new launches, commit the rest
   bool finished = false;
@@ -517,10 +477,6 @@ RangeResult Campaign::execute(std::uint64_t begin, std::uint64_t end,
         } else {
           hooks.journal->append(record);
         }
-      }
-      if (config_.trace != nullptr) {
-        config_.trace->trial(
-            make_trial_trace(trial, commit_index, ready.ts_ms, ready.slot));
       }
       if (config_.metrics != nullptr) {
         feed_metrics(*config_.metrics, trial, /*replayed=*/false);
@@ -586,8 +542,6 @@ RangeResult Campaign::execute(std::uint64_t begin, std::uint64_t end,
         trial.earliest_fraction = config_.earliest_fraction;
         trial.latest_fraction = config_.latest_fraction;
 
-        const double ts_ms =
-            config_.trace != nullptr ? config_.trace->now_ms() : 0.0;
         try {
           supervisor_->start_trial(slot, trial);
         } catch (const std::exception& error) {
@@ -627,7 +581,7 @@ RangeResult Campaign::execute(std::uint64_t begin, std::uint64_t end,
         } else {
           ++next_index;
         }
-        inflight[slot] = {{index, ts_ms}};
+        slot_attempt[slot] = index;
       }
       publish_active();
     }
@@ -657,20 +611,15 @@ RangeResult Campaign::execute(std::uint64_t begin, std::uint64_t end,
     }
     consecutive_failures = 0;
     for (SlotCompletion& completion : done) {
-      assert(inflight[completion.slot].has_value());
-      const auto [index, ts_ms] = *inflight[completion.slot];
-      inflight[completion.slot].reset();
       PendingTrial entry;
       entry.trial = std::move(completion.result);
-      entry.ts_ms = ts_ms;
-      entry.slot = completion.slot;
       if (observer && (entry.trial.outcome == Outcome::kMasked ||
                        entry.trial.outcome == Outcome::kSdc)) {
         const auto output = supervisor_->slot_output(completion.slot);
         entry.output.assign(output.begin(), output.end());
       }
       if (config_.profiler != nullptr) entry.reaped_at = Clock::now();
-      pending.emplace(index, std::move(entry));
+      pending.emplace(slot_attempt[completion.slot], std::move(entry));
     }
     publish_active();
   }

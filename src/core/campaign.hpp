@@ -87,10 +87,10 @@ struct CampaignConfig {
   /// initial * 2^n milliseconds, capped at 10 doublings.
   unsigned retry_backoff_initial_ms = 100;
 
-  // ---- telemetry (both optional, not owned, must outlive run()) ----
+  // ---- telemetry (all optional, not owned, must outlive run()) ----
 
-  /// NDJSON trial tracer: one "trial" record per attempt, bracketed by a
-  /// "campaign" header and an "end" summary. nullptr disables tracing.
+  /// NDJSON trace: run() writes a "campaign" header and an "end" summary.
+  /// The per-trial record is the journal's. nullptr disables tracing.
   telemetry::TraceWriter* trace = nullptr;
   /// Metrics sink: campaign.* counters/gauges plus the trial-latency
   /// histogram. nullptr disables metric feeding.
@@ -103,7 +103,7 @@ struct CampaignConfig {
   /// Trial latency anatomy profiler, fed at the deterministic commit point
   /// with the per-phase breakdown (fork/setup/inject/run/classify plus the
   /// scheduler's reorder-buffer wait, journal append, and batched fsync
-  /// flush). nullptr keeps the commit path clock-free, like the tracer.
+  /// flush). nullptr keeps the commit path clock-free.
   telemetry::TrialProfiler* profiler = nullptr;
 };
 

@@ -8,13 +8,14 @@
 // ticking thread. Same distribution of injection times, exact time-window
 // bookkeeping (Fig. 6), and no dependence on thread-scheduling latency —
 // which matters both for determinism and because a campaign forks thousands
-// of children on a possibly oversubscribed host.
+// of children on a possibly oversubscribed host. The same ticks drive the
+// heartbeat pulse, so a trial's journaled heartbeat count says how far its
+// run got.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <string_view>
 #include <utility>
 
 namespace phifi::fi {
@@ -31,12 +32,6 @@ class ProgressTracker {
   /// treat it as a monotone liveness pulse, not an exact counter.
   using PulseHook = std::function<void()>;
 
-  /// Hook invoked when the workload announces a named execution phase via
-  /// enter_phase() (the supervisor forwards it to the shared channel, the
-  /// tracer records it per trial). Receives the phase name and the
-  /// execution-progress fraction at the transition.
-  using PhaseHook = std::function<void(std::string_view, double)>;
-
   void reset(std::uint64_t total_steps) {
     total_.store(total_steps, std::memory_order_relaxed);
     done_.store(0, std::memory_order_relaxed);
@@ -47,7 +42,6 @@ class ProgressTracker {
     pulse_divisions_ = 0;
     pulse_done_.store(0, std::memory_order_relaxed);
     pulse_ = nullptr;
-    phase_hook_ = nullptr;
   }
 
   /// Arms the one-shot injection hook. Call before run(), never during.
@@ -64,17 +58,6 @@ class ProgressTracker {
     pulse_divisions_ = divisions;
     pulse_ = std::move(pulse);
     pulse_done_.store(0, std::memory_order_relaxed);
-  }
-
-  /// Arms the phase hook. Call before run(); no hook means enter_phase()
-  /// is a no-op, so phase annotations cost nothing outside traced trials.
-  void set_phase_hook(PhaseHook hook) { phase_hook_ = std::move(hook); }
-
-  /// Called by the workload at the start of each named execution phase
-  /// (setup prologue, main kernel, epilogue...). Must be called from run()
-  /// on the driving thread, not from inside kernel bodies.
-  void enter_phase(std::string_view name) {
-    if (phase_hook_) phase_hook_(name, fraction());
   }
 
   [[nodiscard]] bool fired() const {
@@ -138,7 +121,6 @@ class ProgressTracker {
   unsigned pulse_divisions_ = 0;
   std::atomic<std::uint64_t> pulse_done_{0};
   PulseHook pulse_;
-  PhaseHook phase_hook_;
 };
 
 }  // namespace phifi::fi

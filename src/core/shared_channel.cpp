@@ -9,7 +9,6 @@
 #include <sys/mman.h>
 
 #include <algorithm>
-#include <cstring>
 #include <new>
 #include <stdexcept>
 
@@ -39,7 +38,6 @@ void SharedChannel::reset() {
   header_->record_ready.store(0, std::memory_order_relaxed);
   header_->output_ready.store(0, std::memory_order_relaxed);
   header_->heartbeat.store(0, std::memory_order_relaxed);
-  header_->phase_count.store(0, std::memory_order_relaxed);
   header_->output_size = 0;
   header_->record = InjectionRecord{};
   // Fork-server fields. The template is guaranteed idle here (blocked on
@@ -61,22 +59,6 @@ void SharedChannel::reset() {
 
 void SharedChannel::beat() {
   header_->heartbeat.fetch_add(1, std::memory_order_release);
-}
-
-void SharedChannel::store_phase(std::string_view name, double fraction,
-                                double t_seconds) {
-  const std::uint32_t index =
-      header_->phase_count.load(std::memory_order_relaxed);
-  if (index >= kMaxPhases) return;  // drop: bounded log, corrupted children
-  PhaseRecord& slot = header_->phases[index];
-  const std::size_t copy = std::min(name.size(), sizeof(slot.name) - 1);
-  std::memcpy(slot.name, name.data(), copy);
-  slot.name[copy] = '\0';
-  slot.fraction = fraction;
-  slot.t_seconds = t_seconds;
-  // Publish the slot before the count so the parent never reads a
-  // half-written record.
-  header_->phase_count.store(index + 1, std::memory_order_release);
 }
 
 std::uint64_t SharedChannel::heartbeat() const {
@@ -108,16 +90,6 @@ bool SharedChannel::record_ready() const {
 }
 
 InjectionRecord SharedChannel::record() const { return header_->record; }
-
-std::vector<PhaseRecord> SharedChannel::phases() const {
-  const std::uint32_t count =
-      std::min<std::uint32_t>(header_->phase_count.load(
-                                  std::memory_order_acquire),
-                              kMaxPhases);
-  std::vector<PhaseRecord> out(count);
-  for (std::uint32_t i = 0; i < count; ++i) out[i] = header_->phases[i];
-  return out;
-}
 
 std::span<const std::byte> SharedChannel::output() const {
   // output_size is child-written: past the mapping it returns no bytes.

@@ -12,36 +12,20 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string_view>
-#include <vector>
 
 #include "core/flip_engine.hpp"
 
 namespace phifi::fi {
 
-/// One workload phase transition reported by the trial child. Fixed-size
-/// POD so it can live in the shared mapping.
-// phicheck:shm-pod phifi::fi::PhaseRecord size=40
-struct PhaseRecord {
-  char name[24] = {};
-  double fraction = 0.0;   ///< execution progress at the transition
-  double t_seconds = 0.0;  ///< monotonic seconds from child start
-};
-
-/// Fixed capacity of the shared phase log.
-inline constexpr std::size_t kShmMaxPhases = 32;
-
 /// Layout of the anonymous shared mapping the supervisor and the forked
 /// trial communicate through. Namespace-scope (not a private nested type)
 /// so the phicheck-generated layout asserts can name it; nothing outside
 /// SharedChannel should touch it.
-// phicheck:shm-pod phifi::fi::ShmHeader size=1568 atomic
+// phicheck:shm-pod phifi::fi::ShmHeader size=280 atomic
 struct ShmHeader {
   std::atomic<std::uint32_t> record_ready;
   std::atomic<std::uint32_t> output_ready;
   std::atomic<std::uint64_t> heartbeat;
-  std::atomic<std::uint32_t> phase_count;
-  PhaseRecord phases[kShmMaxPhases];
   std::uint64_t output_size;
   InjectionRecord record;
   // ---- fork-server fields ----
@@ -120,11 +104,6 @@ class SharedChannel {
   /// child from a hung one.
   void beat();
 
-  /// Appends one workload phase transition (telemetry). Silently drops
-  /// transitions past the fixed capacity — phases are a handful per trial
-  /// and a corrupted child looping on enter_phase must not wedge anything.
-  void store_phase(std::string_view name, double fraction, double t_seconds);
-
   /// Publishes how the child's own wall-clock decomposed: workload setup,
   /// site registration + flip arming, and in-child
   /// classification, all in seconds. Plain stores — the parent reads them
@@ -180,12 +159,6 @@ class SharedChannel {
   [[nodiscard]] InjectionRecord record() const;
   [[nodiscard]] std::span<const std::byte> output() const;
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
-  /// Phase transitions the child reported, in order. Read after reaping.
-  [[nodiscard]] std::vector<PhaseRecord> phases() const;
-
-  /// Fixed capacity of the phase log.
-  static constexpr std::size_t kMaxPhases = kShmMaxPhases;
 
  private:
   ShmHeader* header_ = nullptr;

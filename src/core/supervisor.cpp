@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/syscall.h>
@@ -49,6 +50,16 @@ constexpr int kWatchdogTickMs = 10;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// Ties a forked template or trial to its parent's life: SIGKILL when the
+/// forking thread exits, and an immediate exit when the parent is already
+/// gone (it died between fork() and the prctl). Without it a SIGKILLed
+/// campaign leaves its templates — and any hanging trial, whose watchdog
+/// died with the campaign — alive, holding whatever the parent held open.
+void die_with_parent(pid_t parent) {
+  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+  if (::getppid() != parent) ::_exit(1);
 }
 
 /// waitpid that survives signal delivery to the campaign process: EINTR is
@@ -284,6 +295,7 @@ void TrialSupervisor::spawn_template(unsigned slot_index) {
     throw std::runtime_error("TrialSupervisor: socketpair failed");
   }
   SharedChannel* channel = slot.channel.get();
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(fds[0]);
@@ -291,7 +303,7 @@ void TrialSupervisor::spawn_template(unsigned slot_index) {
     throw std::runtime_error("TrialSupervisor: template fork failed");
   }
   if (pid == 0) {
-    template_main(channel, fds[1], fds[0]);  // never returns
+    template_main(channel, fds[1], fds[0], parent);  // never returns
   }
   ::close(fds[1]);
   slot.cmd_fd = fds[0];
@@ -593,7 +605,6 @@ TrialResult TrialSupervisor::finalize_slot(Slot& slot, int status,
   }
   result.inject_seconds = slot.channel->trial_inject_seconds();
   result.classify_child_seconds = slot.channel->trial_classify_seconds();
-  result.phases = slot.channel->phases();
   if (slot.channel->record_ready()) result.record = slot.channel->record();
   result.window = windows_ == 0
                       ? 0
@@ -646,7 +657,7 @@ TrialResult TrialSupervisor::finalize_slot(Slot& slot, int status,
 
 // phicheck:fork-child-entry
 void TrialSupervisor::template_main(SharedChannel* channel, int cmd_fd,
-                                    int parent_fd) {
+                                    int parent_fd, pid_t parent) {
   // Fork-server process: pay factory + setup + register_sites ONCE, then
   // loop forking trial grandchildren from this post-setup image on
   // command. COW gives every grandchild a pristine copy of the post-setup
@@ -655,6 +666,7 @@ void TrialSupervisor::template_main(SharedChannel* channel, int cmd_fd,
   // Inherited parent-side socket ends are closed first — ours so the
   // parent's close reliably reads as EOF, the other slots' so their
   // shutdown does not wait on this process.
+  die_with_parent(parent);
   ::close(parent_fd);
   for (const Slot& other : slots_) {
     if (other.cmd_fd >= 0 && other.cmd_fd != cmd_fd) ::close(other.cmd_fd);
@@ -668,6 +680,7 @@ void TrialSupervisor::template_main(SharedChannel* channel, int cmd_fd,
     SiteRegistry registry;
     workload->register_sites(registry);
     channel->store_template_setup_seconds(seconds_since(setup_start));
+    const pid_t self = ::getpid();
     while (true) {
       std::byte wake;
       const ssize_t n = util::io::read_some(cmd_fd, &wake, 1);
@@ -676,7 +689,8 @@ void TrialSupervisor::template_main(SharedChannel* channel, int cmd_fd,
       const pid_t pid = ::fork();
       if (pid < 0) ::_exit(kTemplateExitForkFailed);
       if (pid == 0) {
-        trial_main(*workload, registry, command, channel);  // never returns
+        // never returns
+        trial_main(*workload, registry, command, channel, self);
       }
       channel->publish_child(pid);
       int status = 0;
@@ -698,7 +712,7 @@ void TrialSupervisor::template_main(SharedChannel* channel, int cmd_fd,
 // phicheck:fork-child-entry
 void TrialSupervisor::trial_main(Workload& workload, SiteRegistry& registry,
                                  const TrialCommand& command,
-                                 SharedChannel* channel) {
+                                 SharedChannel* channel, pid_t parent) {
   // Trial grandchild: the workload arrives post-setup (COW from the
   // template), so there is no factory/setup/register_sites here — straight
   // to arming the flip and running. Classification happens in place
@@ -709,6 +723,7 @@ void TrialSupervisor::trial_main(Workload& workload, SiteRegistry& registry,
   // Injected faults routinely corrupt the child's heap; glibc then spams
   // stderr before aborting. That abort IS the result (a DUE), so the noise
   // is dropped unless the operator asked for verbose logs.
+  die_with_parent(parent);
   if (util::log_level() > util::LogLevel::kInfo) {
     // Deliberate stdio before the workload entry: the template was
     // single-threaded at fork, and the redirect must land before any
@@ -740,11 +755,6 @@ void TrialSupervisor::trial_main(Workload& workload, SiteRegistry& registry,
       progress.set_pulse(config_.heartbeat_divisions,
                          [channel] { channel->beat(); });
     }
-    const auto child_start = Clock::now();
-    progress.set_phase_hook(
-        [channel, child_start](std::string_view phase, double fraction) {
-          channel->store_phase(phase, fraction, seconds_since(child_start));
-        });
 
     phi::Device device(config_.device_spec, config_.device_os_threads);
 

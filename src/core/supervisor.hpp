@@ -106,8 +106,8 @@ struct TrialResult {
   /// every trial except the one that (re)spawned its slot's template.
   bool setup_skipped = false;
 
-  // ---- telemetry (traced, not journaled: the journal stays the compact
-  //      durability record, the trace is the observability record) ----
+  // ---- latency anatomy (not journaled: the profiler and perfbench read
+  //      these; the journal keeps the fields above) ----
 
   /// Sub-interval boundaries, seconds from trial start, monotonic:
   /// fork span = [0, fork_done), child run = [fork_done, reaped),
@@ -122,8 +122,6 @@ struct TrialResult {
   double setup_seconds = 0.0;
   double inject_seconds = 0.0;
   double classify_child_seconds = 0.0;
-  /// Workload phase transitions the child reported, in order.
-  std::vector<PhaseRecord> phases;
 };
 
 /// One trial that finished (exited, crashed, or was killed) during a
@@ -298,12 +296,12 @@ class TrialSupervisor {
   /// Template process body: setup once, then loop forking trial
   /// grandchildren from the post-setup image on command.
   [[noreturn]] void template_main(SharedChannel* channel, int cmd_fd,
-                                  int parent_fd);
+                                  int parent_fd, pid_t parent);
   /// Trial grandchild body: inject, run, classify in place, ship the
   /// verdict.
   [[noreturn]] void trial_main(Workload& workload, SiteRegistry& registry,
                                const TrialCommand& command,
-                               SharedChannel* channel);
+                               SharedChannel* channel, pid_t parent);
 
   WorkloadFactory factory_;
   SupervisorConfig config_;

@@ -1,10 +1,7 @@
 #include "core/trial_log.hpp"
 
 #include <cstdio>
-#include <istream>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
 
 namespace phifi::fi {
 
@@ -14,47 +11,7 @@ constexpr const char* kHeader =
     "index,outcome,due_kind,model,frame,worker,site,category,element,"
     "burst,progress,window,seconds";
 
-std::vector<std::string> split_csv_line(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string field;
-  for (char c : line) {
-    if (c == ',') {
-      fields.push_back(field);
-      field.clear();
-    } else {
-      field.push_back(c);
-    }
-  }
-  fields.push_back(field);
-  return fields;
-}
-
 }  // namespace
-
-Outcome outcome_from_string(std::string_view text) {
-  if (text == "Masked") return Outcome::kMasked;
-  if (text == "SDC") return Outcome::kSdc;
-  if (text == "DUE") return Outcome::kDue;
-  if (text == "NotInjected") return Outcome::kNotInjected;
-  throw std::runtime_error("unknown outcome: " + std::string(text));
-}
-
-DueKind due_kind_from_string(std::string_view text) {
-  if (text == "none") return DueKind::kNone;
-  if (text == "crash") return DueKind::kCrash;
-  if (text == "abnormal-exit") return DueKind::kAbnormalExit;
-  if (text == "hang") return DueKind::kHang;
-  if (text == "rlimit") return DueKind::kRlimit;
-  if (text == "stall") return DueKind::kStall;
-  throw std::runtime_error("unknown due kind: " + std::string(text));
-}
-
-FaultModel fault_model_from_string(std::string_view text) {
-  for (FaultModel model : kAllFaultModels) {
-    if (to_string(model) == text) return model;
-  }
-  throw std::runtime_error("unknown fault model: " + std::string(text));
-}
 
 TrialLogWriter::TrialLogWriter(std::ostream& os) : os_(&os) {
   *os_ << kHeader << '\n';
@@ -78,61 +35,6 @@ void TrialLogWriter::append(const TrialResult& trial) {
 
 void TrialLogWriter::append_all(const CampaignResult& result) {
   for (const TrialResult& trial : result.trials) append(trial);
-}
-
-std::vector<TrialLogEntry> TrialLogReader::read(std::istream& is) {
-  std::string line;
-  if (!std::getline(is, line) || line != kHeader) {
-    throw std::runtime_error("trial log: missing or unexpected header");
-  }
-  std::vector<TrialLogEntry> entries;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const std::vector<std::string> fields = split_csv_line(line);
-    if (fields.size() != 13) {
-      throw std::runtime_error("trial log: malformed row: " + line);
-    }
-    TrialLogEntry entry;
-    entry.index = std::stoull(fields[0]);
-    entry.outcome = outcome_from_string(fields[1]);
-    entry.due_kind = due_kind_from_string(fields[2]);
-    entry.model = fault_model_from_string(fields[3]);
-    entry.frame =
-        fields[4] == "worker" ? FrameKind::kWorker : FrameKind::kGlobal;
-    entry.worker = std::stoi(fields[5]);
-    entry.site = fields[6];
-    entry.category = fields[7];
-    entry.element_index = std::stoull(fields[8]);
-    entry.burst_elements = static_cast<std::uint32_t>(std::stoul(fields[9]));
-    entry.progress_fraction = std::stod(fields[10]);
-    entry.window = static_cast<unsigned>(std::stoul(fields[11]));
-    entry.seconds = std::stod(fields[12]);
-    entries.push_back(std::move(entry));
-  }
-  return entries;
-}
-
-CampaignResult TrialLogReader::aggregate(
-    const std::vector<TrialLogEntry>& entries, unsigned time_windows) {
-  CampaignResult result;
-  result.time_windows = time_windows;
-  result.by_window.resize(time_windows);
-  for (const TrialLogEntry& entry : entries) {
-    if (entry.outcome == Outcome::kNotInjected) {
-      ++result.not_injected;
-      continue;
-    }
-    result.overall.add(entry.outcome);
-    result.by_model[static_cast<std::size_t>(entry.model)].add(entry.outcome);
-    if (entry.window < time_windows) {
-      result.by_window[entry.window].add(entry.outcome);
-    }
-    result.by_category[entry.category].add(entry.outcome);
-    result.by_frame[entry.frame == FrameKind::kWorker ? "worker" : "global"]
-        .add(entry.outcome);
-    result.total_seconds += entry.seconds;
-  }
-  return result;
 }
 
 }  // namespace phifi::fi

@@ -1,37 +1,18 @@
-// Persistent per-injection logs.
+// Per-injection CSV log, a view over the campaign journal.
 //
 // CAROL-FI stores, for every injection: the fault model, the corrupted
 // variable (name, frame, thread), where in the execution it fired, and the
 // observed outcome; the paper publishes those logs for third-party analysis
-// (its reference [40]). TrialLogWriter serializes a campaign's TrialResults
-// to the same kind of CSV record; TrialLogReader loads them back so
-// analyses can run on stored campaigns without re-executing anything.
+// (its reference [40]). The campaign's record of truth is its write-ahead
+// journal; TrialLogWriter renders a campaign's TrialResults as that kind of
+// CSV record, which is what phifi_parse --from-journal --csv prints.
 #pragma once
 
 #include <iosfwd>
-#include <string>
-#include <vector>
 
 #include "core/campaign.hpp"
 
 namespace phifi::fi {
-
-/// One parsed log record; a flattened TrialResult.
-struct TrialLogEntry {
-  std::uint64_t index = 0;
-  Outcome outcome = Outcome::kMasked;
-  DueKind due_kind = DueKind::kNone;
-  FaultModel model = FaultModel::kSingle;
-  FrameKind frame = FrameKind::kGlobal;
-  std::int32_t worker = -1;
-  std::string site;
-  std::string category;
-  std::uint64_t element_index = 0;
-  std::uint32_t burst_elements = 1;
-  double progress_fraction = 0.0;
-  unsigned window = 0;
-  double seconds = 0.0;
-};
 
 class TrialLogWriter {
  public:
@@ -44,29 +25,9 @@ class TrialLogWriter {
   /// Convenience: writes a whole campaign's trial list.
   void append_all(const CampaignResult& result);
 
-  [[nodiscard]] std::uint64_t written() const { return written_; }
-
  private:
   std::ostream* os_;
   std::uint64_t written_ = 0;
 };
-
-class TrialLogReader {
- public:
-  /// Parses a complete log (header + rows). Throws std::runtime_error on
-  /// malformed input.
-  static std::vector<TrialLogEntry> read(std::istream& is);
-
-  /// Rebuilds the aggregate tallies (overall / per model / per window /
-  /// per category) from parsed entries, so stored campaigns can feed the
-  /// same analyses as live ones.
-  static CampaignResult aggregate(const std::vector<TrialLogEntry>& entries,
-                                  unsigned time_windows);
-};
-
-/// Round-trip helpers for enum fields (used by reader/writer and tests).
-Outcome outcome_from_string(std::string_view text);
-DueKind due_kind_from_string(std::string_view text);
-FaultModel fault_model_from_string(std::string_view text);
 
 }  // namespace phifi::fi

@@ -54,16 +54,9 @@ class Workload {
 
   /// Runs the benchmark on the device, ticking `progress` as it goes.
   /// Must be deterministic given setup(): two fault-free runs produce
-  /// bit-identical output_bytes().
-  ///
-  /// Telemetry contract: run() should announce each major execution phase
-  /// (prologue, main kernel(s), epilogue) via progress.enter_phase("name")
-  /// on the driving thread, before the phase's kernel launches. The trial
-  /// supervisor forwards phase transitions through the shared channel and
-  /// the campaign tracer records them per trial, which is what lets the
-  /// analysis layer attribute an injection to a code portion *and* an
-  /// execution phase (Sec. 6 criticality crossed with Fig. 6 timing).
-  /// Phases are optional — enter_phase() is a no-op when no hook is armed.
+  /// bit-identical output_bytes(). How far a run got is what the ticks
+  /// say: the supervisor turns them into heartbeats, which the journal
+  /// records per trial.
   virtual void run(phi::Device& device, ProgressTracker& progress) = 0;
 
   /// Registers every corruptible variable. Called after setup(); pointers

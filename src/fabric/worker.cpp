@@ -53,11 +53,7 @@ class WorkerLoop {
         options_(&options),
         metrics_(metrics),
         trace_(trace),
-        out_(&out) {
-    // The worker's own trial stream: run_range feeds the trace, with the
-    // correlation context set on WELCOME.
-    config_.trace = trace_;
-  }
+        out_(&out) {}
 
   WorkerResult run();
 
@@ -154,9 +150,9 @@ void WorkerLoop::open_shard() {
 }
 
 /// WELCOME establishes the worker's identity and the campaign's run id —
-/// the shard journal header and every trace record from here on carry
-/// both, so a shard or trace line can be tied back to the coordinator's
-/// lease events (docs/FLEET_OBSERVABILITY.md).
+/// the shard journal header and the trace header carry both, so a shard
+/// or a worker trace can be tied back to the coordinator's lease events
+/// (docs/FLEET_OBSERVABILITY.md).
 void WorkerLoop::on_welcome(const Message& msg) {
   result_.worker_id = msg.worker;
   welcomed_ = true;
@@ -272,7 +268,6 @@ void WorkerLoop::handle(const Message& msg) {
                         << " granted lease " << msg.lease << " ["
                         << msg.begin << ", " << msg.end << ")";
       lease_ = CurrentLease{msg.lease, msg.begin, msg.end};
-      if (trace_ != nullptr) trace_->set_lease(msg.lease);
       requested_ = false;
       break;
     case MsgType::kHello:
@@ -375,7 +370,6 @@ void WorkerLoop::send_done() {
   link_->send(done);  // phicheck:wire-after(done)
   ++result_.leases_done;
   lease_.reset();
-  if (trace_ != nullptr) trace_->set_lease(0);
   // If the link died before the send landed, the lease stays claimed in
   // the next HELLO... except we just dropped it. That is still safe: the
   // coordinator's deadline reclaims the range and some worker re-executes
@@ -415,7 +409,6 @@ void WorkerLoop::execute_lease() {
     if (range.cancelled) {
       if (revoked_) {
         lease_.reset();
-        if (trace_ != nullptr) trace_->set_lease(0);
         revoked_ = false;
       }
       // shutdown_seen_ / stop_flag: leave the lease claimed; the main

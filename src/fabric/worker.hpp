@@ -23,7 +23,7 @@ struct WorkerResult {
   std::string reject_reason;
   std::uint64_t worker_id = 0;
   /// Campaign run id adopted from the coordinator's WELCOME (0 = never
-  /// welcomed); stamped into the shard header and every trace record.
+  /// welcomed); stamped into the shard header and the trace header.
   std::uint64_t run_id = 0;
   std::uint64_t leases_done = 0;
   /// Attempts executed by this process this run (excludes shard-resume

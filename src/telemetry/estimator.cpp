@@ -71,28 +71,6 @@ std::vector<CellEstimate> CampaignEstimator::cells() const {
   return out;
 }
 
-EstimatorSnapshot CampaignEstimator::snapshot() const {
-  EstimatorSnapshot out;
-  out.overall = overall_;
-  out.cells.reserve(cells_.size());
-  for (const auto& [key, counts] : cells_) {
-    out.cells.emplace_back(key, counts);
-  }
-  return out;
-}
-
-void CampaignEstimator::fold(const EstimatorSnapshot& snapshot) {
-  overall_.masked += snapshot.overall.masked;
-  overall_.sdc += snapshot.overall.sdc;
-  overall_.due += snapshot.overall.due;
-  for (const auto& [key, counts] : snapshot.cells) {
-    EstimatorCounts& cell = cells_[key];
-    cell.masked += counts.masked;
-    cell.sdc += counts.sdc;
-    cell.due += counts.due;
-  }
-}
-
 void CampaignEstimator::publish(MetricsRegistry& metrics) const {
   const util::Interval sdc = sdc_interval();
   const util::Interval due = due_interval();

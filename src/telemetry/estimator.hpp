@@ -6,8 +6,8 @@
 // The paper's headline tables rest on >90,000 injections; the operator of
 // such a campaign wants to know *now* how tight the estimates are and when
 // the run can stop. The estimator is fed from Campaign::run's commit point
-// — the same deterministic, attempt-ordered stream the journal and trace
-// see — so its state is bit-identical for any --jobs value and across
+// — the same deterministic, attempt-ordered stream the journal
+// records — so its state is bit-identical for any --jobs value and across
 // resumes. Like the rest of the telemetry layer it knows nothing about
 // core enums: the campaign hands it strings and indices. Single-writer by
 // construction (only the commit point feeds it), so no atomics.
@@ -65,17 +65,6 @@ struct CellEstimate {
   util::Interval due;  ///< Wilson interval on the cell's DUE proportion
 };
 
-/// Plain-counts view of an estimator: the overall tally plus every
-/// populated cell, in deterministic key order. Snapshots are what workers
-/// ship to the coordinator; because they hold only integer counts, folding
-/// them is associative and commutative, and an estimator rebuilt from any
-/// fold order is bit-identical (intervals included) to one fed the same
-/// trials directly.
-struct EstimatorSnapshot {
-  EstimatorCounts overall;
-  std::vector<std::pair<EstimatorCellKey, EstimatorCounts>> cells;
-};
-
 class CampaignEstimator {
  public:
   /// `confidence` is the two-sided level of every interval (0.95 matches
@@ -107,13 +96,6 @@ class CampaignEstimator {
 
   /// All populated cells in deterministic (model, window, category) order.
   [[nodiscard]] std::vector<CellEstimate> cells() const;
-
-  /// Copies the current counts out as a foldable snapshot.
-  [[nodiscard]] EstimatorSnapshot snapshot() const;
-
-  /// Adds another estimator's counts into this one. Integer addition only,
-  /// so fold order never changes the result.
-  void fold(const EstimatorSnapshot& snapshot);
 
   /// Exports the current estimates as gauges:
   ///   campaign.est.sdc_rate / .sdc_ci_lo / .sdc_ci_hi  (overall, same

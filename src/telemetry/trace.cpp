@@ -53,13 +53,10 @@ void TraceWriter::set_worker(std::uint64_t worker_id) {
   worker_id_ = worker_id;
 }
 
-void TraceWriter::set_lease(std::uint64_t lease_id) { lease_id_ = lease_id; }
-
 // phicheck:ndjson-writer(trace.context) record
 void TraceWriter::write_line(util::json::Value record) {
   if (!run_id_.empty()) record["run_id"] = run_id_;
   if (worker_id_ != 0) record["worker_id"] = worker_id_;
-  if (lease_id_ != 0) record["lease_id"] = lease_id_;
   std::string line = record.dump();
   line += '\n';
   // One write per record: a crash tears at most the final line, which the
@@ -87,94 +84,6 @@ void TraceWriter::campaign(const TraceCampaign& header) {
   record["resumed"] = header.resumed;
   record["jobs"] = header.jobs;
   write_line(record);
-}
-
-// phicheck:ndjson-writer(trace.trial) record
-util::json::Value trial_to_json(const TrialTrace& trial) {
-  util::json::Value record = util::json::Value::object();
-  record["type"] = "trial";
-  record["attempt"] = trial.attempt;
-  record["outcome"] = trial.outcome;
-  record["due_kind"] = trial.due_kind;
-  record["injected"] = trial.injected;
-  record["model"] = trial.model;
-  record["site"] = trial.site;
-  record["category"] = trial.category;
-  record["frame"] = trial.frame;
-  record["worker"] = static_cast<std::int64_t>(trial.worker);
-  record["slot"] = trial.slot;
-  record["progress_fraction"] = trial.progress_fraction;
-  record["window"] = trial.window;
-  record["seconds"] = trial.seconds;
-  record["heartbeats"] = trial.heartbeats;
-  record["escalated_kill"] = trial.escalated_kill;
-  record["fork_seconds"] = trial.fork_seconds;
-  record["setup_skipped"] = trial.setup_skipped;
-  record["ts_ms"] = trial.ts_ms;
-  util::json::Value spans = util::json::Value::array();
-  for (const TraceSpan& span : trial.spans) {
-    util::json::Value entry = util::json::Value::object();
-    entry["name"] = span.name;
-    entry["t0_ms"] = span.t0_ms;
-    entry["t1_ms"] = span.t1_ms;
-    spans.push_back(std::move(entry));
-  }
-  record["spans"] = std::move(spans);
-  util::json::Value phases = util::json::Value::array();
-  for (const TracePhase& phase : trial.phases) {
-    util::json::Value entry = util::json::Value::object();
-    entry["name"] = phase.name;
-    entry["fraction"] = phase.fraction;
-    entry["t_ms"] = phase.t_ms;
-    phases.push_back(std::move(entry));
-  }
-  record["phases"] = std::move(phases);
-  return record;
-}
-
-TrialTrace trial_from_json(const util::json::Value& record) {
-  TrialTrace trial;
-  trial.attempt =
-      static_cast<std::uint64_t>(record.number_or("attempt", 0.0));
-  trial.outcome = record.string_or("outcome", "");
-  trial.due_kind = record.string_or("due_kind", "none");
-  trial.injected = record.bool_or("injected", false);
-  trial.model = record.string_or("model", "");
-  trial.site = record.string_or("site", "");
-  trial.category = record.string_or("category", "");
-  trial.frame = record.string_or("frame", "global");
-  trial.worker = static_cast<std::int32_t>(record.number_or("worker", -1.0));
-  trial.slot = static_cast<unsigned>(record.number_or("slot", 0.0));
-  trial.progress_fraction = record.number_or("progress_fraction", 0.0);
-  trial.window = static_cast<unsigned>(record.number_or("window", 0.0));
-  trial.seconds = record.number_or("seconds", 0.0);
-  trial.heartbeats =
-      static_cast<std::uint64_t>(record.number_or("heartbeats", 0.0));
-  trial.escalated_kill = record.bool_or("escalated_kill", false);
-  trial.fork_seconds = record.number_or("fork_seconds", 0.0);
-  trial.setup_skipped = record.bool_or("setup_skipped", false);
-  trial.ts_ms = record.number_or("ts_ms", 0.0);
-  if (const util::json::Value* spans = record.find("spans");
-      spans != nullptr && spans->is_array()) {
-    for (const util::json::Value& entry : spans->as_array()) {
-      trial.spans.push_back({entry.string_or("name", ""),
-                             entry.number_or("t0_ms", 0.0),
-                             entry.number_or("t1_ms", 0.0)});
-    }
-  }
-  if (const util::json::Value* phases = record.find("phases");
-      phases != nullptr && phases->is_array()) {
-    for (const util::json::Value& entry : phases->as_array()) {
-      trial.phases.push_back({entry.string_or("name", ""),
-                              entry.number_or("fraction", 0.0),
-                              entry.number_or("t_ms", 0.0)});
-    }
-  }
-  return trial;
-}
-
-void TraceWriter::trial(const TrialTrace& trial) {
-  write_line(trial_to_json(trial));
 }
 
 // phicheck:ndjson-writer(trace.fabric) record
@@ -248,8 +157,6 @@ TraceContents read_trace(std::istream& is) {
     const std::string type = record.string_or("type", "");
     if (type == "campaign") {
       contents.campaign = std::move(record);
-    } else if (type == "trial") {
-      contents.trials.push_back(trial_from_json(record));
     } else if (type == "fabric") {
       contents.fabric.push_back(std::move(record));
     } else if (type == "end") {

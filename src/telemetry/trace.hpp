@@ -1,14 +1,12 @@
-// Structured trial tracing: one NDJSON record per event, the injector's
-// machine-readable primary output (the FINJ/ZOFI model).
+// Campaign event trace: one NDJSON record per campaign-level event.
 //
-// A campaign writes, alongside the binary write-ahead journal, a trace
-// whose records carry everything the paper's timing/phase analyses need —
-// when each trial forked, where and when the fault was injected (site,
-// fault model, code portion, execution-time fraction), which workload
-// phases ran, and how the outcome was classified — all with monotonic
-// timestamps relative to campaign and trial start. phifi_parse
-// --from-trace reconstructs the Fig. 6 PVF-per-time-window and Sec. 6
-// per-portion criticality tables from this stream alone.
+// A campaign's per-trial record is its write-ahead journal (core/
+// campaign_journal.hpp); phifi_parse --from-journal derives every table
+// and the per-injection CSV from it. The trace carries what the journal
+// does not: a "campaign" header per run segment, the fabric coordinator's
+// worker and lease lifecycle ("fabric"), and an "end" summary with the
+// campaign's wall-clock and DUE-kind split, each on a monotonic clock
+// relative to campaign start.
 //
 // Durability mirrors the journal: records are appended a line at a time;
 // a crash can tear at most the final line, which the reader drops (and
@@ -28,50 +26,6 @@
 
 namespace phifi::telemetry {
 
-/// One timed sub-interval of a trial ("fork", "run", "classify").
-/// Timestamps are milliseconds from the trial's own start, monotonic.
-struct TraceSpan {
-  std::string name;
-  double t0_ms = 0.0;
-  double t1_ms = 0.0;
-};
-
-/// One workload phase transition observed inside the trial child.
-struct TracePhase {
-  std::string name;
-  double fraction = 0.0;  ///< execution progress when the phase began
-  double t_ms = 0.0;      ///< ms from child start, monotonic
-};
-
-/// Everything traced about one trial attempt.
-struct TrialTrace {
-  std::uint64_t attempt = 0;
-  std::string outcome;       ///< "Masked" / "SDC" / "DUE" / "NotInjected"
-  std::string due_kind;      ///< "none" / "crash" / ...
-  bool injected = false;
-  std::string model;         ///< fault model name
-  std::string site;          ///< corrupted variable
-  std::string category;      ///< code portion (Sec. 6 criticality key)
-  std::string frame;         ///< "global" / "worker"
-  std::int32_t worker = -1;  ///< injection frame's device worker, not a slot
-  /// Scheduler slot the trial ran in (0 in single-worker campaigns).
-  unsigned slot = 0;
-  double progress_fraction = 0.0;  ///< time-window fraction (Fig. 6)
-  unsigned window = 0;
-  double seconds = 0.0;
-  std::uint64_t heartbeats = 0;
-  bool escalated_kill = false;
-  /// Seconds from trial start until the trial command was handed to the
-  /// slot's template (the fork span; a respawning template adds its fork).
-  double fork_seconds = 0.0;
-  /// True when the trial paid no workload setup on its critical path:
-  /// every trial except the one that (re)spawned its slot's template.
-  bool setup_skipped = false;
-  double ts_ms = 0.0;  ///< trial start, ms from campaign start (monotonic)
-  std::vector<TraceSpan> spans;
-  std::vector<TracePhase> phases;
-};
-
 /// Campaign-level metadata, the first record of every trace.
 struct TraceCampaign {
   std::string workload;
@@ -81,9 +35,7 @@ struct TraceCampaign {
   std::vector<std::string> models;
   unsigned time_windows = 1;
   bool resumed = false;
-  /// Worker slots the campaign scheduled trials into (--jobs). With more
-  /// than one, trial ts_ms values may be non-monotonic: records commit in
-  /// attempt order, not launch order.
+  /// Worker slots the campaign scheduled trials into (--jobs).
   unsigned jobs = 1;
 };
 
@@ -133,18 +85,16 @@ class TraceWriter {
   TraceWriter& operator=(const TraceWriter&) = delete;
 
   void campaign(const TraceCampaign& header);
-  void trial(const TrialTrace& trial);
   void fabric(const TraceFabricEvent& event);
   void end(const TraceEnd& end);
 
   /// Correlation context stamped into every subsequent record (docs/
   /// FLEET_OBSERVABILITY.md): `run_id` identifies one campaign run across
-  /// every process that served it; `worker_id`/`lease_id` tie a worker's
-  /// records to the coordinator's grant/reclaim events. An empty run id or
-  /// a zero worker/lease id clears the field.
+  /// every process that served it; `worker_id` ties a worker's header to
+  /// the coordinator's lease events. An empty run id or a zero worker id
+  /// clears the field.
   void set_run_id(const std::string& run_id);
   void set_worker(std::uint64_t worker_id);
-  void set_lease(std::uint64_t lease_id);
 
   /// Forces buffered records to disk.
   void sync();
@@ -152,7 +102,7 @@ class TraceWriter {
   [[nodiscard]] std::uint64_t records_written() const { return records_; }
 
   /// Milliseconds since this writer was created (the campaign clock that
-  /// stamps TrialTrace::ts_ms), monotonic.
+  /// stamps fabric events and the end record), monotonic.
   [[nodiscard]] double now_ms() const;
 
  private:
@@ -163,13 +113,11 @@ class TraceWriter {
   std::uint64_t t0_ns_ = 0;
   std::string run_id_;
   std::uint64_t worker_id_ = 0;
-  std::uint64_t lease_id_ = 0;
 };
 
-/// Parsed trace: raw JSON values, plus the decoded trial records.
+/// Parsed trace, as raw JSON values.
 struct TraceContents {
   util::json::Value campaign;       ///< null if the trace lacks a header
-  std::vector<TrialTrace> trials;
   /// Fabric (coordinator) event records, as raw JSON, in stream order.
   std::vector<util::json::Value> fabric;
   util::json::Value end;            ///< null while a campaign is running
@@ -182,9 +130,5 @@ struct TraceContents {
 /// std::runtime_error only if the file cannot be opened.
 TraceContents read_trace(std::istream& is);
 TraceContents read_trace_file(const std::string& path);
-
-/// (De)serialization of single records, exposed for tests and tools.
-util::json::Value trial_to_json(const TrialTrace& trial);
-TrialTrace trial_from_json(const util::json::Value& record);
 
 }  // namespace phifi::telemetry

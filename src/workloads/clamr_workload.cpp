@@ -159,14 +159,10 @@ void Clamr::run(phi::Device& device, fi::ProgressTracker& progress) {
   const TickFn tick = [&progress](std::uint64_t weight) {
     progress.tick(weight);
   };
-  // One phase across all timesteps (the phase log is bounded; per-window
-  // fractions resolve timing inside the loop), one for the output raster.
-  progress.enter_phase("timestep-loop");
   for (unsigned s = 0; s < steps_; ++s) {
     control(0).set(s_step_, s);
     advance_step(&device, tick);
   }
-  progress.enter_phase("rasterize");
   mesh_.rasterize(raster_.span());
 }
 

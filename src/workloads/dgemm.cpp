@@ -35,7 +35,6 @@ void Dgemm::run(phi::Device& device, fi::ProgressTracker& progress) {
   // strides) is written up front, as it is live for the whole kernel on the
   // real device. A corruption of any thread's bounds before that thread
   // runs is consumed, not overwritten.
-  progress.enter_phase("setup-bounds");
   device.launch(workers(), [&](phi::WorkerCtx& ctx) {
     phi::ControlBlock& cb = control(ctx.worker);
     const auto [row_begin, row_end] =
@@ -46,7 +45,6 @@ void Dgemm::run(phi::Device& device, fi::ProgressTracker& progress) {
     cb.set(s_lda_, static_cast<std::int64_t>(n_));
   });
 
-  progress.enter_phase("gemm");
   device.launch(workers(), [&](phi::WorkerCtx& ctx) {
     phi::ControlBlock& cb = control(ctx.worker);
     for (cb.set(s_i_, cb.get(s_row_begin_)); cb.get(s_i_) < cb.get(s_row_end_);

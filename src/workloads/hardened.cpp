@@ -18,7 +18,6 @@ void AbftDgemm::setup(std::uint64_t input_seed) {
 
 void AbftDgemm::run(phi::Device& device, fi::ProgressTracker& progress) {
   Dgemm::run(device, progress);
-  progress.enter_phase("abft-check");
   last_report_ = abft_->check_and_correct(c());
   if (last_report_->uncorrectable) {
     // Detection without correction: abort cleanly, converting a silent
@@ -46,9 +45,7 @@ void RmtLavaMd::run(phi::Device& device, fi::ProgressTracker& progress) {
   LavaMd::run(device, progress);
   const auto forces = LavaMd::forces();
   first_pass_.assign(forces.begin(), forces.end());
-  progress.enter_phase("rmt-second-pass");
   LavaMd::run(device, progress);
-  progress.enter_phase("rmt-compare");
   const auto second = LavaMd::forces();
   if (std::memcmp(first_pass_.data(), second.data(),
                   second.size() * sizeof(double)) != 0) {

@@ -93,13 +93,8 @@ void HotSpot::run(phi::Device& device, fi::ProgressTracker& progress) {
   // once and stay live (= corruptible) for the whole run, as on the card.
   // The hardened variant deliberately removes that exposure by refreshing
   // (scrubbing) the bounds at every iteration.
-  progress.enter_phase("setup-bounds");
   write_worker_bounds(device);
 
-  // One phase for the whole iteration loop, not one per iteration: the
-  // shared-channel phase log is bounded and the per-window fractions in
-  // the trace already resolve timing inside the loop.
-  progress.enter_phase("stencil");
   for (unsigned iter = 0; iter < iterations_; ++iter) {
     if (hardened_) {
       scrub_constants();

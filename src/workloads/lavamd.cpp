@@ -86,7 +86,6 @@ void LavaMd::run(phi::Device& device, fi::ProgressTracker& progress) {
 
   // Prologue: box partition and particles-per-box are loop-invariant; each
   // hardware thread's copies are written once and stay live all run.
-  progress.enter_phase("setup-bounds");
   device.launch(workers(), [&](phi::WorkerCtx& ctx) {
     phi::ControlBlock& cb = control(ctx.worker);
     const auto [begin, end] =
@@ -96,7 +95,6 @@ void LavaMd::run(phi::Device& device, fi::ProgressTracker& progress) {
     cb.set(s_ppb_, static_cast<std::int64_t>(ppb_));
   });
 
-  progress.enter_phase("force-kernel");
   device.launch(workers(), [&](phi::WorkerCtx& ctx) {
     phi::ControlBlock& cb = control(ctx.worker);
     if (cb.get(s_begin_) >= cb.get(s_end_)) return;

@@ -36,11 +36,9 @@ void Lud::run(phi::Device& device, fi::ProgressTracker& progress) {
   float* const volatile* pa = &ptr_a_;
   // Prologue: the leading dimension is loop-invariant; each hardware
   // thread's copy is written once and stays live for the whole run.
-  progress.enter_phase("setup-bounds");
   device.launch(workers(), [&](phi::WorkerCtx& ctx) {
     control(ctx.worker).set(s_n_, static_cast<std::int64_t>(n_));
   });
-  progress.enter_phase("factorize");
   for (std::size_t k = 0; k < n_; ++k) {
     // Step k: rows below the pivot scale their column-k entry and update
     // their trailing submatrix row. Row k and column k are final afterwards.

@@ -54,13 +54,11 @@ void Nw::run(phi::Device& device, fi::ProgressTracker& progress) {
 
   // Prologue: matrix stride and gap penalty are loop-invariant; each
   // hardware thread's copies are written once and stay live all run.
-  progress.enter_phase("setup-bounds");
   device.launch(workers(), [&](phi::WorkerCtx& ctx) {
     phi::ControlBlock& cb = control(ctx.worker);
     cb.set(s_cols_, static_cast<std::int64_t>(cols));
     cb.set(s_penalty_, gap_penalty_);
   });
-  progress.enter_phase("wavefront");
 
   // Wavefront over anti-diagonals d = i + j (1-based matrix coordinates):
   // cells on one diagonal depend only on the two previous diagonals, so a

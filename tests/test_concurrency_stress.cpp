@@ -2,7 +2,7 @@
 //
 // These deliberately hammer the three cross-thread surfaces of the
 // codebase — the MetricsRegistry (hot-path relaxed atomics behind a
-// name-lookup mutex), the SharedChannel heartbeat/phase-log protocol
+// name-lookup mutex), the SharedChannel heartbeat/output protocol
 // (release/acquire publication across what is normally a process
 // boundary), and ProgressTracker's concurrent tick path (one-shot hook
 // exchange plus the monotone pulse) — so the CI TSan job exercises the
@@ -100,7 +100,7 @@ TEST(ConcurrencyStressTest, MetricsRegistryHistogramUnderSnapshot) {
   EXPECT_EQ(bucket_sum, h->count());
 }
 
-TEST(ConcurrencyStressTest, SharedChannelHeartbeatAndPhaseLog) {
+TEST(ConcurrencyStressTest, SharedChannelHeartbeatAndOutput) {
   // In production the writer is the forked child and the reader is the
   // watchdog thread in the parent; same memory, same orderings — threads
   // here make the race visible to TSan.
@@ -114,12 +114,7 @@ TEST(ConcurrencyStressTest, SharedChannelHeartbeatAndPhaseLog) {
     phifi::fi::InjectionRecord record{};
     record.site_index = 7;
     channel.store_record(record);
-    for (int i = 0; i < kIters; ++i) {
-      channel.beat();
-      if (i % 1000 == 0) {
-        channel.store_phase("phase", static_cast<double>(i) / kIters, 0.0);
-      }
-    }
+    for (int i = 0; i < kIters; ++i) channel.beat();
     std::vector<std::byte> bytes(payload.size());
     std::memcpy(bytes.data(), payload.data(), payload.size());
     channel.store_output(bytes);
@@ -135,7 +130,6 @@ TEST(ConcurrencyStressTest, SharedChannelHeartbeatAndPhaseLog) {
     EXPECT_GE(beat, last_beat);
     last_beat = beat;
     if (channel.record_ready()) saw_record = true;
-    (void)channel.phases();
     std::this_thread::yield();
   }
   writer.join();
@@ -148,9 +142,6 @@ TEST(ConcurrencyStressTest, SharedChannelHeartbeatAndPhaseLog) {
   const auto out = channel.output();
   ASSERT_EQ(out.size(), payload.size());
   EXPECT_EQ(std::memcmp(out.data(), payload.data(), payload.size()), 0);
-
-  const auto phases = channel.phases();
-  EXPECT_EQ(phases.size(), static_cast<std::size_t>(kIters / 1000));
 }
 
 TEST(ConcurrencyStressTest, ParallelSlotChannels) {
@@ -176,12 +167,7 @@ TEST(ConcurrencyStressTest, ParallelSlotChannels) {
       phifi::fi::InjectionRecord record{};
       record.site_index = static_cast<unsigned>(s);
       channel.store_record(record);
-      for (int i = 0; i < kIters; ++i) {
-        channel.beat();
-        if (i % 1000 == 0) {
-          channel.store_phase("phase", static_cast<double>(i) / kIters, 0.0);
-        }
-      }
+      for (int i = 0; i < kIters; ++i) channel.beat();
       const std::byte fill{static_cast<unsigned char>(0x40 + s)};
       std::vector<std::byte> bytes(32, fill);
       channel.store_output(bytes);
@@ -198,7 +184,6 @@ TEST(ConcurrencyStressTest, ParallelSlotChannels) {
       EXPECT_GE(beat, last_beat[static_cast<std::size_t>(s)]);
       last_beat[static_cast<std::size_t>(s)] = beat;
       (void)channel.record_ready();
-      (void)channel.phases();
     }
     std::this_thread::yield();
   }

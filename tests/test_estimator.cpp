@@ -6,14 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
-#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -140,92 +138,6 @@ TEST(CampaignEstimator, PublishExportsOverallAndPerCellGauges) {
       metrics.find_gauge("campaign.est.cell.Double.w2.data.sdc_rate");
   ASSERT_NE(cell, nullptr);
   EXPECT_DOUBLE_EQ(cell->value(), util::wilson_interval(1, 2).point);
-}
-
-// The fabric aggregation property: snapshots hold only integer counts, so
-// folding worker estimators into a fleet estimator is associative and
-// commutative — any sharding of the trial stream, folded in any order,
-// must be BIT-identical (intervals included) to one estimator fed every
-// trial directly. This is what lets the coordinator's live numbers equal
-// a --jobs 1 run.
-TEST(CampaignEstimator, FoldIsOrderAndShardingInvariant) {
-  struct SyntheticTrial {
-    EstimatorOutcome outcome;
-    std::string model;
-    unsigned window;
-    std::string category;
-    bool injected;
-  };
-  std::mt19937_64 rng(0xf01dabcdULL);
-  const std::vector<std::string> models = {"Single", "Double", "Random"};
-  const std::vector<std::string> categories = {"data", "control", "addr"};
-  std::vector<SyntheticTrial> trials;
-  trials.reserve(500);
-  for (int i = 0; i < 500; ++i) {
-    SyntheticTrial trial;
-    const auto draw = rng() % 100;
-    trial.outcome = draw < 60   ? EstimatorOutcome::kMasked
-                    : draw < 80 ? EstimatorOutcome::kSdc
-                                : EstimatorOutcome::kDue;
-    trial.model = models[rng() % models.size()];
-    trial.window = static_cast<unsigned>(rng() % 3);
-    trial.category = categories[rng() % categories.size()];
-    trial.injected = rng() % 10 != 0;
-    trials.push_back(std::move(trial));
-  }
-
-  CampaignEstimator reference;
-  for (const SyntheticTrial& trial : trials) {
-    reference.record(trial.outcome, trial.model, trial.window,
-                     trial.category, trial.injected);
-  }
-
-  for (int round = 0; round < 8; ++round) {
-    // Random sharding across a random worker count, then a random fold
-    // order — the interleavings a real fleet produces.
-    const std::size_t workers = 1 + rng() % 7;
-    std::vector<CampaignEstimator> shards(workers);
-    for (const SyntheticTrial& trial : trials) {
-      shards[rng() % workers].record(trial.outcome, trial.model,
-                                     trial.window, trial.category,
-                                     trial.injected);
-    }
-    std::vector<std::size_t> order(workers);
-    for (std::size_t i = 0; i < workers; ++i) order[i] = i;
-    std::shuffle(order.begin(), order.end(), rng);
-
-    CampaignEstimator fleet;
-    for (const std::size_t index : order) {
-      fleet.fold(shards[index].snapshot());
-    }
-    ASSERT_EQ(fleet.total(), reference.total()) << "round " << round;
-    EXPECT_EQ(fleet.counts().masked, reference.counts().masked);
-    EXPECT_EQ(fleet.counts().sdc, reference.counts().sdc);
-    EXPECT_EQ(fleet.counts().due, reference.counts().due);
-    expect_interval_eq(fleet.sdc_interval(), reference.sdc_interval());
-    expect_interval_eq(fleet.due_interval(), reference.due_interval());
-    expect_interval_eq(fleet.masked_interval(),
-                       reference.masked_interval());
-    const std::vector<CellEstimate> fleet_cells = fleet.cells();
-    const std::vector<CellEstimate> ref_cells = reference.cells();
-    ASSERT_EQ(fleet_cells.size(), ref_cells.size()) << "round " << round;
-    for (std::size_t i = 0; i < fleet_cells.size(); ++i) {
-      EXPECT_EQ(fleet_cells[i].key, ref_cells[i].key) << i;
-      EXPECT_EQ(fleet_cells[i].counts.masked, ref_cells[i].counts.masked);
-      EXPECT_EQ(fleet_cells[i].counts.sdc, ref_cells[i].counts.sdc);
-      EXPECT_EQ(fleet_cells[i].counts.due, ref_cells[i].counts.due);
-      expect_interval_eq(fleet_cells[i].sdc, ref_cells[i].sdc);
-      expect_interval_eq(fleet_cells[i].due, ref_cells[i].due);
-    }
-  }
-
-  // Snapshot/fold round trip: a fresh estimator rebuilt from a single
-  // snapshot is indistinguishable from the original.
-  CampaignEstimator rebuilt;
-  rebuilt.fold(reference.snapshot());
-  EXPECT_EQ(rebuilt.total(), reference.total());
-  expect_interval_eq(rebuilt.sdc_interval(), reference.sdc_interval());
-  ASSERT_EQ(rebuilt.cells().size(), reference.cells().size());
 }
 
 // The acceptance cross-check: the streaming estimator fed from the commit

@@ -1,7 +1,8 @@
 // Per-slot fork-server trials: a fixed-seed toy campaign must reproduce a
 // committed oracle draw for draw — at any worker count, across SIGKILL +
-// resume, and across a template process dying mid-campaign — and a cancel
-// must stay prompt even when nobody reaps the orphaned trial processes.
+// resume, and across a template process dying mid-campaign — a cancel
+// must stay prompt even when nobody reaps the orphaned trial processes, and
+// a SIGKILLed campaign process must take its template and trial with it.
 #include <signal.h>
 #include <sys/prctl.h>
 #include <sys/types.h>
@@ -14,6 +15,7 @@
 #include <array>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -309,6 +311,81 @@ TEST(FastPath, CancelIsPromptWhenOrphansStayUnreaped) {
   EXPECT_EQ(WEXITSTATUS(status), 0)
       << "1 = cancel took >= 0.5s, 2 = follow-up trial misclassified, "
          "3 = exception, 4 = cancel orphaned a trial process";
+}
+
+/// First child of `pid` (a single-threaded process) per /proc, or -1.
+pid_t first_child(pid_t pid) {
+  std::ifstream children("/proc/" + std::to_string(pid) + "/task/" +
+                         std::to_string(pid) + "/children");
+  pid_t child = -1;
+  children >> child;
+  return child;
+}
+
+TEST(FastPath, TemplateAndTrialDieWithTheCampaignProcess) {
+  // A hanging trial's only watchdog is the campaign process. When that
+  // process is SIGKILLed, its template and the trial must die too, or they
+  // linger forever holding whatever the campaign held open (a fabric
+  // worker's coordinator socket). This process is the subreaper, so both
+  // reparent here and can be reaped here; a helper runs the campaign.
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    ::setpgid(0, 0);  // survivors keep this group: the test kills them by it
+    ToyWorkload::reset_run_counter();
+    SupervisorConfig config = toy_supervisor_config();
+    config.min_timeout_seconds = 60.0;  // only the SIGKILL ends the hang
+    TrialSupervisor supervisor(&phifi::testing::make_toy_hang, config);
+    supervisor.prepare_golden();
+    CampaignConfig campaign;
+    campaign.trials = 4;
+    campaign.jobs = 1;
+    (void)Campaign(supervisor, campaign).run();
+    ::_exit(0);
+  }
+  ::setpgid(helper, helper);
+
+  // The slot is busy once the helper's template has forked the trial.
+  pid_t template_pid = -1;
+  pid_t trial_pid = -1;
+  for (int i = 0; i < 2000 && trial_pid <= 0; ++i) {
+    if (template_pid <= 0) template_pid = first_child(helper);
+    if (template_pid > 0) trial_pid = first_child(template_pid);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const bool busy = template_pid > 0 && trial_pid > 0;
+  ::kill(helper, SIGKILL);
+  ASSERT_EQ(::waitpid(helper, nullptr, 0), helper);
+
+  // Both reparent here; each counts as gone once it is reaped here.
+  bool template_gone = !busy;
+  bool trial_gone = !busy;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while ((!template_gone || !trial_gone) &&
+         std::chrono::steady_clock::now() < deadline) {
+    if (!template_gone) {
+      template_gone = ::waitpid(template_pid, nullptr, WNOHANG) == template_pid;
+    }
+    if (!trial_gone) {
+      trial_gone = ::waitpid(trial_pid, nullptr, WNOHANG) == trial_pid;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  // Kill and reap whatever survived, so a failing run leaves nothing.
+  ::kill(-helper, SIGKILL);
+  for (int i = 0; i < 400 && ::waitpid(-1, nullptr, WNOHANG) >= 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 0), 0);
+
+  ASSERT_TRUE(busy) << "the helper never had a trial in flight";
+  EXPECT_TRUE(template_gone) << "template " << template_pid
+                             << " outlived the campaign process";
+  EXPECT_TRUE(trial_gone) << "trial " << trial_pid
+                          << " outlived the campaign process";
 }
 
 TEST(FastPath, AdoptedGoldenRunsTrialsWithoutAGoldenRun) {

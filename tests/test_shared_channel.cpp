@@ -117,57 +117,6 @@ TEST(SharedChannel, HeartbeatVisibleAcrossFork) {
   EXPECT_EQ(channel.heartbeat(), 5u);
 }
 
-TEST(SharedChannel, PhaseLogRoundTripsInOrder) {
-  SharedChannel channel(8);
-  EXPECT_TRUE(channel.phases().empty());
-  channel.store_phase("setup", 0.0, 0.001);
-  channel.store_phase("kernel", 0.25, 0.010);
-  const auto phases = channel.phases();
-  ASSERT_EQ(phases.size(), 2u);
-  EXPECT_STREQ(phases[0].name, "setup");
-  EXPECT_DOUBLE_EQ(phases[0].fraction, 0.0);
-  EXPECT_DOUBLE_EQ(phases[0].t_seconds, 0.001);
-  EXPECT_STREQ(phases[1].name, "kernel");
-  EXPECT_DOUBLE_EQ(phases[1].fraction, 0.25);
-
-  channel.reset();
-  EXPECT_TRUE(channel.phases().empty());
-}
-
-TEST(SharedChannel, PhaseLogTruncatesLongNamesAndDropsOverflow) {
-  SharedChannel channel(8);
-  // Names longer than the fixed slot are truncated, not overrun.
-  channel.store_phase("a-phase-name-well-beyond-twenty-four-chars", 0.5,
-                      0.1);
-  const auto one = channel.phases();
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_LT(std::strlen(one[0].name), sizeof(PhaseRecord{}.name));
-
-  // A corrupted child looping on enter_phase must not wedge anything:
-  // transitions past the fixed capacity are silently dropped.
-  for (std::size_t i = 0; i < SharedChannel::kMaxPhases + 10; ++i) {
-    channel.store_phase("loop", 0.5, 0.1);
-  }
-  EXPECT_EQ(channel.phases().size(), SharedChannel::kMaxPhases);
-}
-
-TEST(SharedChannel, PhasesVisibleAcrossFork) {
-  SharedChannel channel(8);
-  const pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    channel.store_phase("child-phase", 0.75, 0.002);
-    _exit(0);
-  }
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-  const auto phases = channel.phases();
-  ASSERT_EQ(phases.size(), 1u);
-  EXPECT_STREQ(phases[0].name, "child-phase");
-  EXPECT_DOUBLE_EQ(phases[0].fraction, 0.75);
-}
-
 TEST(SharedChannel, ZeroCapacityHandlesEmptyOutput) {
   SharedChannel channel(0);
   channel.store_output({});

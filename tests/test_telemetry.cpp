@@ -1,8 +1,8 @@
 // Telemetry subsystem tests: metrics registry semantics, NDJSON trace
 // round-trip and torn-tail durability (mirroring test_campaign_journal),
-// and — via a real toy-workload campaign — span ordering/monotonicity plus
-// the acceptance cross-check that --from-trace aggregation agrees with the
-// journal-derived tallies.
+// and — via a real toy-workload campaign — the trace's header/end bracket
+// plus the acceptance cross-check that the journal fold (phifi_parse
+// --from-journal) agrees with the live tallies.
 #include "telemetry/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <sstream>
 #include <string>
 
-#include "analysis/trace_analysis.hpp"
 #include "core/campaign.hpp"
 #include "core/campaign_journal.hpp"
 #include "telemetry/estimator.hpp"
@@ -116,79 +115,51 @@ TEST(MetricsRegistry, SnapshotCarriesAllMetricKinds) {
 
 // ------------------------------------------------------------------ trace
 
-TrialTrace sample_trace_trial(int i) {
-  TrialTrace trial;
-  trial.attempt = static_cast<std::uint64_t>(i);
-  trial.outcome = i % 3 == 0 ? "Masked" : i % 3 == 1 ? "SDC" : "DUE";
-  trial.due_kind = trial.outcome == "DUE" ? "hang" : "none";
-  trial.injected = true;
-  trial.model = "Double";
-  trial.site = "toy_output";
-  trial.category = "data";
-  trial.frame = i % 2 == 0 ? "global" : "worker";
-  trial.worker = i % 2 == 0 ? -1 : i;
-  trial.progress_fraction = 0.25 + 0.01 * i;
-  trial.window = static_cast<unsigned>(i % 4);
-  trial.seconds = 0.125 * (i + 1);
-  trial.heartbeats = 16u + static_cast<std::uint64_t>(i);
-  trial.escalated_kill = (i % 2) == 1;
-  trial.fork_seconds = 0.001 * (i + 1);
-  trial.setup_skipped = i % 3 != 0;
-  trial.ts_ms = 10.0 * i;
-  trial.spans = {{"fork", 0.0, 0.5}, {"run", 0.5, 3.5}, {"classify", 3.5, 4.0}};
-  trial.phases = {{"setup", 0.0, 0.1}, {"main", 0.5, 1.7}};
-  return trial;
+TraceFabricEvent sample_fabric_event(int i) {
+  TraceFabricEvent event;
+  event.kind = i % 2 == 0 ? "lease_grant" : "lease_done";
+  event.worker = 1 + static_cast<std::uint64_t>(i % 3);
+  event.lease = 1 + static_cast<std::uint64_t>(i);
+  event.begin = 20 * static_cast<std::uint64_t>(i);
+  event.end = event.begin + 20;
+  event.injected = i % 2 == 0 ? 0 : 19;
+  event.ts_ms = 10.0 * i;
+  return event;
 }
 
-void expect_trial_trace_eq(const TrialTrace& a, const TrialTrace& b) {
-  EXPECT_EQ(a.attempt, b.attempt);
-  EXPECT_EQ(a.outcome, b.outcome);
-  EXPECT_EQ(a.due_kind, b.due_kind);
-  EXPECT_EQ(a.injected, b.injected);
-  EXPECT_EQ(a.model, b.model);
-  EXPECT_EQ(a.site, b.site);
-  EXPECT_EQ(a.category, b.category);
-  EXPECT_EQ(a.frame, b.frame);
-  EXPECT_EQ(a.worker, b.worker);
-  EXPECT_DOUBLE_EQ(a.progress_fraction, b.progress_fraction);
-  EXPECT_EQ(a.window, b.window);
-  EXPECT_DOUBLE_EQ(a.seconds, b.seconds);
-  EXPECT_EQ(a.heartbeats, b.heartbeats);
-  EXPECT_EQ(a.escalated_kill, b.escalated_kill);
-  EXPECT_DOUBLE_EQ(a.fork_seconds, b.fork_seconds);
-  EXPECT_EQ(a.setup_skipped, b.setup_skipped);
-  EXPECT_DOUBLE_EQ(a.ts_ms, b.ts_ms);
-  ASSERT_EQ(a.spans.size(), b.spans.size());
-  for (std::size_t i = 0; i < a.spans.size(); ++i) {
-    EXPECT_EQ(a.spans[i].name, b.spans[i].name);
-    EXPECT_DOUBLE_EQ(a.spans[i].t0_ms, b.spans[i].t0_ms);
-    EXPECT_DOUBLE_EQ(a.spans[i].t1_ms, b.spans[i].t1_ms);
-  }
-  ASSERT_EQ(a.phases.size(), b.phases.size());
-  for (std::size_t i = 0; i < a.phases.size(); ++i) {
-    EXPECT_EQ(a.phases[i].name, b.phases[i].name);
-    EXPECT_DOUBLE_EQ(a.phases[i].fraction, b.phases[i].fraction);
-    EXPECT_DOUBLE_EQ(a.phases[i].t_ms, b.phases[i].t_ms);
-  }
+void expect_fabric_event_eq(const util::json::Value& record,
+                            const TraceFabricEvent& event) {
+  EXPECT_EQ(record.string_or("kind", ""), event.kind);
+  EXPECT_DOUBLE_EQ(record.number_or("worker", -1.0),
+                   static_cast<double>(event.worker));
+  EXPECT_DOUBLE_EQ(record.number_or("lease", -1.0),
+                   static_cast<double>(event.lease));
+  EXPECT_DOUBLE_EQ(record.number_or("begin", -1.0),
+                   static_cast<double>(event.begin));
+  EXPECT_DOUBLE_EQ(record.number_or("end", -1.0),
+                   static_cast<double>(event.end));
+  EXPECT_DOUBLE_EQ(record.number_or("injected", -1.0),
+                   static_cast<double>(event.injected));
+  EXPECT_DOUBLE_EQ(record.number_or("ts_ms", -1.0), event.ts_ms);
 }
 
-std::string write_sample_trace(const std::string& name, int trials,
+std::string write_sample_trace(const std::string& name, int events,
                                bool with_end = true) {
   const std::string path = temp_path(name);
   fs::remove(path);
   TraceWriter writer(path);
   TraceCampaign header;
   header.workload = "Toy";
-  header.trials = static_cast<std::uint64_t>(trials);
+  header.trials = 40;
   header.seed = 42;
   header.policy = "carol-fi";
   header.models = {"Single", "Double"};
   header.time_windows = 4;
   writer.campaign(header);
-  for (int i = 0; i < trials; ++i) writer.trial(sample_trace_trial(i));
+  for (int i = 0; i < events; ++i) writer.fabric(sample_fabric_event(i));
   if (with_end) {
     TraceEnd end;
-    end.completed = static_cast<std::uint64_t>(trials);
+    end.completed = 40;
     writer.end(end);
   }
   writer.sync();
@@ -203,10 +174,11 @@ TEST(Trace, RoundTripsAllRecordKinds) {
   EXPECT_EQ(contents.campaign.string_or("workload", ""), "Toy");
   EXPECT_DOUBLE_EQ(contents.campaign.number_or("time_windows", 0.0), 4.0);
   EXPECT_FALSE(contents.end.is_null());
-  EXPECT_DOUBLE_EQ(contents.end.number_or("completed", 0.0), 3.0);
-  ASSERT_EQ(contents.trials.size(), 3u);
+  EXPECT_DOUBLE_EQ(contents.end.number_or("completed", 0.0), 40.0);
+  ASSERT_EQ(contents.fabric.size(), 3u);
   for (int i = 0; i < 3; ++i) {
-    expect_trial_trace_eq(contents.trials[i], sample_trace_trial(i));
+    expect_fabric_event_eq(contents.fabric[static_cast<std::size_t>(i)],
+                           sample_fabric_event(i));
   }
 }
 
@@ -216,7 +188,7 @@ TEST(Trace, WriterCountsRecords) {
   TraceWriter writer(path);
   EXPECT_EQ(writer.records_written(), 0u);
   writer.campaign(TraceCampaign{});
-  writer.trial(sample_trace_trial(0));
+  writer.fabric(sample_fabric_event(0));
   writer.end(TraceEnd{});
   EXPECT_EQ(writer.records_written(), 3u);
   EXPECT_GE(writer.now_ms(), 0.0);
@@ -230,10 +202,10 @@ TEST(Trace, TornTailIsDroppedNotFatal) {
       write_sample_trace("trace_torn.ndjson", 3, /*with_end=*/false);
   fs::resize_file(path, fs::file_size(path) - 5);
   const TraceContents contents = read_trace_file(path);
-  ASSERT_EQ(contents.trials.size(), 2u);
+  ASSERT_EQ(contents.fabric.size(), 2u);
   EXPECT_GT(contents.dropped_bytes, 0u);
   EXPECT_TRUE(contents.end.is_null());
-  expect_trial_trace_eq(contents.trials[1], sample_trace_trial(1));
+  expect_fabric_event_eq(contents.fabric[1], sample_fabric_event(1));
 }
 
 TEST(Trace, GarbageLineDropsItAndTheRest) {
@@ -241,13 +213,13 @@ TEST(Trace, GarbageLineDropsItAndTheRest) {
                                               /*with_end=*/false);
   {
     std::ofstream stream(path, std::ios::app | std::ios::binary);
-    stream << "{\"type\": \"trial\", truncated nonsense\n";
+    stream << "{\"type\": \"fabric\", truncated nonsense\n";
     stream << "{\"type\": \"end\", \"completed\": 1}\n";
   }
   const TraceContents contents = read_trace_file(path);
   // Everything after the corrupt line is untrustworthy: the valid-looking
   // end record behind it must be dropped too, like the journal does.
-  ASSERT_EQ(contents.trials.size(), 1u);
+  ASSERT_EQ(contents.fabric.size(), 1u);
   EXPECT_TRUE(contents.end.is_null());
   EXPECT_GT(contents.dropped_bytes, 0u);
 }
@@ -257,24 +229,28 @@ TEST(Trace, AppendModeExtendsExistingTrace) {
       write_sample_trace("trace_append.ndjson", 1, /*with_end=*/false);
   {
     TraceWriter writer(path, /*truncate=*/false);
-    writer.trial(sample_trace_trial(1));
+    writer.fabric(sample_fabric_event(1));
     writer.end(TraceEnd{});
   }
   const TraceContents contents = read_trace_file(path);
   EXPECT_FALSE(contents.campaign.is_null());
-  ASSERT_EQ(contents.trials.size(), 2u);
+  ASSERT_EQ(contents.fabric.size(), 2u);
   EXPECT_FALSE(contents.end.is_null());
 }
 
 TEST(Trace, UnknownRecordTypesAreSkippedForForwardCompat) {
+  // Record types this reader does not know — a future extension, or the
+  // per-trial records older traces carried — are skipped, not fatal.
   const std::string path = write_sample_trace("trace_unknown.ndjson", 1);
   {
     std::ofstream stream(path, std::ios::app | std::ios::binary);
     stream << "{\"type\": \"future-extension\", \"x\": 1}\n";
+    stream << "{\"type\": \"trial\", \"attempt\": 0}\n";
   }
   const TraceContents contents = read_trace_file(path);
   EXPECT_EQ(contents.dropped_bytes, 0u);
-  EXPECT_EQ(contents.trials.size(), 1u);
+  EXPECT_EQ(contents.fabric.size(), 1u);
+  EXPECT_FALSE(contents.end.is_null());
 }
 
 TEST(Trace, MissingFileThrows) {
@@ -441,7 +417,7 @@ class CampaignTelemetryTest : public ::testing::Test {
   TraceContents contents_;
 };
 
-TEST_F(CampaignTelemetryTest, TraceBracketsEveryAttempt) {
+TEST_F(CampaignTelemetryTest, TraceIsHeaderAndEndRecord) {
   EXPECT_EQ(contents_.dropped_bytes, 0u);
   ASSERT_FALSE(contents_.campaign.is_null());
   EXPECT_EQ(contents_.campaign.string_or("workload", ""), "Toy");
@@ -468,61 +444,20 @@ TEST_F(CampaignTelemetryTest, TraceBracketsEveryAttempt) {
     due_kind_sum += count.as_double();
   }
   EXPECT_DOUBLE_EQ(due_kind_sum, static_cast<double>(result_.overall.due));
-  // One trial record per attempt: completed plus NotInjected retries.
-  EXPECT_EQ(contents_.trials.size(), result_.attempts);
+  // The per-trial record is the journal's: a local trace is its campaign
+  // header and its end record, nothing else.
+  EXPECT_TRUE(contents_.fabric.empty());
+  std::ifstream stream(trace_path_);
+  std::size_t lines = 0;
+  for (std::string line; std::getline(stream, line);) ++lines;
+  EXPECT_EQ(lines, 2u);
 }
 
-TEST_F(CampaignTelemetryTest, SpansAreOrderedAndMonotonic) {
-  ASSERT_FALSE(contents_.trials.empty());
-  double last_ts = -1.0;
-  for (const TrialTrace& trial : contents_.trials) {
-    // Trial start stamps are monotonic on the campaign clock.
-    EXPECT_GE(trial.ts_ms, last_ts);
-    last_ts = trial.ts_ms;
-
-    ASSERT_GE(trial.spans.size(), 3u);
-    EXPECT_EQ(trial.spans.front().name, "fork");
-    EXPECT_EQ(trial.spans.back().name, "classify");
-    double cursor = 0.0;
-    for (const TraceSpan& span : trial.spans) {
-      EXPECT_GE(span.t0_ms, cursor) << span.name;
-      EXPECT_GE(span.t1_ms, span.t0_ms) << span.name;
-      cursor = span.t0_ms;
-    }
-    // Consecutive spans abut: fork ends where run begins, and so on.
-    for (std::size_t i = 1; i < trial.spans.size(); ++i) {
-      EXPECT_GE(trial.spans[i].t0_ms, trial.spans[i - 1].t0_ms);
-    }
-    // Phases from the child are monotonic in both time and progress.
-    double phase_t = -1.0;
-    for (const TracePhase& phase : trial.phases) {
-      EXPECT_GE(phase.t_ms, phase_t);
-      phase_t = phase.t_ms;
-      EXPECT_GE(phase.fraction, 0.0);
-      EXPECT_LE(phase.fraction, 1.0);
-    }
-  }
-}
-
-TEST_F(CampaignTelemetryTest, WorkloadPhasesReachTheTrace) {
-  // The toy workload announces two phases through the shared channel; they
-  // must survive the child->parent->trace path for completed trials.
-  std::size_t with_first = 0;
-  std::size_t with_second = 0;
-  for (const TrialTrace& trial : contents_.trials) {
-    for (const TracePhase& phase : trial.phases) {
-      if (phase.name == "toy-first-half") ++with_first;
-      if (phase.name == "toy-second-half") ++with_second;
-    }
-  }
-  EXPECT_GT(with_first, 0u);
-  EXPECT_GT(with_second, 0u);
-}
-
-TEST_F(CampaignTelemetryTest, TraceAggregationMatchesJournalTallies) {
-  // The acceptance cross-check: --from-trace reconstruction must agree
-  // with the journal-derived counts, table by table.
+TEST_F(CampaignTelemetryTest, JournalFoldMatchesLiveTallies) {
+  // The acceptance cross-check: the journal fold phifi_parse
+  // --from-journal runs must rebuild the live tallies, table by table.
   const fi::JournalContents journal = fi::read_journal(journal_path_);
+  EXPECT_EQ(journal.records.size(), result_.attempts);
   fi::CampaignResult from_journal;
   from_journal.workload = journal.header.workload;
   from_journal.time_windows = journal.header.time_windows;
@@ -531,11 +466,9 @@ TEST_F(CampaignTelemetryTest, TraceAggregationMatchesJournalTallies) {
     fi::accumulate_trial(from_journal, record.trial);
   }
 
-  const fi::CampaignResult from_trace =
-      analysis::aggregate_trace(contents_);
-
-  EXPECT_EQ(from_trace.workload, from_journal.workload);
-  EXPECT_EQ(from_trace.not_injected, from_journal.not_injected);
+  EXPECT_EQ(from_journal.workload, result_.workload);
+  EXPECT_EQ(from_journal.not_injected, result_.not_injected);
+  EXPECT_EQ(from_journal.due_kinds, result_.due_kinds);
   const auto expect_tally_eq = [](const fi::OutcomeTally& a,
                                   const fi::OutcomeTally& b,
                                   const std::string& what) {
@@ -543,28 +476,26 @@ TEST_F(CampaignTelemetryTest, TraceAggregationMatchesJournalTallies) {
     EXPECT_EQ(a.sdc, b.sdc) << what;
     EXPECT_EQ(a.due, b.due) << what;
   };
-  expect_tally_eq(from_trace.overall, from_journal.overall, "overall");
-  for (std::size_t i = 0; i < from_trace.by_model.size(); ++i) {
-    expect_tally_eq(from_trace.by_model[i], from_journal.by_model[i],
+  expect_tally_eq(from_journal.overall, result_.overall, "overall");
+  for (std::size_t i = 0; i < from_journal.by_model.size(); ++i) {
+    expect_tally_eq(from_journal.by_model[i], result_.by_model[i],
                     "model " + std::to_string(i));
   }
-  ASSERT_EQ(from_trace.by_window.size(), from_journal.by_window.size());
-  for (std::size_t i = 0; i < from_trace.by_window.size(); ++i) {
-    expect_tally_eq(from_trace.by_window[i], from_journal.by_window[i],
+  ASSERT_EQ(from_journal.by_window.size(), result_.by_window.size());
+  for (std::size_t i = 0; i < from_journal.by_window.size(); ++i) {
+    expect_tally_eq(from_journal.by_window[i], result_.by_window[i],
                     "window " + std::to_string(i));
   }
-  ASSERT_EQ(from_trace.by_category.size(), from_journal.by_category.size());
-  for (const auto& [category, tally] : from_journal.by_category) {
-    ASSERT_TRUE(from_trace.by_category.contains(category)) << category;
-    expect_tally_eq(from_trace.by_category.at(category), tally, category);
+  ASSERT_EQ(from_journal.by_category.size(), result_.by_category.size());
+  for (const auto& [category, tally] : result_.by_category) {
+    ASSERT_TRUE(from_journal.by_category.contains(category)) << category;
+    expect_tally_eq(from_journal.by_category.at(category), tally, category);
   }
-  for (const auto& [frame, tally] : from_journal.by_frame) {
-    ASSERT_TRUE(from_trace.by_frame.contains(frame)) << frame;
-    expect_tally_eq(from_trace.by_frame.at(frame), tally, frame);
+  ASSERT_EQ(from_journal.by_frame.size(), result_.by_frame.size());
+  for (const auto& [frame, tally] : result_.by_frame) {
+    ASSERT_TRUE(from_journal.by_frame.contains(frame)) << frame;
+    expect_tally_eq(from_journal.by_frame.at(frame), tally, frame);
   }
-
-  // And both agree with the live campaign's own tallies.
-  expect_tally_eq(from_trace.overall, result_.overall, "live overall");
 }
 
 TEST_F(CampaignTelemetryTest, MetricsMatchCampaignResult) {
@@ -593,37 +524,6 @@ TEST_F(CampaignTelemetryTest, MetricsMatchCampaignResult) {
       metrics_.find_histogram("supervisor.poll_interval_ms");
   ASSERT_NE(poll, nullptr);
   EXPECT_GT(poll->count(), 0u);
-}
-
-TEST(TraceAggregation, UnknownOutcomeStringThrows) {
-  TraceContents contents;
-  TrialTrace trial;
-  trial.outcome = "Mangled";
-  contents.trials.push_back(trial);
-  EXPECT_THROW(analysis::aggregate_trace(contents), std::runtime_error);
-}
-
-TEST(TraceAggregation, MergeRejectsWorkloadMismatch) {
-  TraceContents a;
-  a.campaign = util::json::Value::object();
-  a.campaign["workload"] = "Toy";
-  fi::CampaignResult result = analysis::aggregate_trace(a);
-
-  TraceContents b;
-  b.campaign = util::json::Value::object();
-  b.campaign["workload"] = "DGEMM";
-  EXPECT_THROW(analysis::accumulate_trace(result, b), std::runtime_error);
-}
-
-TEST(TraceAggregation, InfersWindowCountWithoutHeader) {
-  TraceContents contents;
-  TrialTrace trial = sample_trace_trial(0);
-  trial.outcome = "Masked";
-  trial.window = 5;
-  contents.trials.push_back(trial);
-  const fi::CampaignResult result = analysis::aggregate_trace(contents);
-  ASSERT_EQ(result.by_window.size(), 6u);
-  EXPECT_EQ(result.by_window[5].masked, 1u);
 }
 
 }  // namespace

@@ -60,9 +60,7 @@ class ToyWorkload : public fi::Workload {
   void run(phi::Device&, fi::ProgressTracker& progress) override {
     const bool golden_run = global_runs_.fetch_add(1) == 0;
     const volatile double* scale = &scale_;
-    progress.enter_phase("toy-first-half");
     for (unsigned step = 0; step < steps_; ++step) {
-      if (step == steps_ / 2) progress.enter_phase("toy-second-half");
       if (!golden_run && step == steps_ / 2) misbehave();
       if (!golden_run && mode_ == Mode::kSlow) {
         // Much slower than the golden run, but still ticking: the heartbeat

@@ -2,9 +2,10 @@
 """Schema check for phifi telemetry outputs (docs/TELEMETRY.md,
 docs/OBSERVATORY.md).
 
-Validates an NDJSON trial trace, a metrics snapshot (JSON or OpenMetrics
-text), and/or a --history campaign ledger produced by phifi_run, and
-cross-checks them against each other when several are given:
+Validates an NDJSON campaign trace, a metrics snapshot (JSON or
+OpenMetrics text), a latency-anatomy profile stream and/or a --history
+campaign ledger produced by phifi_run, and cross-checks them against the
+trace's end record when several are given:
 
     check_telemetry.py --trace campaign.ndjson --metrics metrics.json
     check_telemetry.py --metrics metrics.json --openmetrics metrics.om
@@ -28,7 +29,6 @@ import argparse
 import json
 import sys
 
-OUTCOMES = {"Masked", "SDC", "DUE", "NotInjected"}
 DUE_KINDS = {"none", "crash", "abnormal-exit", "hang", "rlimit", "stall",
              "infra"}
 FABRIC_KINDS = {"worker_join", "worker_leave", "lease_grant", "lease_adopt",
@@ -115,9 +115,6 @@ def schema_self_check(schema):
     """Cross-checks this script's hardcoded field expectations against the
     generated table, so the validator cannot silently lag the writers."""
     expected = {
-        "trace.trial": {"attempt", "outcome", "due_kind", "injected",
-                        "progress_fraction", "window", "seconds", "ts_ms",
-                        "spans", "phases", "fork_seconds", "setup_skipped"},
         "trace.fabric": {"kind", "worker", "lease", "begin", "end",
                          "injected", "ts_ms"},
         "trace.end": {"completed", "masked", "sdc", "due", "not_injected",
@@ -174,57 +171,6 @@ def check_string(record, key, where, allowed=None):
     return value
 
 
-def check_trial(record, where, prev_ts, jobs):
-    check_number(record, "attempt", where, minimum=0)
-    outcome = check_string(record, "outcome", where, allowed=OUTCOMES)
-    check_string(record, "due_kind", where, allowed=DUE_KINDS)
-    require(isinstance(record.get("injected"), bool),
-            f"{where}: 'injected' is not a bool")
-    if outcome == "NotInjected":
-        require(not record["injected"],
-                f"{where}: NotInjected trial claims injected=true")
-    fraction = check_number(record, "progress_fraction", where)
-    require(0.0 <= fraction <= 1.0,
-            f"{where}: progress_fraction {fraction} outside [0, 1]")
-    check_number(record, "window", where, minimum=0)
-    check_number(record, "seconds", where, minimum=0)
-    check_number(record, "fork_seconds", where, minimum=0)
-    require(isinstance(record.get("setup_skipped"), bool),
-            f"{where}: 'setup_skipped' is not a bool")
-    ts = check_number(record, "ts_ms", where, minimum=0)
-    # ts_ms stamps the trial's *launch*; records commit in attempt order.
-    # Single-worker campaigns launch in commit order, so the stream is
-    # monotonic; with jobs > 1 an infra-retried attempt can relaunch after
-    # later attempts launched, so only non-negativity holds there.
-    if jobs <= 1:
-        require(ts >= prev_ts,
-                f"{where}: ts_ms {ts} went backwards (prev {prev_ts})")
-
-    spans = record.get("spans")
-    require(isinstance(spans, list), f"{where}: 'spans' is not an array")
-    cursor = 0.0
-    for i, span in enumerate(spans):
-        span_where = f"{where} span[{i}]"
-        check_string(span, "name", span_where)
-        t0 = check_number(span, "t0_ms", span_where, minimum=0)
-        t1 = check_number(span, "t1_ms", span_where)
-        require(t1 >= t0, f"{span_where}: t1_ms {t1} < t0_ms {t0}")
-        require(t0 >= cursor,
-                f"{span_where}: t0_ms {t0} overlaps previous span")
-        cursor = t0
-
-    phases = record.get("phases")
-    require(isinstance(phases, list), f"{where}: 'phases' is not an array")
-    phase_t = 0.0
-    for i, phase in enumerate(phases):
-        phase_where = f"{where} phase[{i}]"
-        check_string(phase, "name", phase_where)
-        t = check_number(phase, "t_ms", phase_where, minimum=0)
-        require(t >= phase_t, f"{phase_where}: t_ms {t} went backwards")
-        phase_t = t
-    return ts
-
-
 def check_fabric(record, where):
     """Returns the event kind. Fabric records are the coordinator's lease
     lifecycle log (docs/FABRIC.md); lease-less kinds (worker_join/leave)
@@ -250,16 +196,12 @@ def check_fabric(record, where):
 
 
 def check_trace(path):
-    """Returns (trial_count, outcome_counts, end_record_or_None,
-    fabric_kind_counts, run_ids)."""
-    counts = {name: 0 for name in OUTCOMES}
+    """Returns (end_record_or_None, segments, fabric_kind_counts,
+    run_ids)."""
     fabric_counts = {name: 0 for name in FABRIC_KINDS}
     header = None
     segments = 0
     end = None
-    trials = 0
-    prev_ts = 0.0
-    jobs = 1
     run_ids = set()
     unstamped = 0  # records with no run_id (ok only outside fabric runs)
     with open(path, encoding="utf-8") as stream:
@@ -283,10 +225,8 @@ def check_trace(path):
                 unstamped += 1
             if "worker_id" in record:
                 check_number(record, "worker_id", where, minimum=1)
-            if "lease_id" in record:
-                check_number(record, "lease_id", where, minimum=1)
             kind = check_string(record, "type", where)
-            if kind in ("campaign", "trial", "fabric", "end"):
+            if kind in ("campaign", "fabric", "end"):
                 check_fields(record, f"trace.{kind}", where)
             if kind == "campaign":
                 # A resumed campaign appends a second header (resumed=true)
@@ -302,20 +242,12 @@ def check_trace(path):
                             f"{where}: workload changed across resume")
                 check_number(record, "trials", where, minimum=1)
                 check_number(record, "time_windows", where, minimum=1)
-                header = record
-                segments += 1
-                end = None
-                prev_ts = 0.0
                 jobs = record.get("jobs", 1)
                 require(isinstance(jobs, int) and jobs >= 1,
                         f"{where}: 'jobs' = {jobs!r} is not a positive int")
-            elif kind == "trial":
-                require(header is not None,
-                        f"{where}: trial before campaign header")
-                require(end is None, f"{where}: trial after end record")
-                prev_ts = check_trial(record, where, prev_ts, jobs)
-                counts[record["outcome"]] += 1
-                trials += 1
+                header = record
+                segments += 1
+                end = None
             elif kind == "fabric":
                 fabric_counts[check_fabric(record, where)] += 1
             elif kind == "end":
@@ -323,6 +255,9 @@ def check_trace(path):
                 for key in ("completed", "masked", "sdc", "due",
                             "not_injected"):
                     check_number(record, key, where, minimum=0)
+                require(record["masked"] + record["sdc"] + record["due"]
+                        == record["completed"],
+                        f"{where}: masked+sdc+due != completed")
                 check_number(record, "elapsed_ms", where, minimum=0)
                 require(isinstance(record.get("stopped_early"), bool),
                         f"{where}: 'stopped_early' is not a bool")
@@ -342,9 +277,9 @@ def check_trace(path):
             # Unknown types are forward-compatible: skip.
     set_offending_line(None)  # whole-file checks below have no single line
     fabric_total = sum(fabric_counts.values())
-    # A fabric coordinator's trace is pure lease lifecycle — no campaign
-    # header, no trial records. Anything else must lead with a header.
-    require(header is not None or (fabric_total > 0 and trials == 0),
+    # A fabric coordinator's trace is pure lease lifecycle, with no
+    # campaign header. Anything else must lead with a header.
+    require(header is not None or fabric_total > 0,
             f"{path}: no campaign header record")
     if fabric_total > 0:
         require(fabric_counts["lease_grant"] + fabric_counts["lease_adopt"]
@@ -359,31 +294,10 @@ def check_trace(path):
                 f"trace")
         require(len(run_ids) == 1,
                 f"{path}: expected one run_id, saw {sorted(run_ids)}")
-    if end is not None and not (fabric_total > 0 and trials == 0):
-        # The final end record tallies the whole campaign. A single-segment
-        # trace must match it exactly; a resumed trace may fall short of it
-        # by the records a crash tore off before the resume replayed them
-        # from the journal. (A coordinator trace is exempt: its end record
-        # is the *fleet* tally folded from lease details, with no local
-        # trial records to compare — cross-checked via --history instead.)
-        completed = counts["Masked"] + counts["SDC"] + counts["DUE"]
-        for key, expect in (("completed", completed),
-                            ("masked", counts["Masked"]),
-                            ("sdc", counts["SDC"]),
-                            ("due", counts["DUE"]),
-                            ("not_injected", counts["NotInjected"])):
-            if segments == 1:
-                require(end[key] == expect,
-                        f"{path}: end.{key} = {end[key]} but trial records "
-                        f"tally {expect}")
-            else:
-                require(end[key] >= expect,
-                        f"{path}: end.{key} = {end[key]} < trial-record "
-                        f"tally {expect}")
-    print(f"check_telemetry: trace OK: {path} ({trials} trial records, "
-          f"{fabric_total} fabric records, {segments} segment(s), "
+    print(f"check_telemetry: trace OK: {path} ({fabric_total} fabric "
+          f"records, {segments} segment(s), "
           f"end={'present' if end else 'absent'})")
-    return trials, counts, end, fabric_counts, run_ids
+    return end, segments, fabric_counts, run_ids
 
 
 def check_metrics(path):
@@ -638,7 +552,7 @@ def check_history(path):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trace", help="NDJSON trial trace to validate")
+    parser.add_argument("--trace", help="NDJSON campaign trace to validate")
     parser.add_argument("--metrics", help="JSON metrics snapshot to validate")
     parser.add_argument("--openmetrics",
                         help="OpenMetrics text exposition to validate "
@@ -670,39 +584,31 @@ def main():
     history = check_history(args.history) if args.history else None
     profile_records = check_profile(args.profile) if args.profile else None
 
+    # Every cross-check reads the trace's end record: the campaign tally of
+    # a local run, the fleet fold of the LeaseDone details on a coordinator.
+    if trace is not None and (counters is not None or history is not None
+                              or profile_records is not None):
+        end, segments, fabric_counts, run_ids = trace
+        require(end is not None, "trace has no end record to cross-check")
+
     if trace is not None and profile_records is not None:
         # The profiler observes every committed attempt (NotInjected ones
-        # included) and skips journal-replayed ones, exactly like the trace
-        # writer — so a same-run pair must have equal record counts.
-        trial_count = trace[0]
-        require(profile_records == trial_count,
-                f"profile has {profile_records} records but the trace has "
-                f"{trial_count} trial records (every committed attempt "
-                f"must be profiled exactly once)")
-        print("check_telemetry: trace and profile agree")
+        # included) and skips journal-replayed ones, so on a single-segment
+        # trace its record count is the end record's attempt count.
+        if segments == 1:
+            attempts = end["completed"] + end["not_injected"]
+            require(profile_records == attempts,
+                    f"profile has {profile_records} records but the end "
+                    f"record counts {attempts} attempts (every committed "
+                    f"attempt must be profiled exactly once)")
+            print("check_telemetry: end record and profile agree")
 
     if trace is not None and counters is not None:
-        trial_count, counts, end, fabric_counts, _ = trace
-        if trial_count == 0 and sum(fabric_counts.values()) > 0:
-            # Coordinator: no trial records, but its campaign.* counters and
-            # its end record are both the fleet fold of the LeaseDone
-            # details, so a same-run pair must agree exactly.
-            require(end is not None,
-                    "coordinator trace has no end record to cross-check")
-            for key in ("completed", "masked", "sdc", "due"):
-                value = counters.get(f"campaign.{key}", 0)
-                require(value == end[key],
-                        f"campaign.{key} = {value} but the coordinator's "
-                        f"end record says {end[key]}")
-            print("check_telemetry: coordinator counters and fleet tally "
-                  "agree")
-        for outcome, counter in (("Masked", "campaign.masked"),
-                                 ("SDC", "campaign.sdc"),
-                                 ("DUE", "campaign.due")):
-            if counter in counters and trial_count > 0:
-                require(counters[counter] == counts[outcome],
-                        f"{counter} = {counters[counter]} but the trace "
-                        f"tallies {counts[outcome]}")
+        for key in ("completed", "masked", "sdc", "due"):
+            value = counters.get(f"campaign.{key}", 0)
+            require(value == end[key],
+                    f"campaign.{key} = {value} but the end record says "
+                    f"{end[key]}")
         # The coordinator increments these counters at the same sites it
         # traces the matching lifecycle event, so a same-run pair must agree.
         for kind, counter in (("lease_grant", "fabric.leases_granted"),
@@ -713,33 +619,18 @@ def main():
                         f"has {fabric_counts[kind]} {kind} events")
         print("check_telemetry: trace and metrics agree")
     if trace is not None and history is not None:
-        trial_count, counts, end, fabric_counts, run_ids = trace
+        # On a coordinator the history is typically a replay of the merged
+        # shard journals, so equality proves the live fold == the merge.
         latest = history[-1]
-        if trial_count == 0 and sum(fabric_counts.values()) > 0:
-            # Coordinator trace: no trial records, but the end record is
-            # the exact fleet tally folded from per-attempt lease details.
-            # The history here is a replay of the merged shard journals, so
-            # equality proves the live fold == the post-campaign merge.
-            require(end is not None,
-                    "coordinator trace has no end record to cross-check")
-            for key in ("completed", "masked", "sdc", "due"):
-                require(latest[key] == end[key],
-                        f"history.{key} = {latest[key]} but the "
-                        f"coordinator's fleet tally says {end[key]}")
-            print("check_telemetry: coordinator fleet tally and "
-                  "merged-journal history agree")
-        else:
-            for outcome, key in (("Masked", "masked"), ("SDC", "sdc"),
-                                 ("DUE", "due")):
-                require(latest[key] == counts[outcome],
-                        f"history.{key} = {latest[key]} but the trace "
-                        f"tallies {counts[outcome]}")
-            print("check_telemetry: trace and history agree")
+        for key in ("completed", "masked", "sdc", "due"):
+            require(latest[key] == end[key],
+                    f"history.{key} = {latest[key]} but the end record "
+                    f"says {end[key]}")
+        print("check_telemetry: trace and history agree")
         if run_ids and latest.get("run_id"):
             require(latest["run_id"] in run_ids,
                     f"history run_id {latest['run_id']!r} does not match "
                     f"the trace ({sorted(run_ids)})")
-
 
 if __name__ == "__main__":
     main()

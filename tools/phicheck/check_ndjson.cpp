@@ -2,7 +2,7 @@
 // source of truth for every NDJSON record family the project emits (trace,
 // history, fabric wire payloads). Writer functions carry
 //
-//   // phicheck:ndjson-writer(trace.trial) record
+//   // phicheck:ndjson-writer(trace.end) record
 //
 // naming their family and the local variable whose `var["field"] = ...`
 // assignments build the record. The checker cross-checks the emitted field

@@ -21,8 +21,8 @@ namespace phicheck {
 namespace {
 
 struct ShmStruct {
-  std::string qualified;   ///< e.g. phifi::fi::PhaseRecord
-  std::string tail;        ///< PhaseRecord
+  std::string qualified;   ///< e.g. phifi::fi::InjectionRecord
+  std::string tail;        ///< InjectionRecord
   long size = -1;          ///< size= pin; -1 when missing
   bool atomic_ok = false;  ///< `atomic` flag: lock-free asserts, no copyable
   std::string file;
@@ -58,7 +58,7 @@ std::string tail_name(const std::string& qualified) {
 }
 
 /// Last identifier of the member's type text — the tag name for user types
-/// ("PhaseRecord phases[32]" -> "PhaseRecord", "std :: uint64_t" ->
+/// ("InjectionRecord record" -> "InjectionRecord", "std :: uint64_t" ->
 /// "uint64_t").
 std::string type_tag(const std::string& type_text) {
   std::istringstream words(type_text);

@@ -21,8 +21,8 @@ struct Token {
 };
 
 /// One `phicheck:<directive> [args...]` comment. Example:
-///   // phicheck:shm-pod phifi::fi::PhaseRecord size=40
-/// parses to {line, "shm-pod", "phifi::fi::PhaseRecord size=40"}.
+///   // phicheck:shm-pod phifi::fi::InjectionRecord size=152
+/// parses to {line, "shm-pod", "phifi::fi::InjectionRecord size=152"}.
 struct Annotation {
   int line = 0;
   std::string directive;

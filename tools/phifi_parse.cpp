@@ -1,15 +1,14 @@
-// phifi_parse: the artifact's parser-scripts analog. Reads one or more
-// per-trial CSV logs written by phifi_run (or Campaign + TrialLogWriter),
-// aggregates them, and prints the outcome/model/window/category tables —
-// so stored campaigns can be analyzed or merged without re-running
-// anything. With --from-journal it reads binary write-ahead journals
-// instead, so a campaign's results can be re-derived from the journal
-// alone (e.g. after a crash, without a CSV log ever having been written).
-// With --from-trace it reads the NDJSON telemetry trace, rebuilding the
-// Fig. 6 PVF-per-time-window and Sec. 6 criticality tables from the
-// observability stream — which must agree with the journal-derived counts
-// for the same campaign. --json renders every table as one JSON document
-// so CI and notebooks can diff results.
+// phifi_parse: the artifact's parser-scripts analog. With --from-journal
+// it reads campaign write-ahead journals — the one per-trial record a
+// campaign keeps — folds them through the commit point's own
+// accumulate_trial, and prints the outcome/model/window/category tables
+// (Fig. 4-6, Sec. 6), so stored campaigns can be analyzed or combined
+// without re-running anything. --json renders every table as one JSON
+// document so CI and notebooks can diff results; --csv prints one
+// journal's per-injection log instead (CAROL-FI's published log format).
+// Journals of different campaigns combine; two journals of one campaign
+// (fabric shards, or the same file twice) are refused — phifi_merge
+// combines shards into one journal first.
 //
 // With --drift it compares the latest record of two --history ledgers with
 // per-cell two-proportion z-tests and exits 3 when any slice moved
@@ -20,16 +19,14 @@
 // table (count, p50, p95, p99, mean) from the folded log2 histograms —
 // the same fold the fleet coordinator applies, so the numbers agree.
 //
-//   $ phifi_parse [--json] <log.csv> [more.csv ...]
 //   $ phifi_parse [--json] --from-journal <campaign.jnl> [more.jnl ...]
-//   $ phifi_parse [--json] --from-trace <campaign.trace> [more ...]
+//   $ phifi_parse --from-journal --csv <campaign.jnl>
 //   $ phifi_parse [--json] --profile <campaign.profile> [more ...]
 //   $ phifi_parse [--json] --drift <baseline.ndjson> <current.ndjson>
 //                 [--alpha <a>]
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
@@ -37,12 +34,10 @@
 
 #include "analysis/drift.hpp"
 #include "analysis/pvf.hpp"
-#include "analysis/trace_analysis.hpp"
 #include "core/campaign_journal.hpp"
 #include "core/trial_log.hpp"
 #include "telemetry/history.hpp"
 #include "telemetry/profiler.hpp"
-#include "telemetry/trace.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
@@ -58,6 +53,10 @@ int aggregate_journals(const std::vector<std::string>& files,
   using namespace phifi;
   unsigned windows = 1;
   std::vector<fi::JournalContents> journals;
+  // Fingerprint -> first file that carried it: attempt indices of one
+  // campaign overlap across its journals, so summing them would count
+  // re-executed attempts twice.
+  std::map<std::uint64_t, std::string> campaigns;
   for (const std::string& file : files) {
     try {
       journals.push_back(fi::read_journal(file));
@@ -69,6 +68,14 @@ int aggregate_journals(const std::vector<std::string>& files,
       windows = std::max(windows, journals.back().header.time_windows);
     } catch (const std::exception& error) {
       std::cerr << "phifi_parse: " << file << ": " << error.what() << "\n";
+      return 1;
+    }
+    const auto [seen, fresh] =
+        campaigns.emplace(journals.back().header.fingerprint, file);
+    if (!fresh) {
+      std::cerr << "phifi_parse: " << seen->second << " and " << file
+                << " are journals of the same campaign; combine shards "
+                   "with phifi_merge and parse the merged journal\n";
       return 1;
     }
   }
@@ -110,28 +117,6 @@ int aggregate_journals(const std::vector<std::string>& files,
   return 0;
 }
 
-/// Loads NDJSON traces and rebuilds the tallies via analysis::accumulate_trace.
-int aggregate_traces(const std::vector<std::string>& files,
-                     phifi::fi::CampaignResult* result, std::size_t* trials) {
-  using namespace phifi;
-  for (const std::string& file : files) {
-    try {
-      const telemetry::TraceContents contents =
-          telemetry::read_trace_file(file);
-      if (contents.dropped_bytes > 0) {
-        std::cerr << "phifi_parse: " << file << ": dropped "
-                  << contents.dropped_bytes << " bytes of torn tail\n";
-      }
-      analysis::accumulate_trace(*result, contents);
-      *trials += contents.trials.size();
-    } catch (const std::exception& error) {
-      std::cerr << "phifi_parse: " << file << ": " << error.what() << "\n";
-      return 1;
-    }
-  }
-  return 0;
-}
-
 Value tally_json(const phifi::fi::OutcomeTally& tally) {
   Value entry = Value::object();
   entry["injections"] = tally.total();
@@ -144,11 +129,10 @@ Value tally_json(const phifi::fi::OutcomeTally& tally) {
   return entry;
 }
 
-void print_json(const phifi::fi::CampaignResult& result, std::size_t trials,
-                const std::string& source) {
+void print_json(const phifi::fi::CampaignResult& result, std::size_t trials) {
   using namespace phifi;
   Value root = Value::object();
-  root["source"] = source;
+  root["source"] = std::string("journal");
   root["workload"] = result.workload;
   root["trials"] = static_cast<std::uint64_t>(trials);
   root["not_injected"] = result.not_injected;
@@ -181,12 +165,11 @@ void print_json(const phifi::fi::CampaignResult& result, std::size_t trials,
   std::cout << root.dump() << "\n";
 }
 
-void print_text(const phifi::fi::CampaignResult& result, std::size_t trials,
-                const std::string& source) {
+void print_text(const phifi::fi::CampaignResult& result, std::size_t trials) {
   using namespace phifi;
   util::Table outcomes(
-      "Aggregated outcomes (" + std::to_string(trials) + " trials" +
-      (source == "csv" ? "" : ", from " + source) +
+      "Aggregated outcomes (" + std::to_string(trials) +
+      " trials, from journal" +
       (result.workload.empty() ? "" : ", " + result.workload) + ")");
   outcomes.set_header({"slice", "injections", "masked", "sdc", "due"});
   auto add_row = [&outcomes](const std::string& label,
@@ -396,17 +379,18 @@ int main(int argc, char** argv) {
   using namespace phifi;
 
   bool json = false;
-  std::string source = "csv";
+  bool csv = false;
+  std::string source;
   double alpha = 0.05;
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json") {
       json = true;
+    } else if (arg == "--csv") {
+      csv = true;
     } else if (arg == "--from-journal") {
       source = "journal";
-    } else if (arg == "--from-trace") {
-      source = "trace";
     } else if (arg == "--profile") {
       source = "profile";
     } else if (arg == "--drift") {
@@ -425,16 +409,17 @@ int main(int argc, char** argv) {
       files.push_back(arg);
     }
   }
-  if (files.empty() || (source == "drift" && files.size() != 2)) {
-    std::cerr << "usage: phifi_parse [--json] <log.csv> [more.csv ...]\n"
-              << "       phifi_parse [--json] --from-journal <campaign.jnl> "
+  if (source.empty() || files.empty() ||
+      (source == "drift" && files.size() != 2) ||
+      (csv && (source != "journal" || json || files.size() != 1))) {
+    std::cerr << "usage: phifi_parse [--json] --from-journal <campaign.jnl> "
                  "[more ...]\n"
-              << "       phifi_parse [--json] --from-trace <campaign.trace> "
-                 "[more ...]\n"
+              << "       phifi_parse --from-journal --csv <campaign.jnl>\n"
               << "       phifi_parse [--json] --profile <campaign.profile> "
                  "[more ...]\n"
               << "       phifi_parse [--json] --drift <baseline.ndjson> "
                  "<current.ndjson> [--alpha <a>]\n"
+              << "--csv prints one journal's per-injection log\n"
               << "--profile renders the per-workload phase latency table "
                  "from phifi_run --profile output\n"
               << "--drift compares the latest campaign record of two "
@@ -450,40 +435,14 @@ int main(int argc, char** argv) {
 
   fi::CampaignResult result;
   std::size_t trials = 0;
-  if (source == "journal") {
-    const int status = aggregate_journals(files, &result, &trials);
-    if (status != 0) return status;
-  } else if (source == "trace") {
-    const int status = aggregate_traces(files, &result, &trials);
-    if (status != 0) return status;
+  const int status = aggregate_journals(files, &result, &trials);
+  if (status != 0) return status;
+  if (csv) {
+    fi::TrialLogWriter(std::cout).append_all(result);
+  } else if (json) {
+    print_json(result, trials);
   } else {
-    std::vector<fi::TrialLogEntry> entries;
-    for (const std::string& file : files) {
-      std::ifstream stream(file);
-      if (!stream) {
-        std::cerr << "phifi_parse: cannot open '" << file << "'\n";
-        return 2;
-      }
-      try {
-        auto batch = fi::TrialLogReader::read(stream);
-        entries.insert(entries.end(), batch.begin(), batch.end());
-      } catch (const std::exception& error) {
-        std::cerr << "phifi_parse: " << file << ": " << error.what() << "\n";
-        return 1;
-      }
-    }
-    unsigned windows = 1;
-    for (const auto& entry : entries) {
-      windows = std::max(windows, entry.window + 1);
-    }
-    result = fi::TrialLogReader::aggregate(entries, windows);
-    trials = entries.size();
-  }
-
-  if (json) {
-    print_json(result, trials, source);
-  } else {
-    print_text(result, trials, source);
+    print_text(result, trials);
   }
   return 0;
 }

@@ -267,7 +267,6 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    const std::string base_log = config.log_file;
     const std::string base_journal = config.journal_file;
     const std::string base_trace = config.trace_file;
     const std::string base_profile = config.profile_file;
@@ -275,9 +274,6 @@ int main(int argc, char** argv) {
     for (int rep = 0; rep < repetitions; ++rep) {
       if (repetitions > 1) {
         config.seed = config.seed + 0x9e3779b9ULL * (rep + 1);
-        if (!base_log.empty()) {
-          config.log_file = base_log + "." + std::to_string(rep);
-        }
         if (!base_journal.empty()) {
           config.journal_file = base_journal + "." + std::to_string(rep);
         }
