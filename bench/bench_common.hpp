@@ -10,14 +10,10 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <string>
 
 #include "core/campaign.hpp"
 #include "core/supervisor.hpp"
-#include "telemetry/history.hpp"  // git_describe
-#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
 #include "workloads/registry.hpp"
@@ -71,30 +67,6 @@ inline void print_table(const util::Table& table) {
   std::cout << "\nCSV:\n";
   table.print_csv(std::cout);
   std::cout << "\n";
-}
-
-/// Version of the BENCH_*.json document layout. Bump when a bench renames
-/// its point keys; tools/bench_diff.py refuses to compare across versions.
-inline constexpr std::uint64_t kBenchSchemaVersion = 1;
-
-/// Starts a BENCH_*.json document with the provenance stamp every emitter
-/// shares: bench name, schema version, and the `git describe` of the tree
-/// the binary was run from — so a committed baseline records what it
-/// measured and bench_diff.py can reject cross-schema comparisons.
-inline util::json::Value bench_doc(const std::string& name) {
-  util::json::Value doc = util::json::Value::object();
-  doc["bench"] = name;
-  doc["schema_version"] = kBenchSchemaVersion;
-  doc["git_describe"] = telemetry::git_describe();
-  return doc;
-}
-
-/// Writes a bench document as one JSON line and announces it on stdout.
-inline void write_bench_doc(const util::json::Value& doc,
-                            const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  out << doc.dump() << "\n";
-  std::cout << "wrote " << path << "\n";
 }
 
 }  // namespace phifi::bench

@@ -91,10 +91,8 @@ TrialProfiler::TrialProfiler(const std::string& path, bool truncate) {
 }
 
 TrialProfiler::~TrialProfiler() {
-  if (fd_ >= 0) {
-    ::fsync(fd_);
-    ::close(fd_);
-  }
+  ::fsync(fd_);
+  ::close(fd_);
 }
 
 void TrialProfiler::set_workload(std::string workload) {
@@ -141,7 +139,6 @@ void TrialProfiler::trial(const TrialProfile& profile) {
   for (std::size_t p = 0; p < kProfilePhaseCount; ++p) {
     accumulated_.phases[p].observe(profile.phase_us[p]);
   }
-  if (fd_ < 0) return;  // accumulate-only: no syscalls, no allocations
   util::json::Value record = trial_profile_to_json(profile);
   if (profile.workload.empty() && !workload_.empty()) {
     record["workload"] = workload_;
@@ -159,7 +156,7 @@ void TrialProfiler::trial(const TrialProfile& profile) {
 
 void TrialProfiler::sync() {
   // phicheck:blocking-ok(explicit flush API called at campaign end, not from the event loop; reached via same-name 'sync' union)
-  if (fd_ >= 0) ::fsync(fd_);
+  ::fsync(fd_);
 }
 
 // phicheck:ndjson-writer(stats.profile_phase) entry

@@ -17,10 +17,9 @@
 //
 // Like the tracer, the profiler is opt-in with a nullptr fast path: no
 // profiler pointer in CampaignConfig means the commit path does not even
-// read a clock for it. With a pointer but no file, it accumulates
-// histograms without a single syscall or allocation per trial; with a
-// file it additionally appends one NDJSON `profile` record per committed
-// trial (torn-tail drop semantics shared with the tracer).
+// read a clock for it. An attached profiler accumulates the histograms
+// and appends one NDJSON `profile` record per committed trial to its file
+// (torn-tail drop semantics shared with the tracer).
 #pragma once
 
 #include <array>
@@ -144,9 +143,6 @@ struct TrialProfile {
 /// estimator.
 class TrialProfiler {
  public:
-  /// Accumulate-only profiler: no file, no syscalls on the trial path.
-  TrialProfiler() = default;
-
   /// Accumulates and appends one NDJSON record per trial to `path`.
   /// `truncate=false` appends (resumed campaigns keep their history).
   explicit TrialProfiler(const std::string& path, bool truncate = true);
@@ -159,12 +155,11 @@ class TrialProfiler {
   void set_workload(std::string workload);
 
   /// Observes one committed trial: every phase lands in its histogram,
-  /// and (file-backed only) one `profile` record is appended.
+  /// and one `profile` record is appended.
   void trial(const TrialProfile& profile);
 
   [[nodiscard]] ProfileSnapshot snapshot() const { return accumulated_; }
   [[nodiscard]] std::uint64_t records_written() const { return records_; }
-  [[nodiscard]] bool writing() const { return fd_ >= 0; }
 
   /// Flushes the record file (campaign end / segment boundary).
   void sync();

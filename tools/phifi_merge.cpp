@@ -36,6 +36,9 @@ int main(int argc, char** argv) {
       options.out_path = argv[++i];
     } else if (arg == "--allow-torn-tail") {
       options.allow_torn_tail = true;
+    } else if (arg.starts_with("--")) {
+      std::cerr << "phifi_merge: unknown option '" << arg << "'\n";
+      return 2;
     } else if (config_path.empty()) {
       config_path = arg;
     } else {

@@ -405,6 +405,9 @@ int main(int argc, char** argv) {
         std::cerr << "phifi_parse: --alpha must be in (0, 1)\n";
         return 2;
       }
+    } else if (arg.starts_with("--")) {
+      std::cerr << "phifi_parse: unknown option '" << arg << "'\n";
+      return 2;
     } else {
       files.push_back(arg);
     }

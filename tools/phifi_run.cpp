@@ -194,6 +194,9 @@ int main(int argc, char** argv) {
         std::cerr << "phifi_run: bad --progress interval '" << value << "'\n";
         return 2;
       }
+    } else if (arg.starts_with("--")) {
+      std::cerr << "phifi_run: unknown option '" << arg << "'\n";
+      return 2;
     } else {
       repetitions = std::atoi(argv[i]);
       if (repetitions < 1) {
