@@ -12,32 +12,19 @@
 #include <cmath>
 
 #include "bench/bench_common.hpp"
-#include "radiation/beam_campaign.hpp"
 
 int main() {
   using namespace phifi;
   util::init_log_from_env();
-
-  const phi::ResourceMap map =
-      phi::ResourceMap::for_spec(phi::DeviceSpec::knights_corner_3120a());
-  const radiation::DeviceSensitivity sensitivity =
-      radiation::DeviceSensitivity::knc_3120a(map);
 
   util::Table table("Ablation: SDC FIT vs accelerated flux (DGEMM)");
   table.set_header({"flux [n/cm^2 s]", "runs", "strikes/run", "sdc_fit",
                     "due_fit", "multi-fault runs"});
 
   for (const double flux : {1.0e5, 5.0e5, 1.0e6, 2.5e6}) {
-    fi::TrialSupervisor supervisor(work::find_workload("DGEMM"),
-                                   bench::bench_supervisor_config());
-    supervisor.prepare_golden();
-    radiation::BeamConfig config;
-    config.flux = flux;
-    config.seed = 0xf1fd;
-    config.min_sdc = bench::beam_min_sdc() / 2;
-    config.min_due = bench::beam_min_due() / 2;
-    radiation::BeamCampaign campaign(supervisor, sensitivity, config);
-    const radiation::BeamResult result = campaign.run();
+    const radiation::BeamResult result = bench::run_beam(
+        work::find_workload("DGEMM"), 0xf1fd, bench::beam_min_sdc() / 2,
+        bench::beam_min_due() / 2, flux);
 
     const double strikes_per_run =
         result.runs == 0 ? 0.0

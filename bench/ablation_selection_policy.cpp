@@ -23,8 +23,7 @@ int main() {
     table.set_header({"policy", "masked", "sdc", "due",
                       "control+pointer share", "control+pointer due_rate"});
 
-    fi::TrialSupervisor supervisor(work::find_workload(workload_name),
-                                   bench::bench_supervisor_config());
+    fi::TrialSupervisor supervisor(work::find_workload(workload_name));
     supervisor.prepare_golden();
 
     for (fi::SelectionPolicy policy : policies) {

@@ -5,15 +5,19 @@
 // aligned text table plus CSV. Campaign sizes default to values that keep
 // a full `for b in bench/*; do $b; done` run in minutes; set PHIFI_TRIALS
 // (fault-injection campaigns) or PHIFI_BEAM_SDC (beam campaigns) to scale
-// up toward the paper's 10k-injection / >100-error campaigns.
+// up toward the paper's 10k-injection / >100-error campaigns. Campaigns run
+// at one job per hardware thread; their tallies do not depend on it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <thread>
 
 #include "core/campaign.hpp"
 #include "core/supervisor.hpp"
+#include "radiation/beam.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
 #include "workloads/registry.hpp"
@@ -36,18 +40,11 @@ inline std::size_t campaign_trials() {
 inline std::size_t beam_min_sdc() { return env_size("PHIFI_BEAM_SDC", 100); }
 inline std::size_t beam_min_due() { return env_size("PHIFI_BEAM_DUE", 40); }
 
-inline fi::SupervisorConfig bench_supervisor_config() {
-  fi::SupervisorConfig config;
-  config.device_os_threads = 1;  // trial children are single-threaded hosts
-  config.min_timeout_seconds = 1.0;
-  config.timeout_factor = 30.0;
-  return config;
-}
-
 inline fi::CampaignConfig bench_campaign_config(std::uint64_t seed) {
   fi::CampaignConfig config;
   config.trials = campaign_trials();
   config.seed = seed;
+  config.jobs = std::max(1u, std::thread::hardware_concurrency());
   return config;
 }
 
@@ -56,10 +53,33 @@ inline fi::CampaignResult run_campaign(const work::WorkloadInfo& info,
                                        std::uint64_t seed,
                                        const fi::TrialObserver& observer =
                                            nullptr) {
-  fi::TrialSupervisor supervisor(info.factory, bench_supervisor_config());
+  fi::TrialSupervisor supervisor(info.factory);
   supervisor.prepare_golden();
   fi::Campaign campaign(supervisor, bench_campaign_config(seed));
   return campaign.run(observer);
+}
+
+/// Runs one beam campaign (Sec. 4) for a workload on the Knights Corner
+/// 3120A sensitivity model until it holds min_sdc SDCs and min_due DUEs.
+inline radiation::BeamResult run_beam(
+    const fi::WorkloadFactory& factory, std::uint64_t seed,
+    std::uint64_t min_sdc, std::uint64_t min_due,
+    double flux = radiation::kDefaultFlux) {
+  fi::TrialSupervisor supervisor(factory);
+  supervisor.prepare_golden();
+  const radiation::DeviceSensitivity sensitivity =
+      radiation::DeviceSensitivity::knc_3120a(
+          phi::ResourceMap::for_spec(phi::DeviceSpec::knights_corner_3120a()));
+  const radiation::BeamPlan plan(sensitivity, flux);
+  fi::CampaignConfig config = bench_campaign_config(seed);
+  config.trials = radiation::kDefaultMaxExecutions;
+  config.min_sdc = min_sdc;
+  config.min_due = min_due;
+  config.plan = &plan;
+  analysis::SdcAnalyzer analyzer(supervisor);
+  fi::Campaign campaign(supervisor, config);
+  const fi::CampaignResult result = campaign.run(analyzer.observer());
+  return radiation::fold_beam(result, plan, seed, analyzer);
 }
 
 inline void print_table(const util::Table& table) {

@@ -7,16 +7,10 @@
 // LavaMD the lowest DUE FIT; fewer than 10% of corrupted executions have a
 // single wrong element; LavaMD is the only benchmark with cubic patterns.
 #include "bench/bench_common.hpp"
-#include "radiation/beam_campaign.hpp"
 
 int main() {
   using namespace phifi;
   util::init_log_from_env();
-
-  const phi::ResourceMap map =
-      phi::ResourceMap::for_spec(phi::DeviceSpec::knights_corner_3120a());
-  const radiation::DeviceSensitivity sensitivity =
-      radiation::DeviceSensitivity::knc_3120a(map);
 
   util::Table table("Fig. 2 - Beam FIT rates and spatial patterns");
   table.set_header({"benchmark", "sdc_fit", "due_fit", "cubic", "square",
@@ -25,16 +19,9 @@ int main() {
 
   for (const auto& info : work::all_workloads()) {
     if (!info.beam_tested) continue;
-    fi::TrialSupervisor supervisor(info.factory,
-                                   bench::bench_supervisor_config());
-    supervisor.prepare_golden();
-
-    radiation::BeamConfig config;
-    config.seed = 0xbea2 + static_cast<std::uint64_t>(info.name[0]);
-    config.min_sdc = bench::beam_min_sdc();
-    config.min_due = bench::beam_min_due();
-    radiation::BeamCampaign campaign(supervisor, sensitivity, config);
-    const radiation::BeamResult result = campaign.run();
+    const radiation::BeamResult result = bench::run_beam(
+        info.factory, 0xbea2 + static_cast<std::uint64_t>(info.name[0]),
+        bench::beam_min_sdc(), bench::beam_min_due());
 
     auto pattern_fit = [&result](analysis::ErrorPattern pattern) {
       return util::fmt(result.pattern_fit(pattern), 1);

@@ -6,16 +6,11 @@
 // at 2% tolerance (85% reduction at 0.5%); CLAMR and DGEMM show the
 // flattest curves; the curves saturate after the initial drop.
 #include "bench/bench_common.hpp"
-#include "radiation/beam_campaign.hpp"
 
 int main() {
   using namespace phifi;
   util::init_log_from_env();
 
-  const phi::ResourceMap map =
-      phi::ResourceMap::for_spec(phi::DeviceSpec::knights_corner_3120a());
-  const radiation::DeviceSensitivity sensitivity =
-      radiation::DeviceSensitivity::knc_3120a(map);
   const std::vector<double> tolerances =
       analysis::ToleranceAnalysis::default_tolerances();
 
@@ -27,16 +22,10 @@ int main() {
 
   for (const auto& info : work::all_workloads()) {
     if (!info.beam_tested) continue;
-    fi::TrialSupervisor supervisor(info.factory,
-                                   bench::bench_supervisor_config());
-    supervisor.prepare_golden();
-
-    radiation::BeamConfig config;
-    config.seed = 0xf163 + static_cast<std::uint64_t>(info.name[0]);
-    config.min_sdc = bench::beam_min_sdc();
-    config.min_due = 0;  // this figure only needs SDCs
-    radiation::BeamCampaign campaign(supervisor, sensitivity, config);
-    const radiation::BeamResult result = campaign.run();
+    // This figure only needs SDCs.
+    const radiation::BeamResult result = bench::run_beam(
+        info.factory, 0xf163 + static_cast<std::uint64_t>(info.name[0]),
+        bench::beam_min_sdc(), /*min_due=*/0);
 
     std::vector<std::string> row = {std::string(info.name)};
     for (double t : tolerances) {

@@ -5,16 +5,10 @@
 // events.
 #include "analysis/fit.hpp"
 #include "bench/bench_common.hpp"
-#include "radiation/beam_campaign.hpp"
 
 int main() {
   using namespace phifi;
   util::init_log_from_env();
-
-  const phi::ResourceMap map =
-      phi::ResourceMap::for_spec(phi::DeviceSpec::knights_corner_3120a());
-  const radiation::DeviceSensitivity sensitivity =
-      radiation::DeviceSensitivity::knc_3120a(map);
 
   util::Table table(
       "Sec. 4.2 - Machine-scale MTBF extrapolation (days between events)");
@@ -24,15 +18,9 @@ int main() {
 
   for (const auto& info : work::all_workloads()) {
     if (!info.beam_tested) continue;
-    fi::TrialSupervisor supervisor(info.factory,
-                                   bench::bench_supervisor_config());
-    supervisor.prepare_golden();
-    radiation::BeamConfig config;
-    config.seed = 0x5ec4 + static_cast<std::uint64_t>(info.name[0]);
-    config.min_sdc = bench::beam_min_sdc();
-    config.min_due = bench::beam_min_due();
-    radiation::BeamCampaign campaign(supervisor, sensitivity, config);
-    const radiation::BeamResult result = campaign.run();
+    const radiation::BeamResult result = bench::run_beam(
+        info.factory, 0x5ec4 + static_cast<std::uint64_t>(info.name[0]),
+        bench::beam_min_sdc(), bench::beam_min_due());
 
     const double total_fit = result.sdc_fit.fit + result.due_fit.fit;
     table.add_row(

@@ -44,8 +44,7 @@ int main() {
         kNativeReps;
 
     // Supervised: full fork + flip + classify cycle.
-    fi::TrialSupervisor supervisor(info.factory,
-                                   bench::bench_supervisor_config());
+    fi::TrialSupervisor supervisor(info.factory);
     supervisor.prepare_golden();
     const auto trial_start = Clock::now();
     constexpr int kTrialReps = 20;

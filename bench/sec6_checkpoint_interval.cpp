@@ -8,16 +8,11 @@
 // magnitude the Sec. 7 hardening variants achieve for CLAMR's crashes).
 #include "analysis/checkpoint_model.hpp"
 #include "bench/bench_common.hpp"
-#include "radiation/beam_campaign.hpp"
 
 int main() {
   using namespace phifi;
   util::init_log_from_env();
 
-  const phi::ResourceMap map =
-      phi::ResourceMap::for_spec(phi::DeviceSpec::knights_corner_3120a());
-  const radiation::DeviceSensitivity sensitivity =
-      radiation::DeviceSensitivity::knc_3120a(map);
   constexpr double kBoards = 19000.0;
   const double checkpoint_costs[] = {30.0, 120.0, 600.0};
 
@@ -31,15 +26,9 @@ int main() {
   std::vector<std::pair<std::string, double>> due_fits;
   for (const auto& info : work::all_workloads()) {
     if (!info.beam_tested) continue;
-    fi::TrialSupervisor supervisor(info.factory,
-                                   bench::bench_supervisor_config());
-    supervisor.prepare_golden();
-    radiation::BeamConfig config;
-    config.seed = 0xc4ec + static_cast<std::uint64_t>(info.name[0]);
-    config.min_sdc = 0;
-    config.min_due = bench::beam_min_due();
-    radiation::BeamCampaign campaign(supervisor, sensitivity, config);
-    const radiation::BeamResult result = campaign.run();
+    const radiation::BeamResult result = bench::run_beam(
+        info.factory, 0xc4ec + static_cast<std::uint64_t>(info.name[0]),
+        /*min_sdc=*/0, bench::beam_min_due());
     due_fits.emplace_back(std::string(info.name), result.due_fit.fit);
 
     const double mtbf =

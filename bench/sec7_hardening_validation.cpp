@@ -67,8 +67,7 @@ int main() {
     for (const bool hardened : {false, true}) {
       const fi::WorkloadFactory factory =
           hardened ? pair.hardened : pair.baseline;
-      fi::TrialSupervisor supervisor(factory,
-                                     bench::bench_supervisor_config());
+      fi::TrialSupervisor supervisor(factory);
       supervisor.prepare_golden();
       fi::Campaign campaign(supervisor,
                             bench::bench_campaign_config(0x5ec7));

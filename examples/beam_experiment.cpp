@@ -11,7 +11,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "radiation/beam_campaign.hpp"
+#include "radiation/beam.hpp"
 #include "util/table.hpp"
 #include "workloads/registry.hpp"
 
@@ -26,9 +26,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  fi::SupervisorConfig supervisor_config;
-  supervisor_config.device_os_threads = 1;
-  fi::TrialSupervisor supervisor(factory, supervisor_config);
+  fi::TrialSupervisor supervisor(factory);
   supervisor.prepare_golden();
 
   const phi::DeviceSpec spec = phi::DeviceSpec::knights_corner_3120a();
@@ -36,12 +34,19 @@ int main(int argc, char** argv) {
   const radiation::DeviceSensitivity sensitivity =
       radiation::DeviceSensitivity::knc_3120a(map);
 
-  radiation::BeamConfig config;
+  // Each campaign attempt is one beam execution a strike made visible; the
+  // campaign stops once it holds both error targets.
+  const radiation::BeamPlan plan(sensitivity);
+  fi::CampaignConfig config;
+  config.seed = 0xbea3;
+  config.trials = radiation::kDefaultMaxExecutions;
   config.min_sdc = min_sdc;
   config.min_due = min_sdc / 2;
-  config.seed = 0xbea3;
-  radiation::BeamCampaign campaign(supervisor, sensitivity, config);
-  const radiation::BeamResult result = campaign.run();
+  config.plan = &plan;
+  analysis::SdcAnalyzer analyzer(supervisor);
+  fi::Campaign campaign(supervisor, config);
+  const radiation::BeamResult result = radiation::fold_beam(
+      campaign.run(analyzer.observer()), plan, config.seed, analyzer);
 
   std::cout << "Device under beam: " << spec.model << "\n"
             << "Benchmark: " << name << "\n"

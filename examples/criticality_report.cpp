@@ -33,9 +33,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  fi::SupervisorConfig supervisor_config;
-  supervisor_config.device_os_threads = 1;
-  fi::TrialSupervisor supervisor(factory, supervisor_config);
+  fi::TrialSupervisor supervisor(factory);
   supervisor.prepare_golden();
 
   fi::CampaignConfig campaign_config;

@@ -18,10 +18,7 @@ int main(int argc, char** argv) {
   using namespace phifi;
   const std::size_t trials = argc > 1 ? std::atoll(argv[1]) : 200;
 
-  fi::SupervisorConfig supervisor_config;
-  supervisor_config.device_os_threads = 1;
-  fi::TrialSupervisor supervisor(work::find_workload("DGEMM"),
-                                 supervisor_config);
+  fi::TrialSupervisor supervisor(work::find_workload("DGEMM"));
   supervisor.prepare_golden();
 
   fi::CampaignConfig campaign_config;

@@ -74,20 +74,6 @@ std::vector<fi::FaultModel> parse_models(int line, const std::string& value) {
 
 }  // namespace
 
-fi::SupervisorConfig RunnerConfig::supervisor_config() const {
-  fi::SupervisorConfig config;
-  config.device_os_threads = device_os_threads;
-  config.timeout_factor = timeout_factor;
-  config.min_timeout_seconds = min_timeout_seconds;
-  config.input_seed = input_seed;
-  config.kill_grace_seconds = kill_grace_seconds;
-  config.child_address_space_mb = child_address_space_mb;
-  config.child_cpu_seconds = child_cpu_seconds;
-  config.heartbeat_divisions = heartbeat_divisions;
-  config.stall_timeout_seconds = stall_timeout_seconds;
-  return config;
-}
-
 fi::CampaignConfig RunnerConfig::campaign_config() const {
   fi::CampaignConfig config;
   config.trials = trials;
@@ -104,21 +90,32 @@ fi::CampaignConfig RunnerConfig::campaign_config() const {
   config.stop_flag = stop_flag;
   config.max_consecutive_failures = max_consecutive_failures;
   config.stop_ci_width = stop_ci_width;
+  if (mode == RunMode::kBeam) {
+    config.trials = max_executions;
+    config.min_sdc = min_sdc;
+    config.min_due = min_due;
+  }
   return config;
 }
 
-radiation::BeamConfig RunnerConfig::beam_config() const {
-  radiation::BeamConfig config;
-  config.flux = flux;
-  config.seed = seed;
-  config.min_sdc = min_sdc;
-  config.min_due = min_due;
-  config.max_executions = max_executions;
-  return config;
+std::string refusal(const RunnerConfig& config) {
+  if (config.mode != RunMode::kBeam) return "";
+  const char* key = config.resume ? "resume (--resume)"
+                    : !config.fabric_listen.empty()
+                        ? "fabric_listen (--coordinator)"
+                    : !config.fabric_connect.empty()
+                        ? "fabric_connect (--connect)"
+                        : nullptr;
+  if (key == nullptr) return "";
+  return std::string("mode = beam does not support ") + key +
+         ": the SDC pattern split and tolerance curve need each SDC's "
+         "output bytes, which journal records and fabric lease reports do "
+         "not carry";
 }
 
 RunnerConfig parse_config(std::istream& is) {
   RunnerConfig config;
+  fi::SupervisorConfig& supervisor = config.supervisor;
   std::string raw;
   int line_number = 0;
   while (std::getline(is, raw)) {
@@ -214,26 +211,26 @@ RunnerConfig parse_config(std::istream& is) {
     } else if (key == "max_executions") {
       config.max_executions = parse_u64(line_number, value);
     } else if (key == "device_os_threads") {
-      config.device_os_threads =
+      supervisor.device_os_threads =
           static_cast<unsigned>(parse_u64(line_number, value));
     } else if (key == "timeout_factor") {
-      config.timeout_factor = parse_double(line_number, value);
+      supervisor.timeout_factor = parse_double(line_number, value);
     } else if (key == "min_timeout_seconds") {
-      config.min_timeout_seconds = parse_double(line_number, value);
+      supervisor.min_timeout_seconds = parse_double(line_number, value);
     } else if (key == "input_seed") {
-      config.input_seed = parse_u64(line_number, value);
+      supervisor.input_seed = parse_u64(line_number, value);
     } else if (key == "kill_grace_seconds") {
-      config.kill_grace_seconds = parse_double(line_number, value);
+      supervisor.kill_grace_seconds = parse_double(line_number, value);
     } else if (key == "child_address_space_mb") {
-      config.child_address_space_mb = parse_u64(line_number, value);
+      supervisor.child_address_space_mb = parse_u64(line_number, value);
     } else if (key == "child_cpu_seconds") {
-      config.child_cpu_seconds =
+      supervisor.child_cpu_seconds =
           static_cast<unsigned>(parse_u64(line_number, value));
     } else if (key == "heartbeat_divisions") {
-      config.heartbeat_divisions =
+      supervisor.heartbeat_divisions =
           static_cast<unsigned>(parse_u64(line_number, value));
     } else if (key == "stall_timeout_seconds") {
-      config.stall_timeout_seconds = parse_double(line_number, value);
+      supervisor.stall_timeout_seconds = parse_double(line_number, value);
     } else if (key == "max_consecutive_failures") {
       config.max_consecutive_failures = parse_u64(line_number, value);
     } else if (key == "fabric_listen") {
@@ -284,6 +281,7 @@ RunnerConfig parse_config(std::istream& is) {
 }
 
 std::string format_config(const RunnerConfig& config) {
+  const fi::SupervisorConfig& supervisor = config.supervisor;
   std::ostringstream os;
   os << "mode = " << (config.mode == RunMode::kBeam ? "beam" : "inject")
      << "\n"
@@ -340,15 +338,15 @@ std::string format_config(const RunnerConfig& config) {
      << "min_sdc = " << config.min_sdc << "\n"
      << "min_due = " << config.min_due << "\n"
      << "max_executions = " << config.max_executions << "\n"
-     << "device_os_threads = " << config.device_os_threads << "\n"
-     << "timeout_factor = " << config.timeout_factor << "\n"
-     << "min_timeout_seconds = " << config.min_timeout_seconds << "\n"
-     << "input_seed = " << config.input_seed << "\n"
-     << "kill_grace_seconds = " << config.kill_grace_seconds << "\n"
-     << "child_address_space_mb = " << config.child_address_space_mb << "\n"
-     << "child_cpu_seconds = " << config.child_cpu_seconds << "\n"
-     << "heartbeat_divisions = " << config.heartbeat_divisions << "\n"
-     << "stall_timeout_seconds = " << config.stall_timeout_seconds << "\n"
+     << "device_os_threads = " << supervisor.device_os_threads << "\n"
+     << "timeout_factor = " << supervisor.timeout_factor << "\n"
+     << "min_timeout_seconds = " << supervisor.min_timeout_seconds << "\n"
+     << "input_seed = " << supervisor.input_seed << "\n"
+     << "kill_grace_seconds = " << supervisor.kill_grace_seconds << "\n"
+     << "child_address_space_mb = " << supervisor.child_address_space_mb << "\n"
+     << "child_cpu_seconds = " << supervisor.child_cpu_seconds << "\n"
+     << "heartbeat_divisions = " << supervisor.heartbeat_divisions << "\n"
+     << "stall_timeout_seconds = " << supervisor.stall_timeout_seconds << "\n"
      << "max_consecutive_failures = " << config.max_consecutive_failures
      << "\n";
   if (!config.fabric_listen.empty()) {

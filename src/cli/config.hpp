@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/campaign.hpp"
-#include "radiation/beam_campaign.hpp"
+#include "radiation/beam.hpp"
 
 namespace phifi::cli {
 
@@ -63,22 +63,16 @@ struct RunnerConfig {
   double earliest_fraction = 0.01;
   double latest_fraction = 0.99;
 
-  // Beam-mode settings.
-  double flux = 2.0e6;
+  // Beam-mode settings: the plan's flux, the error-count finish line, and
+  // the execution budget (the campaign's `trials` in beam mode).
+  double flux = radiation::kDefaultFlux;
   std::uint64_t min_sdc = 100;
   std::uint64_t min_due = 40;
-  std::uint64_t max_executions = 20000;
+  std::uint64_t max_executions = radiation::kDefaultMaxExecutions;
 
-  // Supervisor settings.
-  unsigned device_os_threads = 1;
-  double timeout_factor = 30.0;
-  double min_timeout_seconds = 1.0;
-  std::uint64_t input_seed = 0x900d5eedULL;
-  double kill_grace_seconds = 0.25;
-  std::size_t child_address_space_mb = 0;  ///< 0 = unlimited
-  unsigned child_cpu_seconds = 0;          ///< 0 = unlimited
-  unsigned heartbeat_divisions = 16;       ///< 0 = heartbeat off
-  double stall_timeout_seconds = 0.0;      ///< 0 = no early stall kill
+  /// Supervisor settings, one key per field that has one; the supervisor's
+  /// own defaults.
+  fi::SupervisorConfig supervisor;
 
   // Campaign failure handling.
   std::size_t max_consecutive_failures = 5;
@@ -103,10 +97,17 @@ struct RunnerConfig {
   /// to its SIGINT/SIGTERM handlers.
   const std::atomic<bool>* stop_flag = nullptr;
 
-  [[nodiscard]] fi::SupervisorConfig supervisor_config() const;
+  [[nodiscard]] fi::SupervisorConfig supervisor_config() const {
+    return supervisor;
+  }
+  /// In beam mode `trials` is max_executions, min_sdc/min_due set the finish
+  /// line, and the caller attaches radiation::BeamPlan at `flux`.
   [[nodiscard]] fi::CampaignConfig campaign_config() const;
-  [[nodiscard]] radiation::BeamConfig beam_config() const;
 };
+
+/// Why this configuration cannot run, or "" when it can: a beam campaign
+/// refuses resume and the fabric roles (see the message).
+std::string refusal(const RunnerConfig& config);
 
 /// Parses a config stream. Throws std::runtime_error with a line-numbered
 /// message on syntax errors, unknown keys, or invalid values.

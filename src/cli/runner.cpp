@@ -3,6 +3,7 @@
 #include <chrono>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 
@@ -12,8 +13,8 @@
 #include "fabric/lease.hpp"
 #include "fabric/options.hpp"
 #include "fabric/worker.hpp"
+#include "radiation/beam.hpp"
 #include "report/report.hpp"
-#include "radiation/sensitivity.hpp"
 #include "telemetry/estimator.hpp"
 #include "telemetry/history.hpp"
 #include "telemetry/metrics.hpp"
@@ -79,7 +80,7 @@ telemetry::HistoryRecord history_record(
   record.git_revision = telemetry::git_describe();
   record.seed = config.seed;
   record.jobs = config.jobs;
-  record.trials_target = config.trials;
+  record.trials_target = config.campaign_config().trials;
   record.completed = tally.total();
   record.masked = tally.masked;
   record.sdc = tally.sdc;
@@ -280,6 +281,9 @@ RunSummary run_fabric(const RunnerConfig& config,
 }  // namespace
 
 RunSummary run_from_config(const RunnerConfig& config, std::ostream& out) {
+  if (const std::string reason = refusal(config); !reason.empty()) {
+    throw std::invalid_argument(reason);
+  }
   const fi::WorkloadFactory factory = work::find_workload(config.workload);
   if (factory == nullptr) {
     throw std::runtime_error("unknown workload '" + config.workload + "'");
@@ -349,8 +353,7 @@ RunSummary run_from_config(const RunnerConfig& config, std::ostream& out) {
                            supervisor.golden_seconds());
   }
 
-  if (config.mode == RunMode::kInject &&
-      (!config.fabric_listen.empty() || !config.fabric_connect.empty())) {
+  if (!config.fabric_listen.empty() || !config.fabric_connect.empty()) {
     RunSummary fabric_summary = run_fabric(config, supervisor, metrics,
                                            telemetry_on, trace.get(),
                                            profiler.get(), out);
@@ -361,105 +364,141 @@ RunSummary run_from_config(const RunnerConfig& config, std::ostream& out) {
     return fabric_summary;
   }
 
-  if (config.mode == RunMode::kInject) {
-    fi::CampaignConfig campaign_config = config.campaign_config();
-    if (telemetry_on) campaign_config.metrics = &metrics;
-    campaign_config.trace = trace.get();
-    campaign_config.profiler = profiler.get();
+  fi::CampaignConfig campaign_config = config.campaign_config();
+  if (telemetry_on) campaign_config.metrics = &metrics;
+  campaign_config.trace = trace.get();
+  campaign_config.profiler = profiler.get();
 
-    // The streaming estimator feeds the progress line, the exported
-    // est.* gauges, and the history ledger's per-cell intervals; the
-    // --stop-ci-width rule itself lives in the campaign (tally-based) and
-    // works with or without it.
-    std::unique_ptr<telemetry::CampaignEstimator> estimator;
-    if (telemetry_on || !config.history_file.empty() ||
-        config.stop_ci_width > 0.0) {
-      estimator = std::make_unique<telemetry::CampaignEstimator>();
-      campaign_config.estimator = estimator.get();
-    }
+  // Beam mode: the strike draw plans every attempt, and the analyzer reads
+  // each SDC's output bytes for the pattern split and tolerance curve.
+  const bool beam_mode = config.mode == RunMode::kBeam;
+  const radiation::DeviceSensitivity sensitivity =
+      radiation::DeviceSensitivity::knc_3120a(
+          phi::ResourceMap::for_spec(phi::DeviceSpec::knights_corner_3120a()));
+  const radiation::BeamPlan beam_plan(sensitivity, config.flux);
+  analysis::SdcAnalyzer analyzer(supervisor);
+  if (beam_mode) campaign_config.plan = &beam_plan;
 
-    std::unique_ptr<telemetry::ProgressEmitter> progress;
-    fi::TrialObserver observer;
-    if (config.progress_seconds > 0.0) {
-      progress = std::make_unique<telemetry::ProgressEmitter>(
-          metrics, out, config.progress_seconds);
-      progress->set_estimator(estimator.get(), config.stop_ci_width);
-      observer = [&progress](const fi::TrialResult&,
-                             std::span<const std::byte>) {
-        progress->tick();
-      };
-    }
+  // The streaming estimator feeds the progress line, the exported
+  // est.* gauges, and the history ledger's per-cell intervals; the
+  // --stop-ci-width rule itself lives in the campaign (tally-based) and
+  // works with or without it.
+  std::unique_ptr<telemetry::CampaignEstimator> estimator;
+  if (telemetry_on || !config.history_file.empty() ||
+      config.stop_ci_width > 0.0) {
+    estimator = std::make_unique<telemetry::CampaignEstimator>();
+    campaign_config.estimator = estimator.get();
+  }
 
-    fi::Campaign campaign(supervisor, campaign_config);
-    const auto campaign_start = std::chrono::steady_clock::now();
-    const fi::CampaignResult result = campaign.run(observer);
-    const double elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      campaign_start)
-            .count();
-    if (progress != nullptr) {
-      progress->emit_now();  // the final, complete status line
-      summary.progress_emits = progress->emitted();
-    }
-    if (trace != nullptr) summary.trace_records = trace->records_written();
-    if (profiler != nullptr) {
-      summary.profile_records = profiler->records_written();
-    }
-    summary.outcomes = result.overall;
-    summary.resumed_trials = result.resumed_trials;
-    summary.interrupted = result.interrupted;
-    summary.aborted = result.aborted;
-    summary.stopped_early = result.stopped_early;
+  std::unique_ptr<telemetry::ProgressEmitter> progress;
+  if (config.progress_seconds > 0.0) {
+    progress = std::make_unique<telemetry::ProgressEmitter>(
+        metrics, out, config.progress_seconds);
+    progress->set_estimator(estimator.get(), config.stop_ci_width);
+  }
+  fi::TrialObserver observer;
+  if (progress != nullptr || beam_mode) {
+    observer = [&progress, &analyzer, beam_mode](
+                   const fi::TrialResult& trial,
+                   std::span<const std::byte> output) {
+      if (beam_mode && trial.outcome == fi::Outcome::kSdc) {
+        analyzer.inspect(output);
+      }
+      if (progress != nullptr) progress->tick();
+    };
+  }
 
-    if (!config.metrics_file.empty()) {
-      if (estimator != nullptr) estimator->publish(metrics);
-      write_metrics_file(config, metrics);
-    }
+  fi::Campaign campaign(supervisor, campaign_config);
+  const auto campaign_start = std::chrono::steady_clock::now();
+  const fi::CampaignResult result = campaign.run(observer);
+  const double elapsed_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    campaign_start)
+          .count();
+  std::optional<radiation::BeamResult> beam;
+  if (beam_mode) {
+    const radiation::BeamResult& folded = beam.emplace(
+        radiation::fold_beam(result, beam_plan, config.seed, analyzer));
+    summary.sdc_fit = folded.sdc_fit.fit;
+    summary.due_fit = folded.due_fit.fit;
+  }
+  if (progress != nullptr) {
+    progress->emit_now();  // the final, complete status line
+    summary.progress_emits = progress->emitted();
+  }
+  if (trace != nullptr) summary.trace_records = trace->records_written();
+  if (profiler != nullptr) {
+    summary.profile_records = profiler->records_written();
+  }
+  summary.outcomes = result.overall;
+  summary.resumed_trials = result.resumed_trials;
+  summary.interrupted = result.interrupted;
+  summary.aborted = result.aborted;
+  summary.stopped_early = result.stopped_early;
 
-    if (!config.history_file.empty()) {
-      telemetry::HistoryRecord record = history_record(
-          config, result.workload,
-          fi::campaign_fingerprint(campaign_config, result.workload,
-                                   result.time_windows),
-          result.overall, result.not_injected, elapsed_seconds,
-          estimator.get());
-      // A resumed campaign (including a replay of merged fabric shards)
-      // inherits the journal's run id, so its history record correlates
-      // with the coordinator's trace and ledger.
-      if (config.resume && !campaign_config.journal_path.empty()) {
-        try {
-          const std::uint64_t journal_run =
-              fi::read_journal(campaign_config.journal_path).header.run_id;
-          if (journal_run != 0) {
-            record.run_id = telemetry::run_id_to_hex(journal_run);
-          }
-        } catch (const std::runtime_error&) {
-          // Header unreadable: the record simply stays uncorrelated.
+  if (!config.metrics_file.empty()) {
+    if (estimator != nullptr) estimator->publish(metrics);
+    write_metrics_file(config, metrics);
+  }
+
+  if (!config.history_file.empty()) {
+    telemetry::HistoryRecord record = history_record(
+        config, result.workload,
+        fi::campaign_fingerprint(campaign_config, result.workload,
+                                 result.time_windows),
+        result.overall, result.not_injected, elapsed_seconds,
+        estimator.get());
+    // A resumed campaign (including a replay of merged fabric shards)
+    // inherits the journal's run id, so its history record correlates
+    // with the coordinator's trace and ledger.
+    if (config.resume && !campaign_config.journal_path.empty()) {
+      try {
+        const std::uint64_t journal_run =
+            fi::read_journal(campaign_config.journal_path).header.run_id;
+        if (journal_run != 0) {
+          record.run_id = telemetry::run_id_to_hex(journal_run);
         }
+      } catch (const std::runtime_error&) {
+        // Header unreadable: the record simply stays uncorrelated.
       }
-      record.stopped_early = result.stopped_early;
-      record.interrupted = result.interrupted;
-      record.aborted = result.aborted;
-      telemetry::append_history(config.history_file, record);
     }
+    record.stopped_early = result.stopped_early;
+    record.interrupted = result.interrupted;
+    record.aborted = result.aborted;
+    telemetry::append_history(config.history_file, record);
+  }
 
-    if (!config.report_file.empty()) {
-      std::ofstream report_stream(config.report_file);
-      if (!report_stream) {
-        throw std::runtime_error("cannot open report file '" +
-                                 config.report_file + "'");
-      }
-      report::ReportInputs inputs;
-      inputs.campaign = &result;
-      inputs.counters = &supervisor.golden_counters();
-      inputs.golden_seconds = supervisor.golden_seconds();
-      inputs.algebraic =
-          config.workload == "DGEMM" || config.workload == "LUD";
-      report_stream << report::render_report(inputs);
+  if (!config.report_file.empty()) {
+    std::ofstream report_stream(config.report_file);
+    if (!report_stream) {
+      throw std::runtime_error("cannot open report file '" +
+                               config.report_file + "'");
     }
+    report::ReportInputs inputs;
+    inputs.campaign = &result;
+    inputs.beam = beam ? &*beam : nullptr;
+    inputs.counters = &supervisor.golden_counters();
+    inputs.golden_seconds = supervisor.golden_seconds();
+    inputs.algebraic =
+        config.workload == "DGEMM" || config.workload == "LUD";
+    report_stream << report::render_report(inputs);
+  }
 
-    util::Table table("Injection campaign - " + config.workload);
-    table.set_header({"metric", "value"});
+  // The beam table carries no jobs row: it must read the same at every
+  // jobs value.
+  util::Table table((beam_mode ? "Beam campaign - " : "Injection campaign - ") +
+                    config.workload);
+  table.set_header({"metric", "value"});
+  if (beam) {
+    table.add_row({"runs", std::to_string(beam->runs)});
+    table.add_row({"fluence [n/cm^2]", util::fmt(beam->fluence, 0)});
+    table.add_row({"SDC FIT",
+                   util::fmt_interval(beam->sdc_fit.fit, beam->sdc_fit.fit_lo,
+                                      beam->sdc_fit.fit_hi, 1)});
+    table.add_row({"DUE FIT",
+                   util::fmt_interval(beam->due_fit.fit, beam->due_fit.fit_lo,
+                                      beam->due_fit.fit_hi, 1)});
+  } else {
     table.add_row({"trials", std::to_string(result.overall.total())});
     if (config.jobs > 1) {
       table.add_row({"jobs", std::to_string(config.jobs)});
@@ -481,37 +520,13 @@ RunSummary run_from_config(const RunnerConfig& config, std::ostream& out) {
                                         100.0 * sdc_ci.lo,
                                         100.0 * sdc_ci.hi, 2) + " %"});
     }
-    if (result.stopped_early) {
-      table.add_row({"status", "stopped early (precision target reached)"});
-    }
-    if (result.interrupted) table.add_row({"status", "interrupted"});
-    if (result.aborted) table.add_row({"status", "aborted (circuit breaker)"});
-    table.print_text(out);
-  } else {
-    const phi::ResourceMap map =
-        phi::ResourceMap::for_spec(phi::DeviceSpec::knights_corner_3120a());
-    const radiation::DeviceSensitivity sensitivity =
-        radiation::DeviceSensitivity::knc_3120a(map);
-    radiation::BeamCampaign campaign(supervisor, sensitivity,
-                                     config.beam_config());
-    const radiation::BeamResult result = campaign.run();
-    summary.sdc_fit = result.sdc_fit.fit;
-    summary.due_fit = result.due_fit.fit;
-
-    util::Table table("Beam campaign - " + config.workload);
-    table.set_header({"metric", "value"});
-    table.add_row({"runs", std::to_string(result.runs)});
-    table.add_row({"fluence [n/cm^2]", util::fmt(result.fluence, 0)});
-    table.add_row({"SDC FIT",
-                   util::fmt_interval(result.sdc_fit.fit,
-                                      result.sdc_fit.fit_lo,
-                                      result.sdc_fit.fit_hi, 1)});
-    table.add_row({"DUE FIT",
-                   util::fmt_interval(result.due_fit.fit,
-                                      result.due_fit.fit_lo,
-                                      result.due_fit.fit_hi, 1)});
-    table.print_text(out);
   }
+  if (result.stopped_early) {
+    table.add_row({"status", "stopped early (precision target reached)"});
+  }
+  if (result.interrupted) table.add_row({"status", "interrupted"});
+  if (result.aborted) table.add_row({"status", "aborted (circuit breaker)"});
+  table.print_text(out);
   return summary;
 }
 

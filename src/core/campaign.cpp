@@ -47,10 +47,11 @@ void feed_estimator(telemetry::CampaignEstimator& estimator,
                    trial.record.category, trial.record.injected);
 }
 
-/// A reaped trial waiting for its turn at the commit point. Completions
-/// arrive in whatever order the workers finish; they are buffered here and
-/// committed (journal, tallies, observer) strictly in attempt-index order
-/// so any jobs value yields bit-identical campaign state.
+/// A reaped (or decided) trial waiting for its turn at the commit point.
+/// Completions arrive in whatever order the workers finish; they are
+/// buffered here and committed (journal, tallies, observer) strictly in
+/// attempt-index order so any jobs value yields bit-identical campaign
+/// state.
 struct PendingTrial {
   TrialResult trial;
   /// Output snapshot for the observer, captured at reap time because the
@@ -97,6 +98,10 @@ FinishLine campaign_finish_line(const CampaignConfig& config,
                                 const OutcomeTally& overall) {
   const std::uint64_t n = overall.total();
   if (n >= config.trials) return {.reached = true};
+  if ((config.min_sdc > 0 || config.min_due > 0) &&
+      overall.sdc >= config.min_sdc && overall.due >= config.min_due) {
+    return {.reached = true};
+  }
   if (config.stop_ci_width <= 0.0 || n == 0) return {};
   const bool precise = util::wilson_interval(overall.sdc, n).half_width() <=
                        config.stop_ci_width;
@@ -218,6 +223,13 @@ std::uint64_t campaign_fingerprint(const CampaignConfig& config,
   // disabled) is part of the identity.
   std::memcpy(&bits, &config.stop_ci_width, sizeof(bits));
   mix(bits);
+  // A beam campaign's finish line and plan. Injection campaigns mix
+  // nothing here, so journals they wrote before still resume.
+  if (config.plan != nullptr || config.min_sdc > 0 || config.min_due > 0) {
+    mix(config.min_sdc);
+    mix(config.min_due);
+    mix(config.plan != nullptr ? config.plan->fingerprint() : 0);
+  }
   // Scheme version: v2 = counter-indexed seeds + attempt-index model
   // cycling; v3 = v2 + stop_ci_width in the fingerprint. Journals from
   // older schemes must not resume into this one.
@@ -404,7 +416,7 @@ CampaignResult Campaign::run(const TrialObserver& observer) {
     util::log_warn() << result.workload << ": campaign aborted after "
                      << config_.max_consecutive_failures
                      << " consecutive infrastructure failures";
-  } else if (completed < config_.trials) {
+  } else if (!finish.reached) {
     util::log_warn() << result.workload << ": campaign stopped after "
                      << result.attempts << " attempts with only " << completed
                      << " injected trials";
@@ -417,10 +429,24 @@ RangeResult Campaign::run_range(std::uint64_t begin, std::uint64_t end,
   return execute(begin, end, hooks, {}, nullptr);
 }
 
+AttemptPlan Campaign::plan(std::uint64_t index) const {
+  if (config_.plan != nullptr) {
+    return config_.plan->attempt(config_.seed, index);
+  }
+  // The injection rule.
+  AttemptPlan attempt;
+  attempt.trial.trial_seed = trial_seed_for(config_.seed, index);
+  attempt.trial.model = config_.models[index % config_.models.size()];
+  attempt.trial.policy = config_.policy;
+  attempt.trial.earliest_fraction = config_.earliest_fraction;
+  attempt.trial.latest_fraction = config_.latest_fraction;
+  return attempt;
+}
+
 RangeResult Campaign::execute(std::uint64_t begin, std::uint64_t end,
                               const RangeHooks& hooks, const StopPolicy& stop,
                               const TrialObserver& observer) {
-  assert(!config_.models.empty());
+  assert(config_.plan != nullptr || !config_.models.empty());
   using Clock = std::chrono::steady_clock;
   const unsigned jobs = std::max(1u, config_.jobs);
   RangeResult result;
@@ -432,13 +458,13 @@ RangeResult Campaign::execute(std::uint64_t begin, std::uint64_t end,
   };
 
   // Attempt indices are the campaign's single source of truth: index i's
-  // seed is trial_seed_for(seed, i) and its fault model is models[i % M],
-  // both independent of execution order. Up to `jobs` attempts run in
-  // flight; completions land in `pending` and commit strictly in index
-  // order, so --jobs 8, --jobs 1, any resume, and any lease split agree
-  // bit-for-bit. Attempts launched past the finish line (the scheduler
-  // cannot know in advance which attempt completes the campaign) are
-  // killed uncommitted.
+  // plan (its seed, fault model and policy, or a verdict decided without a
+  // child) is a pure function of (seed, i), independent of execution
+  // order. Up to `jobs` attempts run in flight; completions land in
+  // `pending` and commit strictly in index order, so --jobs 8, --jobs 1,
+  // any resume, and any lease split agree bit-for-bit. Attempts launched
+  // past the finish line (the scheduler cannot know in advance which
+  // attempt completes the campaign) are killed uncommitted.
   supervisor_->ensure_slots(jobs);
   std::uint64_t next_index = begin;    // next fresh attempt
   std::uint64_t commit_index = begin;  // next index to commit
@@ -531,19 +557,26 @@ RangeResult Campaign::execute(std::uint64_t begin, std::uint64_t end,
         } else {
           break;  // attempt space exhausted
         }
+        AttemptPlan attempt = plan(index);
+        if (attempt.decided) {
+          // Straight into the reorder buffer, holding no slot (a decided
+          // attempt never fails to launch, so it is never a retry). When
+          // it is next in line, commit it and ask the finish line before
+          // planning further.
+          PendingTrial entry;
+          entry.trial = std::move(*attempt.decided);
+          if (config_.profiler != nullptr) entry.reaped_at = Clock::now();
+          pending.emplace(index, std::move(entry));
+          ++next_index;
+          if (index == commit_index) break;
+          continue;
+        }
         unsigned slot = 0;
         while (slot < jobs && supervisor_->slot_active(slot)) ++slot;
         assert(slot < jobs);
 
-        TrialConfig trial;
-        trial.trial_seed = trial_seed_for(config_.seed, index);
-        trial.model = config_.models[index % config_.models.size()];
-        trial.policy = config_.policy;
-        trial.earliest_fraction = config_.earliest_fraction;
-        trial.latest_fraction = config_.latest_fraction;
-
         try {
-          supervisor_->start_trial(slot, trial);
+          supervisor_->start_trial(slot, attempt.trial);
         } catch (const std::exception& error) {
           // Infrastructure failure (fork, not a trial outcome): back off
           // exponentially and retry the same index; K consecutive ones
@@ -586,9 +619,11 @@ RangeResult Campaign::execute(std::uint64_t begin, std::uint64_t end,
       publish_active();
     }
 
-    // (4) Nothing in flight: either winding down (drain, abort, attempt
-    // space exhausted) or every launch is gated on backoff.
+    // (4) Nothing in flight: a decided attempt waits to commit, or winding
+    // down (drain, abort, attempt space exhausted), or every launch is
+    // gated on backoff.
     if (supervisor_->active_slots() == 0) {
+      if (pending.contains(commit_index)) continue;
       if (draining || result.aborted) break;
       if (retry_queue.empty() && next_index >= end) break;
       const auto now = Clock::now();

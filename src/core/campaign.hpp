@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,9 +28,30 @@
 
 namespace phifi::fi {
 
+/// What one attempt index of a campaign is: a trial to fork, or a verdict
+/// decided without a child (`decided`, committed as is).
+struct AttemptPlan {
+  TrialConfig trial;
+  std::optional<TrialResult> decided;
+};
+
+/// A campaign's per-attempt plan, a pure function of (campaign seed,
+/// attempt index): every jobs value, resume, lease and fold must get the
+/// same answer. Without one a campaign follows the injection rule; the
+/// beam's strike draw (radiation::BeamPlan) is the other implementation.
+class CampaignPlan {
+ public:
+  virtual ~CampaignPlan() = default;
+  [[nodiscard]] virtual AttemptPlan attempt(std::uint64_t seed,
+                                            std::uint64_t index) const = 0;
+  /// The plan's own parameters, mixed into the journal fingerprint.
+  [[nodiscard]] virtual std::uint64_t fingerprint() const = 0;
+};
+
 struct CampaignConfig {
   /// Number of *injected* trials to run (NotInjected trials are retried and
-  /// not counted; a retry cap guards against pathological workloads).
+  /// not counted; a retry cap guards against pathological workloads). A
+  /// beam campaign's execution budget.
   std::size_t trials = 1000;
   std::uint64_t seed = 0xcab01ef1ULL;
   SelectionPolicy policy = SelectionPolicy::kCarolFi;
@@ -58,6 +80,15 @@ struct CampaignConfig {
   /// This is an engineering stop rule, not a hypothesis test: see
   /// docs/OBSERVATORY.md on repeated peeking.
   double stop_ci_width = 0.0;
+
+  /// Error-count finish line (the beam experiment's rule): when either is
+  /// > 0, the campaign ends at the first commit whose tallies hold min_sdc
+  /// SDCs and min_due DUEs. Both 0, as in every injection campaign, turns
+  /// it off.
+  std::uint64_t min_sdc = 0;
+  std::uint64_t min_due = 0;
+  /// Not owned; must outlive run(). nullptr = the injection rule.
+  const CampaignPlan* plan = nullptr;
 
   // ---- durability / supervision ----
 
@@ -191,7 +222,9 @@ std::uint64_t trial_seed_for(std::uint64_t campaign_seed,
 
 /// Fingerprint of everything a resume must agree on: workload, seed,
 /// policy, fault models, injection window, trial count, time windows, and
-/// the sequential-stopping epsilon (stop_ci_width).
+/// the sequential-stopping epsilon (stop_ci_width); for a campaign with a
+/// plan or an error-count finish line also min_sdc, min_due and the plan's
+/// own fingerprint.
 std::uint64_t campaign_fingerprint(const CampaignConfig& config,
                                    std::string_view workload,
                                    unsigned time_windows);
@@ -206,8 +239,10 @@ struct FinishLine {
 
 /// The campaign's one finish-line rule, evaluated only at attempt-order
 /// commit boundaries: reached once `overall` holds config.trials injected
-/// trials or, with stop_ci_width > 0 (--stop-ci-width), once the Wilson
-/// 95% CI half-width of its SDC proportion is at or under stop_ci_width.
+/// trials; with min_sdc or min_due > 0, once it holds at least min_sdc
+/// SDCs and min_due DUEs; or, with stop_ci_width > 0 (--stop-ci-width),
+/// once the Wilson 95% CI half-width of its SDC proportion is at or under
+/// stop_ci_width.
 /// Shared by the live commit point, journal replay, the fabric shard merge
 /// and the coordinator's fleet fold, so they can never disagree on where a
 /// campaign ends.
@@ -271,6 +306,9 @@ class Campaign {
   RangeResult execute(std::uint64_t begin, std::uint64_t end,
                       const RangeHooks& hooks, const StopPolicy& stop,
                       const TrialObserver& observer);
+
+  /// Attempt `index`: config.plan's answer, or the injection rule.
+  [[nodiscard]] AttemptPlan plan(std::uint64_t index) const;
 
   TrialSupervisor* supervisor_;
   CampaignConfig config_;

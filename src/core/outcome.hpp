@@ -27,6 +27,8 @@ enum class DueKind {
   kRlimit,       ///< hit a per-child resource limit (CPU rlimit SIGXCPU, or
                  ///< address-space rlimit surfacing as allocation failure)
   kStall,        ///< heartbeat stalled; cut before the absolute deadline
+  kMachineCheck, ///< a beam strike the hardware detected (MCA); decided
+                 ///< without running the program
 };
 
 constexpr std::string_view to_string(Outcome outcome) {
@@ -47,6 +49,7 @@ constexpr std::string_view to_string(DueKind kind) {
     case DueKind::kHang: return "hang";
     case DueKind::kRlimit: return "rlimit";
     case DueKind::kStall: return "stall";
+    case DueKind::kMachineCheck: return "machine-check";
   }
   return "?";
 }

@@ -229,10 +229,6 @@ TrialResult TrialSupervisor::run_clean_trial() {
   return run_child(nullptr);
 }
 
-std::span<const std::byte> TrialSupervisor::last_output() const {
-  return slot_output(0);
-}
-
 std::span<const std::byte> TrialSupervisor::slot_output(unsigned slot) const {
   assert(slot < slots_.size());
   const auto output = slots_[slot].channel->output();

@@ -42,13 +42,14 @@ struct SupervisorConfig {
   /// Input-generation seed; fixed for a whole campaign so every trial runs
   /// the same computation as the golden copy.
   std::uint64_t input_seed = 0x900d5eedULL;
-  /// OS threads backing the emulated device inside each trial child.
-  unsigned device_os_threads = 2;
+  /// OS threads backing the emulated device inside each trial child (trial
+  /// children are single-threaded hosts).
+  unsigned device_os_threads = 1;
   phi::DeviceSpec device_spec = phi::DeviceSpec::knights_corner_3120a();
   /// Watchdog deadline = max(min_timeout_seconds,
   ///                         timeout_factor * golden run time).
-  double timeout_factor = 25.0;
-  double min_timeout_seconds = 2.0;
+  double timeout_factor = 30.0;
+  double min_timeout_seconds = 1.0;
   /// Overdue children get SIGTERM first; SIGKILL follows after this grace
   /// window if they have not exited (injected faults can wedge signal
   /// handling, and test workloads may ignore SIGTERM outright).
@@ -243,10 +244,6 @@ class TrialSupervisor {
   [[nodiscard]] const phi::CounterSnapshot& golden_counters() const {
     return golden_counters_;
   }
-
-  /// Output bytes of the most recent completed (Masked/SDC) trial in slot
-  /// 0; valid until the next trial starts there.
-  [[nodiscard]] std::span<const std::byte> last_output() const;
 
   /// Output bytes of the given slot's last completed trial; valid until
   /// the slot is reused.

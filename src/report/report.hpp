@@ -10,7 +10,7 @@
 
 #include "core/campaign.hpp"
 #include "phi/counters.hpp"
-#include "radiation/beam_campaign.hpp"
+#include "radiation/beam.hpp"
 
 namespace phifi::report {
 

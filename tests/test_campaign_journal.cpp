@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "radiation/beam.hpp"
 
 namespace phifi::fi {
 namespace {
@@ -272,6 +273,43 @@ TEST(CampaignJournal, FingerprintCoversResumeCriticalFields) {
 
   EXPECT_NE(campaign_fingerprint(config, "DGEMM", 4), base);
   EXPECT_NE(campaign_fingerprint(config, "Toy", 8), base);
+}
+
+TEST(CampaignJournal, InjectFingerprintIsUnchanged) {
+  // Pinned values: journals written before beam campaigns joined the
+  // executor must still resume.
+  EXPECT_EQ(campaign_fingerprint(CampaignConfig{}, "Toy", 4),
+            0xb0618c63c23b770eULL);
+  EXPECT_EQ(campaign_fingerprint(CampaignConfig{}, "LUD", 10),
+            0x29160e89ded28659ULL);
+}
+
+TEST(CampaignJournal, BeamAndInjectCampaignsHaveDifferentFingerprints) {
+  const phi::ResourceMap map =
+      phi::ResourceMap::for_spec(phi::DeviceSpec::knights_corner_3120a());
+  const radiation::DeviceSensitivity sensitivity =
+      radiation::DeviceSensitivity::knc_3120a(map);
+  const radiation::BeamPlan plan(sensitivity);
+  CampaignConfig inject;
+  inject.seed = 11;
+  CampaignConfig beam = inject;
+  beam.plan = &plan;
+  beam.min_sdc = 100;
+  beam.min_due = 40;
+  const std::uint64_t base = campaign_fingerprint(beam, "CLAMR", 4);
+  EXPECT_NE(campaign_fingerprint(inject, "CLAMR", 4), base);
+
+  // The beam's finish line and flux are part of its identity.
+  CampaignConfig other = beam;
+  other.min_sdc = 99;
+  EXPECT_NE(campaign_fingerprint(other, "CLAMR", 4), base);
+  other = beam;
+  other.min_due = 41;
+  EXPECT_NE(campaign_fingerprint(other, "CLAMR", 4), base);
+  const radiation::BeamPlan slower(sensitivity, 1.0e5);
+  other = beam;
+  other.plan = &slower;
+  EXPECT_NE(campaign_fingerprint(other, "CLAMR", 4), base);
 }
 
 }  // namespace

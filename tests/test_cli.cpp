@@ -7,6 +7,8 @@
 #include <sstream>
 
 #include "cli/runner.hpp"
+#include "core/campaign_journal.hpp"
+#include "telemetry/history.hpp"
 #include "telemetry/trace.hpp"
 #include "util/json.hpp"
 
@@ -56,9 +58,9 @@ input_seed = 42
   EXPECT_DOUBLE_EQ(config.earliest_fraction, 0.2);
   EXPECT_DOUBLE_EQ(config.flux, 1e5);
   EXPECT_EQ(config.min_sdc, 7u);
-  EXPECT_EQ(config.device_os_threads, 2u);
-  EXPECT_DOUBLE_EQ(config.min_timeout_seconds, 0.5);
-  EXPECT_EQ(config.input_seed, 42u);
+  EXPECT_EQ(config.supervisor.device_os_threads, 2u);
+  EXPECT_DOUBLE_EQ(config.supervisor.min_timeout_seconds, 0.5);
+  EXPECT_EQ(config.supervisor.input_seed, 42u);
 }
 
 TEST(CliConfig, ParsesDurabilityAndSupervisionKeys) {
@@ -76,11 +78,11 @@ max_consecutive_failures = 3
   EXPECT_EQ(config.journal_file, "/tmp/c.jnl");
   EXPECT_TRUE(config.resume);
   EXPECT_EQ(config.journal_fsync, fi::JournalFsync::kOnClose);
-  EXPECT_DOUBLE_EQ(config.kill_grace_seconds, 0.5);
-  EXPECT_EQ(config.child_address_space_mb, 2048u);
-  EXPECT_EQ(config.child_cpu_seconds, 30u);
-  EXPECT_EQ(config.heartbeat_divisions, 32u);
-  EXPECT_DOUBLE_EQ(config.stall_timeout_seconds, 1.5);
+  EXPECT_DOUBLE_EQ(config.supervisor.kill_grace_seconds, 0.5);
+  EXPECT_EQ(config.supervisor.child_address_space_mb, 2048u);
+  EXPECT_EQ(config.supervisor.child_cpu_seconds, 30u);
+  EXPECT_EQ(config.supervisor.heartbeat_divisions, 32u);
+  EXPECT_DOUBLE_EQ(config.supervisor.stall_timeout_seconds, 1.5);
   EXPECT_EQ(config.max_consecutive_failures, 3u);
 
   // The parsed keys reach the structs the campaign actually consumes.
@@ -104,22 +106,23 @@ TEST(CliConfig, DurabilityKeysSurviveFormatRoundTrip) {
   config.journal_file = "camp.jnl";
   config.resume = true;
   config.journal_fsync = fi::JournalFsync::kOnClose;
-  config.kill_grace_seconds = 0.75;
-  config.child_address_space_mb = 4096;
-  config.child_cpu_seconds = 60;
-  config.heartbeat_divisions = 8;
-  config.stall_timeout_seconds = 2.0;
+  config.supervisor.kill_grace_seconds = 0.75;
+  config.supervisor.child_address_space_mb = 4096;
+  config.supervisor.child_cpu_seconds = 60;
+  config.supervisor.heartbeat_divisions = 8;
+  config.supervisor.stall_timeout_seconds = 2.0;
   config.max_consecutive_failures = 9;
   const RunnerConfig reparsed = parse(format_config(config));
   EXPECT_EQ(reparsed.journal_file, config.journal_file);
   EXPECT_EQ(reparsed.resume, config.resume);
   EXPECT_EQ(reparsed.journal_fsync, config.journal_fsync);
-  EXPECT_DOUBLE_EQ(reparsed.kill_grace_seconds, config.kill_grace_seconds);
-  EXPECT_EQ(reparsed.child_address_space_mb, config.child_address_space_mb);
-  EXPECT_EQ(reparsed.child_cpu_seconds, config.child_cpu_seconds);
-  EXPECT_EQ(reparsed.heartbeat_divisions, config.heartbeat_divisions);
-  EXPECT_DOUBLE_EQ(reparsed.stall_timeout_seconds,
-                   config.stall_timeout_seconds);
+  const fi::SupervisorConfig& a = reparsed.supervisor;
+  const fi::SupervisorConfig& b = config.supervisor;
+  EXPECT_DOUBLE_EQ(a.kill_grace_seconds, b.kill_grace_seconds);
+  EXPECT_EQ(a.child_address_space_mb, b.child_address_space_mb);
+  EXPECT_EQ(a.child_cpu_seconds, b.child_cpu_seconds);
+  EXPECT_EQ(a.heartbeat_divisions, b.heartbeat_divisions);
+  EXPECT_DOUBLE_EQ(a.stall_timeout_seconds, b.stall_timeout_seconds);
   EXPECT_EQ(reparsed.max_consecutive_failures,
             config.max_consecutive_failures);
 }
@@ -295,6 +298,119 @@ TEST(CliRunner, RunsSmallBeamCampaign) {
   EXPECT_EQ(summary.mode, RunMode::kBeam);
   EXPECT_GT(summary.sdc_fit, 0.0);
   EXPECT_NE(out.str().find("Beam campaign - DGEMM"), std::string::npos);
+}
+
+TEST(CliRunner, BeamModeWritesEveryOutputFile) {
+  namespace fs = std::filesystem;
+  const std::string base = ::testing::TempDir() + "phifi_cli_beam";
+  RunnerConfig config;
+  config.mode = RunMode::kBeam;
+  config.workload = "DGEMM";
+  config.seed = 6;
+  config.min_sdc = 3;
+  config.min_due = 1;
+  config.jobs = 2;
+  config.journal_file = base + ".jnl";
+  config.trace_file = base + ".ndjson";
+  config.metrics_file = base + ".metrics.json";
+  config.history_file = base + ".history.ndjson";
+  config.report_file = base + ".md";
+  for (const std::string* path :
+       {&config.journal_file, &config.trace_file, &config.metrics_file,
+        &config.history_file, &config.report_file}) {
+    fs::remove(*path);
+  }
+  std::ostringstream out;
+  const RunSummary summary = run_from_config(config, out);
+  EXPECT_GE(summary.outcomes.sdc, 3u);
+  EXPECT_GE(summary.outcomes.due, 1u);
+
+  // The journal holds every committed attempt.
+  EXPECT_GE(fi::read_journal(config.journal_file).records.size(),
+            summary.outcomes.total());
+  // The trace brackets the campaign: a header and an end record.
+  const telemetry::TraceContents trace =
+      telemetry::read_trace_file(config.trace_file);
+  EXPECT_EQ(trace.campaign.string_or("workload", ""), "DGEMM");
+  ASSERT_FALSE(trace.end.is_null());
+  EXPECT_DOUBLE_EQ(trace.end.number_or("sdc", -1.0),
+                   static_cast<double>(summary.outcomes.sdc));
+  // The metrics snapshot counts the campaign.
+  std::ifstream metrics_stream(config.metrics_file);
+  ASSERT_TRUE(metrics_stream);
+  std::stringstream metrics;
+  metrics << metrics_stream.rdbuf();
+  const util::json::Value snapshot = util::json::parse(metrics.str());
+  const util::json::Value* counters = snapshot.find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_DOUBLE_EQ(counters->number_or("campaign.completed", -1.0),
+                   static_cast<double>(summary.outcomes.total()));
+  // One history record, and a report with the beam section.
+  EXPECT_EQ(telemetry::read_history_file(config.history_file).size(), 1u);
+  std::ifstream report_stream(config.report_file);
+  std::stringstream report;
+  report << report_stream.rdbuf();
+  EXPECT_NE(report.str().find("## Beam experiment"), std::string::npos);
+}
+
+TEST(CliRunner, BeamModeRefusesResumeAndFabricRoles) {
+  RunnerConfig beam;
+  beam.mode = RunMode::kBeam;
+  EXPECT_EQ(refusal(beam), "");
+  RunnerConfig resume = beam;
+  resume.resume = true;
+  resume.journal_file = ::testing::TempDir() + "phifi_cli_beam_refused.jnl";
+  RunnerConfig coordinator = beam;
+  coordinator.fabric_listen = "unix:/nonexistent/phifi.sock";
+  RunnerConfig worker = beam;
+  worker.fabric_connect = "unix:/nonexistent/phifi.sock";
+  worker.fabric_shard = ::testing::TempDir() + "phifi_cli_beam_shard.jnl";
+  for (const auto& [config, key] :
+       {std::pair{resume, "resume"}, std::pair{coordinator, "fabric_listen"},
+        std::pair{worker, "fabric_connect"}}) {
+    EXPECT_NE(refusal(config).find(key), std::string::npos) << key;
+    std::ostringstream out;
+    EXPECT_THROW(run_from_config(config, out), std::invalid_argument) << key;
+  }
+  // Injection campaigns keep both.
+  RunnerConfig inject = resume;
+  inject.mode = RunMode::kInject;
+  EXPECT_EQ(refusal(inject), "");
+}
+
+TEST(CliConfig, SupervisorDefaultsAreTheSupervisorsOwn) {
+  const fi::SupervisorConfig runner = RunnerConfig{}.supervisor_config();
+  const fi::SupervisorConfig plain;
+  EXPECT_EQ(runner.input_seed, plain.input_seed);
+  EXPECT_EQ(runner.device_os_threads, plain.device_os_threads);
+  EXPECT_EQ(runner.device_spec.model, plain.device_spec.model);
+  EXPECT_EQ(runner.timeout_factor, plain.timeout_factor);
+  EXPECT_EQ(runner.min_timeout_seconds, plain.min_timeout_seconds);
+  EXPECT_EQ(runner.kill_grace_seconds, plain.kill_grace_seconds);
+  EXPECT_EQ(runner.child_address_space_mb, plain.child_address_space_mb);
+  EXPECT_EQ(runner.child_cpu_seconds, plain.child_cpu_seconds);
+  EXPECT_EQ(runner.heartbeat_divisions, plain.heartbeat_divisions);
+  EXPECT_EQ(runner.max_deadline_factor, plain.max_deadline_factor);
+  EXPECT_EQ(runner.stall_timeout_seconds, plain.stall_timeout_seconds);
+  EXPECT_EQ(runner.metrics, plain.metrics);
+}
+
+TEST(CliConfig, BeamModeMapsItsKeysOntoTheCampaign) {
+  RunnerConfig config;
+  config.mode = RunMode::kBeam;
+  config.max_executions = 321;
+  config.min_sdc = 7;
+  config.min_due = 3;
+  const fi::CampaignConfig beam = config.campaign_config();
+  EXPECT_EQ(beam.trials, 321u);
+  EXPECT_EQ(beam.min_sdc, 7u);
+  EXPECT_EQ(beam.min_due, 3u);
+  // An injection campaign leaves the error-count finish line off.
+  config.mode = RunMode::kInject;
+  const fi::CampaignConfig inject = config.campaign_config();
+  EXPECT_EQ(inject.trials, config.trials);
+  EXPECT_EQ(inject.min_sdc, 0u);
+  EXPECT_EQ(inject.min_due, 0u);
 }
 
 }  // namespace

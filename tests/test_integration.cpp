@@ -118,7 +118,7 @@ TEST(BurstInjection, SupervisorForwardsBurst) {
     if (result.outcome != fi::Outcome::kSdc) continue;
     EXPECT_GE(result.record.burst_elements, 1u);
     const analysis::Comparison comparison = analysis::compare_outputs(
-        supervisor.golden(), supervisor.last_output(),
+        supervisor.golden(), supervisor.slot_output(0),
         fi::ElementType::kF64);
     EXPECT_GT(comparison.mismatch_count(), 0u);
     return;  // one verified SDC is enough

@@ -71,7 +71,7 @@ TEST(Supervisor, RandomFaultInOutputIsSdc) {
       EXPECT_TRUE(result.record.injected);
       EXPECT_EQ(result.record.model, FaultModel::kRandom);
       // The SDC trial's output is available and differs from golden.
-      const auto output = supervisor.last_output();
+      const auto output = supervisor.slot_output(0);
       ASSERT_EQ(output.size(), supervisor.golden().size());
       EXPECT_NE(std::memcmp(output.data(), supervisor.golden().data(),
                             output.size()),

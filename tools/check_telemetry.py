@@ -30,7 +30,7 @@ import json
 import sys
 
 DUE_KINDS = {"none", "crash", "abnormal-exit", "hang", "rlimit", "stall",
-             "infra"}
+             "machine-check"}
 FABRIC_KINDS = {"worker_join", "worker_leave", "lease_grant", "lease_adopt",
                 "lease_done", "lease_reclaim"}
 PROFILE_PHASES_US = ("fork_us", "setup_us", "inject_us", "run_us",

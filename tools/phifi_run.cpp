@@ -242,6 +242,10 @@ int main(int argc, char** argv) {
     }
     if (!serve_metrics.empty()) config.fabric_serve_metrics = serve_metrics;
     config.stop_flag = &g_stop;
+    if (const std::string reason = cli::refusal(config); !reason.empty()) {
+      std::cerr << "phifi_run: " << reason << "\n";
+      return 2;
+    }
     if (config.resume && config.journal_file.empty()) {
       std::cerr << "phifi_run: --resume requires 'journal_file' in the "
                    "config\n";
@@ -295,7 +299,8 @@ int main(int argc, char** argv) {
       const cli::RunSummary summary = cli::run_from_config(config, std::cout);
       std::cout << "\n";
       if (summary.interrupted || summary.aborted) {
-        if (!config.journal_file.empty()) {
+        if (!config.journal_file.empty() &&
+            config.mode == cli::RunMode::kInject) {
           std::cout << (summary.interrupted ? "interrupted" : "aborted")
                     << "; completed trials are journaled. Resume with:\n"
                     << "  " << argv[0] << " " << argv[1] << " --resume\n";
