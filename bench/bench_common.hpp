@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <thread>
 
 #include "core/campaign.hpp"
@@ -50,13 +51,11 @@ inline fi::CampaignConfig bench_campaign_config(std::uint64_t seed) {
 
 /// Runs one CAROL-FI campaign for a workload with bench defaults.
 inline fi::CampaignResult run_campaign(const work::WorkloadInfo& info,
-                                       std::uint64_t seed,
-                                       const fi::TrialObserver& observer =
-                                           nullptr) {
+                                       std::uint64_t seed) {
   fi::TrialSupervisor supervisor(info.factory);
   supervisor.prepare_golden();
   fi::Campaign campaign(supervisor, bench_campaign_config(seed));
-  return campaign.run(observer);
+  return campaign.run();
 }
 
 /// Runs one beam campaign (Sec. 4) for a workload on the Knights Corner
@@ -67,19 +66,14 @@ inline radiation::BeamResult run_beam(
     double flux = radiation::kDefaultFlux) {
   fi::TrialSupervisor supervisor(factory);
   supervisor.prepare_golden();
-  const radiation::DeviceSensitivity sensitivity =
-      radiation::DeviceSensitivity::knc_3120a(
-          phi::ResourceMap::for_spec(phi::DeviceSpec::knights_corner_3120a()));
-  const radiation::BeamPlan plan(sensitivity, flux);
+  const auto plan = std::make_shared<const radiation::BeamPlan>(flux);
   fi::CampaignConfig config = bench_campaign_config(seed);
   config.trials = radiation::kDefaultMaxExecutions;
   config.min_sdc = min_sdc;
   config.min_due = min_due;
-  config.plan = &plan;
-  analysis::SdcAnalyzer analyzer(supervisor);
+  config.plan = plan;
   fi::Campaign campaign(supervisor, config);
-  const fi::CampaignResult result = campaign.run(analyzer.observer());
-  return radiation::fold_beam(result, plan, seed, analyzer);
+  return radiation::fold_beam(campaign.run(), *plan, seed);
 }
 
 inline void print_table(const util::Table& table) {

@@ -23,7 +23,7 @@ int main() {
         info.factory, 0xbea2 + static_cast<std::uint64_t>(info.name[0]),
         bench::beam_min_sdc(), bench::beam_min_due());
 
-    auto pattern_fit = [&result](analysis::ErrorPattern pattern) {
+    auto pattern_fit = [&result](fi::ErrorPattern pattern) {
       return util::fmt(result.pattern_fit(pattern), 1);
     };
     table.add_row(
@@ -32,11 +32,11 @@ int main() {
                             result.sdc_fit.fit_hi, 1),
          util::fmt_interval(result.due_fit.fit, result.due_fit.fit_lo,
                             result.due_fit.fit_hi, 1),
-         pattern_fit(analysis::ErrorPattern::kCubic),
-         pattern_fit(analysis::ErrorPattern::kSquare),
-         pattern_fit(analysis::ErrorPattern::kLine),
-         pattern_fit(analysis::ErrorPattern::kSingle),
-         pattern_fit(analysis::ErrorPattern::kRandom),
+         pattern_fit(fi::ErrorPattern::kCubic),
+         pattern_fit(fi::ErrorPattern::kSquare),
+         pattern_fit(fi::ErrorPattern::kLine),
+         pattern_fit(fi::ErrorPattern::kSingle),
+         pattern_fit(fi::ErrorPattern::kRandom),
          util::fmt_percent(result.single_element_fraction),
          std::to_string(result.runs), std::to_string(result.executions)});
   }

@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "analysis/compare.hpp"
 #include "analysis/spatial.hpp"
 #include "bench/bench_common.hpp"
 #include "core/flip_engine.hpp"
@@ -70,30 +69,29 @@ int main() {
     dgemm.run(device, progress);
     progress.finish();
 
-    const analysis::Comparison before = analysis::compare_outputs(
-        golden.output_bytes(), dgemm.output_bytes(), fi::ElementType::kF64);
-    if (before.matches()) continue;
+    const auto summarize = [&golden, &dgemm] {
+      return fi::summarize_sdc(golden.output_bytes(), dgemm.output_bytes(),
+                               fi::ElementType::kF64, golden.output_shape());
+    };
+    const fi::SdcSummary before = summarize();
+    if (before.mismatched == 0) continue;
     ++sdc;
     // Sub-tolerance corruption (e.g. a low mantissa bit) is below ABFT's
     // checksum slack by construction; only significant SDCs are the
     // correction targets.
     if (!before.is_sdc_at(1e-6)) continue;
     ++significant;
-    injected_patterns.add(analysis::classify_pattern(
-        before.mismatch_indices, golden.output_shape()));
+    injected_patterns.add(before.pattern);
 
     const mitigation::AbftReport report = abft.check_and_correct(dgemm.c());
     detected += report.detected();
     detected_uncorrectable += report.uncorrectable;
-    const analysis::Comparison after = analysis::compare_outputs(
-        golden.output_bytes(), dgemm.output_bytes(), fi::ElementType::kF64);
     // "Corrected" = the repaired output is within checksum tolerance of the
     // golden copy everywhere (bitwise equality is not achievable when the
     // repair subtracts a float-rounded delta).
-    if (!after.is_sdc_at(1e-6)) {
+    if (!summarize().is_sdc_at(1e-6)) {
       ++fully_corrected;
-      corrected_patterns.add(analysis::classify_pattern(
-          before.mismatch_indices, golden.output_shape()));
+      corrected_patterns.add(before.pattern);
     }
   }
 
@@ -116,9 +114,9 @@ int main() {
            ")"});
   table.add_row({"detected but uncorrectable",
                  std::to_string(detected_uncorrectable)});
-  for (int p = 1; p < analysis::kPatternCount; ++p) {
-    const auto pattern = static_cast<analysis::ErrorPattern>(p);
-    table.add_row({"pattern " + std::string(analysis::to_string(pattern)) +
+  for (int p = 1; p < fi::kPatternCount; ++p) {
+    const auto pattern = static_cast<fi::ErrorPattern>(p);
+    table.add_row({"pattern " + std::string(fi::to_string(pattern)) +
                        " injected/corrected",
                    std::to_string(injected_patterns.count(pattern)) + " / " +
                        std::to_string(corrected_patterns.count(pattern))});

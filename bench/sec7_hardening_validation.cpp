@@ -12,7 +12,6 @@
 // the 2x of blanket replication.
 #include <chrono>
 
-#include "analysis/compare.hpp"
 #include "bench/bench_common.hpp"
 #include "core/progress.hpp"
 #include "workloads/hardened.hpp"
@@ -71,19 +70,15 @@ int main() {
       supervisor.prepare_golden();
       fi::Campaign campaign(supervisor,
                             bench::bench_campaign_config(0x5ec7));
+      const fi::CampaignResult result = campaign.run();
       // ABFT repairs leave float rounding residue that the bitwise
       // classifier still flags; count SDCs whose worst element exceeds a
       // 1e-6 relative tolerance as the "significant" ones.
       std::size_t significant = 0;
-      const fi::CampaignResult result = campaign.run(
-          [&](const fi::TrialResult& trial,
-              std::span<const std::byte> output) {
-            if (trial.outcome != fi::Outcome::kSdc) return;
-            const analysis::Comparison comparison =
-                analysis::compare_outputs(supervisor.golden(), output,
-                                          supervisor.output_type());
-            significant += comparison.is_sdc_at(1e-6);
-          });
+      for (const fi::TrialResult& trial : result.trials) {
+        significant += trial.outcome == fi::Outcome::kSdc &&
+                       trial.sdc.is_sdc_at(1e-6);
+      }
       const double seconds = golden_seconds(factory);
       const double significant_rate =
           result.overall.total() == 0

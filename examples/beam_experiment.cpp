@@ -10,6 +10,7 @@
 // tolerance curve for imprecise computing.
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 
 #include "radiation/beam.hpp"
 #include "util/table.hpp"
@@ -29,26 +30,22 @@ int main(int argc, char** argv) {
   fi::TrialSupervisor supervisor(factory);
   supervisor.prepare_golden();
 
-  const phi::DeviceSpec spec = phi::DeviceSpec::knights_corner_3120a();
-  const phi::ResourceMap map = phi::ResourceMap::for_spec(spec);
-  const radiation::DeviceSensitivity sensitivity =
-      radiation::DeviceSensitivity::knc_3120a(map);
-
   // Each campaign attempt is one beam execution a strike made visible; the
-  // campaign stops once it holds both error targets.
-  const radiation::BeamPlan plan(sensitivity);
+  // campaign stops once it holds both error targets. The plan models the
+  // Knights Corner 3120A.
+  const auto plan = std::make_shared<const radiation::BeamPlan>();
   fi::CampaignConfig config;
   config.seed = 0xbea3;
   config.trials = radiation::kDefaultMaxExecutions;
   config.min_sdc = min_sdc;
   config.min_due = min_sdc / 2;
-  config.plan = &plan;
-  analysis::SdcAnalyzer analyzer(supervisor);
+  config.plan = plan;
   fi::Campaign campaign(supervisor, config);
-  const radiation::BeamResult result = radiation::fold_beam(
-      campaign.run(analyzer.observer()), plan, config.seed, analyzer);
+  const radiation::BeamResult result =
+      radiation::fold_beam(campaign.run(), *plan, config.seed);
 
-  std::cout << "Device under beam: " << spec.model << "\n"
+  std::cout << "Device under beam: "
+            << phi::DeviceSpec::knights_corner_3120a().model << "\n"
             << "Benchmark: " << name << "\n"
             << "Executions simulated: " << result.runs << " ("
             << result.executions << " with a fault reaching the program)\n"
@@ -75,9 +72,9 @@ int main(int argc, char** argv) {
 
   util::Table patterns("Spatial distribution of the SDCs");
   patterns.set_header({"pattern", "share", "FIT contribution"});
-  for (int p = 1; p < analysis::kPatternCount; ++p) {
-    const auto pattern = static_cast<analysis::ErrorPattern>(p);
-    patterns.add_row({std::string(analysis::to_string(pattern)),
+  for (int p = 1; p < fi::kPatternCount; ++p) {
+    const auto pattern = static_cast<fi::ErrorPattern>(p);
+    patterns.add_row({std::string(fi::to_string(pattern)),
                       util::fmt_percent(result.patterns.fraction(pattern)),
                       util::fmt(result.pattern_fit(pattern), 1)});
   }

@@ -1,52 +1,12 @@
 #include "analysis/spatial.hpp"
 
-#include <algorithm>
-
 namespace phifi::analysis {
 
-double PatternTally::fraction(ErrorPattern pattern) const {
-  const std::size_t classified = total() - count(ErrorPattern::kNone);
+double PatternTally::fraction(fi::ErrorPattern pattern) const {
+  const std::size_t classified = total() - count(fi::ErrorPattern::kNone);
   if (classified == 0) return 0.0;
   return static_cast<double>(count(pattern)) /
          static_cast<double>(classified);
-}
-
-ErrorPattern classify_pattern(std::span<const std::size_t> indices,
-                              const util::Shape& shape) {
-  if (indices.empty()) return ErrorPattern::kNone;
-  if (indices.size() == 1) return ErrorPattern::kSingle;
-
-  // Bounding box of the corrupted coordinates.
-  util::Coord lo{~std::size_t{0}, ~std::size_t{0}, ~std::size_t{0}};
-  util::Coord hi{0, 0, 0};
-  for (std::size_t flat : indices) {
-    const util::Coord c = util::unflatten(shape, flat);
-    lo.x = std::min(lo.x, c.x);
-    lo.y = std::min(lo.y, c.y);
-    lo.z = std::min(lo.z, c.z);
-    hi.x = std::max(hi.x, c.x);
-    hi.y = std::max(hi.y, c.y);
-    hi.z = std::max(hi.z, c.z);
-  }
-  const std::size_t ex = hi.x - lo.x + 1;
-  const std::size_t ey = hi.y - lo.y + 1;
-  const std::size_t ez = hi.z - lo.z + 1;
-  const int spread_dims = (ex > 1) + (ey > 1) + (ez > 1);
-
-  // All errors share a row, column, or pillar: a line, whatever its length.
-  if (spread_dims <= 1) return ErrorPattern::kLine;
-
-  const double count = static_cast<double>(indices.size());
-  if (spread_dims == 2) {
-    const double box = static_cast<double>(ex) * static_cast<double>(ey) *
-                       static_cast<double>(ez);  // one extent is 1
-    return (count / box >= kSquareFillThreshold) ? ErrorPattern::kSquare
-                                                 : ErrorPattern::kRandom;
-  }
-  const double box = static_cast<double>(ex) * static_cast<double>(ey) *
-                     static_cast<double>(ez);
-  return (count / box >= kCubicFillThreshold) ? ErrorPattern::kCubic
-                                              : ErrorPattern::kRandom;
 }
 
 }  // namespace phifi::analysis

@@ -1,66 +1,24 @@
-// Spatial classification of corrupted outputs (Sec. 4.3, Fig. 2).
+// Spatial split of a campaign's SDCs (Sec. 4.3, Fig. 2).
 //
-// The paper buckets every SDC by the geometry of its wrong elements:
-//   single — exactly one wrong value;
-//   line   — multiple wrong values confined to one row or one column;
-//   square — wrong values spanning two dimensions in a coherent block;
-//   cubic  — wrong values spanning three dimensions coherently (only
-//            possible for 3D outputs, i.e. LavaMD);
-//   random — multiple wrong values with no clear pattern.
-// "Coherent block" is made precise here with a bounding-box fill-density
-// rule (see classify_pattern); the thresholds are documented constants and
-// exercised by the property tests.
+// Each SDC's pattern is classified by the trial child that produced it
+// (fi::SdcSummary, core/sdc_summary.hpp, which documents the classes and
+// their thresholds); this tally folds those patterns over a campaign.
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <string_view>
 
-#include "util/array_view.hpp"
+#include "core/sdc_summary.hpp"
 
 namespace phifi::analysis {
 
-enum class ErrorPattern : int {
-  kNone = 0,
-  kSingle = 1,
-  kLine = 2,
-  kSquare = 3,
-  kCubic = 4,
-  kRandom = 5,
-};
-
-constexpr std::string_view to_string(ErrorPattern pattern) {
-  switch (pattern) {
-    case ErrorPattern::kNone: return "none";
-    case ErrorPattern::kSingle: return "single";
-    case ErrorPattern::kLine: return "line";
-    case ErrorPattern::kSquare: return "square";
-    case ErrorPattern::kCubic: return "cubic";
-    case ErrorPattern::kRandom: return "random";
-  }
-  return "?";
-}
-
-inline constexpr int kPatternCount = 6;
-
-/// Minimum fraction of a 2D bounding box that must be corrupted for the
-/// cluster to count as "square" rather than "random".
-inline constexpr double kSquareFillThreshold = 0.25;
-/// Same for a 3D bounding box ("cubic").
-inline constexpr double kCubicFillThreshold = 0.10;
-
-/// Classifies the mismatch positions (flat indices into `shape`).
-ErrorPattern classify_pattern(std::span<const std::size_t> indices,
-                              const util::Shape& shape);
-
 /// Per-pattern counters for aggregating a campaign.
 struct PatternTally {
-  std::size_t counts[kPatternCount] = {};
+  std::size_t counts[fi::kPatternCount] = {};
 
-  void add(ErrorPattern pattern) {
+  void add(fi::ErrorPattern pattern) {
     ++counts[static_cast<int>(pattern)];
   }
-  [[nodiscard]] std::size_t count(ErrorPattern pattern) const {
+  [[nodiscard]] std::size_t count(fi::ErrorPattern pattern) const {
     return counts[static_cast<int>(pattern)];
   }
   [[nodiscard]] std::size_t total() const {
@@ -69,7 +27,7 @@ struct PatternTally {
     return sum;
   }
   /// Fraction of classified SDCs (excludes kNone) with the given pattern.
-  [[nodiscard]] double fraction(ErrorPattern pattern) const;
+  [[nodiscard]] double fraction(fi::ErrorPattern pattern) const;
 };
 
 }  // namespace phifi::analysis

@@ -2,12 +2,21 @@
 
 #include <algorithm>
 #include <istream>
+#include <iterator>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace phifi::cli {
 
 namespace {
+
+/// Keys only one mode reads: the other mode refuses them by name.
+constexpr std::string_view kInjectKeys[] = {
+    "trials", "policy", "models", "earliest_fraction", "latest_fraction"};
+constexpr std::string_view kBeamKeys[] = {"flux", "min_sdc", "min_due",
+                                          "max_executions"};
 
 std::string trim(const std::string& text) {
   const auto begin = text.find_first_not_of(" \t\r");
@@ -94,28 +103,18 @@ fi::CampaignConfig RunnerConfig::campaign_config() const {
     config.trials = max_executions;
     config.min_sdc = min_sdc;
     config.min_due = min_due;
+    config.plan = std::make_shared<radiation::BeamPlan>(flux);
   }
   return config;
-}
-
-std::string refusal(const RunnerConfig& config) {
-  if (config.mode != RunMode::kBeam) return "";
-  const char* key = config.resume ? "resume (--resume)"
-                    : !config.fabric_listen.empty()
-                        ? "fabric_listen (--coordinator)"
-                    : !config.fabric_connect.empty()
-                        ? "fabric_connect (--connect)"
-                        : nullptr;
-  if (key == nullptr) return "";
-  return std::string("mode = beam does not support ") + key +
-         ": the SDC pattern split and tolerance curve need each SDC's "
-         "output bytes, which journal records and fabric lease reports do "
-         "not carry";
 }
 
 RunnerConfig parse_config(std::istream& is) {
   RunnerConfig config;
   fi::SupervisorConfig& supervisor = config.supervisor;
+  // Mode-specific keys seen, in file order with their lines: the mode line
+  // may come after them, so they are checked once the whole file is read.
+  std::vector<std::pair<int, std::string>> inject_keys;
+  std::vector<std::pair<int, std::string>> beam_keys;
   std::string raw;
   int line_number = 0;
   while (std::getline(is, raw)) {
@@ -131,6 +130,12 @@ RunnerConfig parse_config(std::istream& is) {
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
     if (value.empty()) fail(line_number, "empty value for '" + key + "'");
+    if (std::ranges::find(kInjectKeys, key) != std::end(kInjectKeys)) {
+      inject_keys.emplace_back(line_number, key);
+    }
+    if (std::ranges::find(kBeamKeys, key) != std::end(kBeamKeys)) {
+      beam_keys.emplace_back(line_number, key);
+    }
 
     if (key == "mode") {
       if (value == "inject") config.mode = RunMode::kInject;
@@ -258,6 +263,12 @@ RunnerConfig parse_config(std::istream& is) {
       fail(line_number, "unknown key '" + key + "'");
     }
   }
+  const bool beam = config.mode == RunMode::kBeam;
+  if (const auto& ignored = beam ? inject_keys : beam_keys; !ignored.empty()) {
+    fail(ignored.front().first,
+         "'" + ignored.front().second + "' has no effect in mode = " +
+             (beam ? "beam" : "inject") + "; remove it");
+  }
   if (config.earliest_fraction < 0.0 || config.latest_fraction > 1.0 ||
       config.earliest_fraction >= config.latest_fraction) {
     throw std::runtime_error(
@@ -320,25 +331,28 @@ std::string format_config(const RunnerConfig& config) {
   if (config.progress_seconds > 0.0) {
     os << "progress_seconds = " << config.progress_seconds << "\n";
   }
-  os << "trials = " << config.trials << "\n"
-     << "jobs = " << config.jobs << "\n";
+  os << "jobs = " << config.jobs << "\n";
   if (config.stop_ci_width > 0.0) {
     os << "stop_ci_width = " << config.stop_ci_width << "\n";
   }
-  os << "policy = " << to_string(config.policy) << "\n"
-     << "models = ";
-  for (std::size_t i = 0; i < config.models.size(); ++i) {
-    if (i) os << " + ";
-    os << to_string(config.models[i]);
+  if (config.mode == RunMode::kBeam) {
+    os << "flux = " << config.flux << "\n"
+       << "min_sdc = " << config.min_sdc << "\n"
+       << "min_due = " << config.min_due << "\n"
+       << "max_executions = " << config.max_executions << "\n";
+  } else {
+    os << "trials = " << config.trials << "\n"
+       << "policy = " << to_string(config.policy) << "\n"
+       << "models = ";
+    for (std::size_t i = 0; i < config.models.size(); ++i) {
+      if (i) os << " + ";
+      os << to_string(config.models[i]);
+    }
+    os << "\n"
+       << "earliest_fraction = " << config.earliest_fraction << "\n"
+       << "latest_fraction = " << config.latest_fraction << "\n";
   }
-  os << "\n"
-     << "earliest_fraction = " << config.earliest_fraction << "\n"
-     << "latest_fraction = " << config.latest_fraction << "\n"
-     << "flux = " << config.flux << "\n"
-     << "min_sdc = " << config.min_sdc << "\n"
-     << "min_due = " << config.min_due << "\n"
-     << "max_executions = " << config.max_executions << "\n"
-     << "device_os_threads = " << supervisor.device_os_threads << "\n"
+  os << "device_os_threads = " << supervisor.device_os_threads << "\n"
      << "timeout_factor = " << supervisor.timeout_factor << "\n"
      << "min_timeout_seconds = " << supervisor.min_timeout_seconds << "\n"
      << "input_seed = " << supervisor.input_seed << "\n"

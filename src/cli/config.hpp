@@ -49,13 +49,14 @@ struct RunnerConfig {
   /// completed campaign ("" = off). phifi_parse --drift compares two.
   std::string history_file;
 
-  // Injection-mode settings.
-  std::size_t trials = 1000;
   unsigned jobs = 1;  ///< forked trials in flight (--jobs / `jobs = N`)
   /// Sequential stopping epsilon: end the campaign once the SDC-proportion
   /// Wilson CI half-width is <= this (proportion scale; 0.005 = ±0.5
   /// percentage points; 0 = run the full trial count).
   double stop_ci_width = 0.0;
+
+  // Injection-mode settings (a beam file that sets one is refused).
+  std::size_t trials = 1000;
   fi::SelectionPolicy policy = fi::SelectionPolicy::kCarolFi;
   std::vector<fi::FaultModel> models{
       fi::FaultModel::kSingle, fi::FaultModel::kDouble,
@@ -64,7 +65,8 @@ struct RunnerConfig {
   double latest_fraction = 0.99;
 
   // Beam-mode settings: the plan's flux, the error-count finish line, and
-  // the execution budget (the campaign's `trials` in beam mode).
+  // the execution budget (the campaign's `trials` in beam mode). An inject
+  // file that sets one is refused.
   double flux = radiation::kDefaultFlux;
   std::uint64_t min_sdc = 100;
   std::uint64_t min_due = 40;
@@ -100,21 +102,21 @@ struct RunnerConfig {
   [[nodiscard]] fi::SupervisorConfig supervisor_config() const {
     return supervisor;
   }
-  /// In beam mode `trials` is max_executions, min_sdc/min_due set the finish
-  /// line, and the caller attaches radiation::BeamPlan at `flux`.
+  /// The one campaign every role of this configuration runs: the local
+  /// runner, both fabric roles and phifi_merge derive its fingerprint and
+  /// finish line from it. In beam mode `trials` is max_executions,
+  /// min_sdc/min_due set the finish line, and the plan is a
+  /// radiation::BeamPlan at `flux`.
   [[nodiscard]] fi::CampaignConfig campaign_config() const;
 };
 
-/// Why this configuration cannot run, or "" when it can: a beam campaign
-/// refuses resume and the fabric roles (see the message).
-std::string refusal(const RunnerConfig& config);
-
 /// Parses a config stream. Throws std::runtime_error with a line-numbered
-/// message on syntax errors, unknown keys, or invalid values.
+/// message on syntax errors, unknown keys, invalid values, or a key of the
+/// other mode (say `trials` in a beam file), which would have no effect.
 RunnerConfig parse_config(std::istream& is);
 
-/// Serializes a config back to the file format (for golden tests and for
-/// generating template files).
+/// Serializes a config back to the file format, with the keys of its own
+/// mode only (for golden tests and for generating template files).
 std::string format_config(const RunnerConfig& config);
 
 }  // namespace phifi::cli

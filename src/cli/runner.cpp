@@ -175,7 +175,7 @@ RunSummary run_fabric(const RunnerConfig& config,
       trace->set_run_id(telemetry::run_id_to_hex(options.run_id));
       telemetry::TraceCampaign header;
       header.workload = config.workload;
-      header.trials = config.trials;
+      header.trials = campaign_config.trials;
       header.seed = config.seed;
       header.policy = std::string(to_string(config.policy));
       for (fi::FaultModel model : config.models) {
@@ -281,9 +281,6 @@ RunSummary run_fabric(const RunnerConfig& config,
 }  // namespace
 
 RunSummary run_from_config(const RunnerConfig& config, std::ostream& out) {
-  if (const std::string reason = refusal(config); !reason.empty()) {
-    throw std::invalid_argument(reason);
-  }
   const fi::WorkloadFactory factory = work::find_workload(config.workload);
   if (factory == nullptr) {
     throw std::runtime_error("unknown workload '" + config.workload + "'");
@@ -320,35 +317,8 @@ RunSummary run_from_config(const RunnerConfig& config, std::ostream& out) {
   fi::SupervisorConfig supervisor_config = config.supervisor_config();
   if (telemetry_on) supervisor_config.metrics = &metrics;
   fi::TrialSupervisor supervisor(factory, supervisor_config);
-
-  // A restarted fabric worker whose shard journal already records this
-  // exact campaign's golden digest adopts it and skips the golden re-run —
-  // on wide fleets the per-worker golden run is pure duplicated work.
-  bool adopted_golden = false;
-  if (!config.fabric_connect.empty() && !config.fabric_shard.empty()) {
-    try {
-      const fi::JournalContents shard = fi::read_journal(config.fabric_shard);
-      const auto probe = factory();
-      const std::uint64_t fingerprint = fi::campaign_fingerprint(
-          config.campaign_config(), probe->name(), probe->time_windows());
-      if (shard.header.fingerprint == fingerprint &&
-          shard.header.golden_digest != 0 &&
-          shard.header.golden_output_bytes != 0) {
-        supervisor.adopt_golden(shard.header.golden_digest,
-                                shard.header.golden_output_bytes,
-                                shard.header.golden_seconds);
-        adopted_golden = true;
-      }
-    } catch (const std::runtime_error&) {
-      // No shard yet (fresh worker) or an unreadable one: the normal golden
-      // run below covers both, and open_shard() reports torn/mismatched
-      // journals with full context.
-    }
-  }
-  if (!adopted_golden) supervisor.prepare_golden();
-  if (telemetry_on && !adopted_golden) {
-    // An adopting supervisor never ran the golden in-process, so there are
-    // no device counters to export.
+  supervisor.prepare_golden();
+  if (telemetry_on) {
     export_golden_counters(metrics, supervisor.golden_counters(),
                            supervisor.golden_seconds());
   }
@@ -368,16 +338,7 @@ RunSummary run_from_config(const RunnerConfig& config, std::ostream& out) {
   if (telemetry_on) campaign_config.metrics = &metrics;
   campaign_config.trace = trace.get();
   campaign_config.profiler = profiler.get();
-
-  // Beam mode: the strike draw plans every attempt, and the analyzer reads
-  // each SDC's output bytes for the pattern split and tolerance curve.
   const bool beam_mode = config.mode == RunMode::kBeam;
-  const radiation::DeviceSensitivity sensitivity =
-      radiation::DeviceSensitivity::knc_3120a(
-          phi::ResourceMap::for_spec(phi::DeviceSpec::knights_corner_3120a()));
-  const radiation::BeamPlan beam_plan(sensitivity, config.flux);
-  analysis::SdcAnalyzer analyzer(supervisor);
-  if (beam_mode) campaign_config.plan = &beam_plan;
 
   // The streaming estimator feeds the progress line, the exported
   // est.* gauges, and the history ledger's per-cell intervals; the
@@ -397,15 +358,9 @@ RunSummary run_from_config(const RunnerConfig& config, std::ostream& out) {
     progress->set_estimator(estimator.get(), config.stop_ci_width);
   }
   fi::TrialObserver observer;
-  if (progress != nullptr || beam_mode) {
-    observer = [&progress, &analyzer, beam_mode](
-                   const fi::TrialResult& trial,
-                   std::span<const std::byte> output) {
-      if (beam_mode && trial.outcome == fi::Outcome::kSdc) {
-        analyzer.inspect(output);
-      }
-      if (progress != nullptr) progress->tick();
-    };
+  if (progress != nullptr) {
+    observer = [&progress](const fi::TrialResult&,
+                           std::span<const std::byte>) { progress->tick(); };
   }
 
   fi::Campaign campaign(supervisor, campaign_config);
@@ -417,8 +372,10 @@ RunSummary run_from_config(const RunnerConfig& config, std::ostream& out) {
           .count();
   std::optional<radiation::BeamResult> beam;
   if (beam_mode) {
-    const radiation::BeamResult& folded = beam.emplace(
-        radiation::fold_beam(result, beam_plan, config.seed, analyzer));
+    // The SDC summaries ride the records, replayed ones included, so a
+    // resumed (or merged and replayed) campaign folds like a live one.
+    const radiation::BeamResult& folded = beam.emplace(radiation::fold_beam(
+        result, radiation::BeamPlan(config.flux), config.seed));
     summary.sdc_fit = folded.sdc_fit.fit;
     summary.due_fit = folded.due_fit.fit;
   }

@@ -54,9 +54,6 @@ void feed_estimator(telemetry::CampaignEstimator& estimator,
 /// state.
 struct PendingTrial {
   TrialResult trial;
-  /// Output snapshot for the observer, captured at reap time because the
-  /// slot's shm channel may be reused before this attempt commits.
-  std::vector<std::byte> output;
   /// Reap timestamp, set only when a profiler is attached: the reorder-
   /// buffer wait is commit time minus this.
   std::chrono::steady_clock::time_point reaped_at{};
@@ -164,10 +161,16 @@ void accumulate_trial(CampaignResult& result, const TrialResult& trial) {
   if (trial.outcome == Outcome::kDue) {
     ++result.due_kinds[std::string(to_string(trial.due_kind))];
   }
-  result.by_model[static_cast<std::size_t>(trial.record.model)].add(
-      trial.outcome);
-  if (trial.window < result.by_window.size()) {
-    result.by_window[trial.window].add(trial.outcome);
+  if (trial.due_kind == DueKind::kMachineCheck) {
+    // Decided without a child (the one verdict a plan decides): its record
+    // holds defaults, not a fault model or a window.
+    result.decided.add(trial.outcome);
+  } else {
+    result.by_model[static_cast<std::size_t>(trial.record.model)].add(
+        trial.outcome);
+    if (trial.window < result.by_window.size()) {
+      result.by_window[trial.window].add(trial.outcome);
+    }
   }
   if (trial.record.injected) {
     result.by_category[trial.record.category].add(trial.outcome);
@@ -300,6 +303,9 @@ CampaignResult Campaign::run(const TrialObserver& observer) {
             "campaign resume rejected: journal '" + config_.journal_path +
             "' was written by a different campaign configuration");
       }
+      require_same_golden(
+          contents.header, supervisor_->golden_digest(),
+          "campaign resume rejected: journal '" + config_.journal_path + "'");
       if (contents.dropped_bytes > 0) {
         util::log_warn() << result.workload << ": journal dropped "
                          << contents.dropped_bytes
@@ -355,8 +361,6 @@ CampaignResult Campaign::run(const TrialObserver& observer) {
       header.time_windows = result.time_windows;
       header.workload = result.workload;
       header.golden_digest = supervisor_->golden_digest();
-      header.golden_seconds = supervisor_->golden_seconds();
-      header.golden_output_bytes = supervisor_->golden_output_bytes();
       journal = std::make_unique<CampaignJournalWriter>(
           config_.journal_path, header, config_.journal_fsync,
           config_.journal_batch);
@@ -519,7 +523,7 @@ RangeResult Campaign::execute(std::uint64_t begin, std::uint64_t end,
       }
       if (hooks.on_commit) hooks.on_commit(record);
       if (observer && trial.outcome != Outcome::kNotInjected) {
-        observer(trial, ready.output);
+        observer(trial, {});
       }
       ++commit_index;
       ++result.committed;
@@ -648,11 +652,6 @@ RangeResult Campaign::execute(std::uint64_t begin, std::uint64_t end,
     for (SlotCompletion& completion : done) {
       PendingTrial entry;
       entry.trial = std::move(completion.result);
-      if (observer && (entry.trial.outcome == Outcome::kMasked ||
-                       entry.trial.outcome == Outcome::kSdc)) {
-        const auto output = supervisor_->slot_output(completion.slot);
-        entry.output.assign(output.begin(), output.end());
-      }
       if (config_.profiler != nullptr) entry.reaped_at = Clock::now();
       pending.emplace(slot_attempt[completion.slot], std::move(entry));
     }

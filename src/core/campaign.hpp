@@ -4,9 +4,8 @@
 // fault models, and reports (Fig. 4-6) outcome fractions overall, per fault
 // model (PVF), and per execution-time window, plus per-code-portion
 // criticality (Sec. 6). Campaign runs the trials and accumulates exactly
-// those tallies; an optional observer sees each SDC trial's raw output for
-// deeper analysis (spatial patterns, relative error) without coupling the
-// core to the analysis layer.
+// those tallies, plus the per-trial log whose SDC summaries feed the
+// spatial and tolerance analyses (Fig. 2-3).
 #pragma once
 
 #include <array>
@@ -14,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -87,8 +87,9 @@ struct CampaignConfig {
   /// it off.
   std::uint64_t min_sdc = 0;
   std::uint64_t min_due = 0;
-  /// Not owned; must outlive run(). nullptr = the injection rule.
-  const CampaignPlan* plan = nullptr;
+  /// nullptr = the injection rule. Shared, so every copy of the config
+  /// (a fabric worker's, a merge's) plans and fingerprints alike.
+  std::shared_ptr<const CampaignPlan> plan;
 
   // ---- durability / supervision ----
 
@@ -162,10 +163,14 @@ struct OutcomeTally {
 struct CampaignResult {
   std::string workload;
   OutcomeTally overall;
-  /// Indexed by FaultModel enum value (Fig. 5).
+  /// Indexed by FaultModel enum value (Fig. 5). Program outcomes only.
   std::array<OutcomeTally, 4> by_model;
-  /// Indexed by time window (Fig. 6).
+  /// Indexed by time window (Fig. 6). Program outcomes only.
   std::vector<OutcomeTally> by_window;
+  /// Verdicts decided without running the program (a beam campaign's
+  /// machine checks): they have no fault model and no window. by_model and
+  /// by_window each sum to `overall` together with this.
+  OutcomeTally decided;
   /// Keyed by site category (Sec. 6 criticality).
   std::map<std::string, OutcomeTally> by_category;
   /// Keyed by frame kind name ("global"/"worker").
@@ -249,8 +254,10 @@ struct FinishLine {
 FinishLine campaign_finish_line(const CampaignConfig& config,
                                 const OutcomeTally& overall);
 
-/// Observer invoked after every trial; `output` is non-empty only for
-/// completed (Masked/SDC) trials and is valid for the duration of the call.
+/// Observer invoked after every committed injected attempt. The span is
+/// always empty: no output bytes reach the campaign process (an SDC's
+/// evidence is TrialResult::sdc). It stays in the signature only for the
+/// callers that still pass two-argument observers.
 using TrialObserver =
     std::function<void(const TrialResult&, std::span<const std::byte>)>;
 

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
@@ -14,7 +15,9 @@ namespace phifi::fi {
 
 namespace {
 
-constexpr char kMagic[8] = {'P', 'H', 'I', 'F', 'I', 'J', 'L', '1'};
+constexpr char kMagic[8] = {'P', 'H', 'I', 'F', 'I', 'J', 'L', '2'};
+/// Journals written before records carried the SDC summary.
+constexpr char kMagicV1[8] = {'P', 'H', 'I', 'F', 'I', 'J', 'L', '1'};
 
 // ---- little-endian field (de)serialization ----
 
@@ -103,6 +106,9 @@ std::vector<std::uint8_t> serialize_record(const JournalRecord& record) {
   put_f64(out, r.progress_fraction);
   put_bytes(out, r.site_name, sizeof(r.site_name));
   put_bytes(out, r.category, sizeof(r.category));
+  put_u64(out, t.sdc.mismatched);
+  put_f64(out, t.sdc.max_relative_error);
+  put_u8(out, static_cast<std::uint8_t>(t.sdc.pattern));
   return out;
 }
 
@@ -132,6 +138,13 @@ JournalRecord deserialize_record(const std::uint8_t* data, std::size_t size) {
   r.progress_fraction = c.f64();
   c.bytes(r.site_name, sizeof(r.site_name));
   c.bytes(r.category, sizeof(r.category));
+  t.sdc.mismatched = c.u64();
+  t.sdc.max_relative_error = c.f64();
+  const std::uint8_t pattern = c.u8();
+  if (pattern >= kPatternCount) {
+    throw std::runtime_error("journal record has an unknown SDC pattern");
+  }
+  t.sdc.pattern = static_cast<ErrorPattern>(pattern);
   if (!c.exhausted()) {
     throw std::runtime_error("journal record payload has trailing bytes");
   }
@@ -146,9 +159,14 @@ std::vector<std::uint8_t> serialize_header(const JournalHeader& header) {
   put_bytes(out, header.workload.data(), header.workload.size());
   put_u64(out, header.run_id);
   put_u64(out, header.golden_digest);
-  put_f64(out, header.golden_seconds);
-  put_u64(out, header.golden_output_bytes);
   return out;
+}
+
+std::string hex(std::uint64_t value) {
+  char text[19];
+  std::snprintf(text, sizeof(text), "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return text;
 }
 
 }  // namespace
@@ -304,6 +322,13 @@ JournalContents read_journal(const std::string& path) {
   }
   ::close(fd);
 
+  if (file.size() >= sizeof(kMagicV1) &&
+      std::memcmp(file.data(), kMagicV1, sizeof(kMagicV1)) == 0) {
+    throw std::runtime_error(
+        "journal: '" + path +
+        "' is a PHIFIJL1 journal, written before SDC summaries; re-run the "
+        "campaign");
+  }
   if (file.size() < sizeof(kMagic) ||
       std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0) {
     throw std::runtime_error("journal: '" + path +
@@ -319,21 +344,18 @@ JournalContents read_journal(const std::string& path) {
   if (payload == nullptr) {
     throw std::runtime_error("journal: '" + path + "' has a corrupt header");
   }
-  {
+  try {
     Cursor c(payload, payload_size);
     contents.header.fingerprint = c.u64();
     contents.header.time_windows = c.u32();
     const std::uint32_t name_len = c.u32();
     contents.header.workload.resize(name_len);
     c.bytes(contents.header.workload.data(), name_len);
-    // Journals written before the observability plane end here.
-    if (!c.exhausted()) contents.header.run_id = c.u64();
-    // ... and those written before the trial fast path end here.
-    if (!c.exhausted()) {
-      contents.header.golden_digest = c.u64();
-      contents.header.golden_seconds = c.f64();
-      contents.header.golden_output_bytes = c.u64();
-    }
+    contents.header.run_id = c.u64();
+    contents.header.golden_digest = c.u64();
+    if (!c.exhausted()) throw std::runtime_error("trailing bytes");
+  } catch (const std::runtime_error&) {
+    throw std::runtime_error("journal: '" + path + "' has a corrupt header");
   }
   pos = next;
 
@@ -355,6 +377,16 @@ JournalContents read_journal(const std::string& path) {
   contents.valid_bytes = pos;
   contents.dropped_bytes = file.size() - pos;
   return contents;
+}
+
+void require_same_golden(const JournalHeader& header,
+                         std::uint64_t golden_digest,
+                         const std::string& what) {
+  if (header.golden_digest == golden_digest) return;
+  throw std::runtime_error(
+      what + " was written from a different golden output (golden digest " +
+      hex(header.golden_digest) + ", this campaign's " + hex(golden_digest) +
+      "): input_seed or the workload changed");
 }
 
 }  // namespace phifi::fi

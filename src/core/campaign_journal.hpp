@@ -11,17 +11,18 @@
 // (the torn final write of a crash) is dropped on load, not fatal.
 //
 // On-disk layout (all integers little-endian):
-//   magic "PHIFIJL1"
+//   magic "PHIFIJL2"
 //   u32 header_size | header payload | u32 crc32(header payload)
 //     header payload: u64 fingerprint, u32 time_windows,
-//                     u32 name_len, name bytes
-//                     [, u64 run_id — absent in pre-observability journals]
-//                     [, u64 golden_digest, f64 golden_seconds,
-//                        u64 golden_output_bytes — absent in pre-fast-path
-//                        journals]
+//                     u32 name_len, name bytes, u64 run_id,
+//                     u64 golden_digest
 //   repeated records, each:
 //   u32 payload_size | record payload | u32 crc32(record payload)
-//     record payload: u64 attempt_index + the flattened TrialResult
+//     record payload: u64 attempt_index + the flattened TrialResult, ending
+//                     in its SDC summary (u64 mismatched elements,
+//                     f64 maximum relative error, u8 spatial pattern)
+// A "PHIFIJL1" journal predates the SDC summary and is refused by name:
+// its records cannot feed the spatial and tolerance folds.
 #pragma once
 
 #include <chrono>
@@ -60,16 +61,12 @@ struct JournalHeader {
   /// of the fingerprint: re-running the same configuration is the same
   /// campaign under a new run id.
   std::uint64_t run_id = 0;
-  /// Golden-run identity of the campaign that wrote this journal: FNV-1a 64
-  /// digest of the golden output, its wall-clock seconds and byte count.
-  /// All zero when unknown (journals from before golden adoption). A
-  /// restarted fabric worker whose fingerprint matches can adopt these
-  /// via TrialSupervisor::adopt_golden() and skip the golden re-run
-  /// entirely. Not fingerprinted: the digest is derived state, not
-  /// configuration.
+  /// FNV-1a 64 digest of the golden output the campaign classified
+  /// against. Not fingerprinted (it is derived from the workload and its
+  /// input seed, not configuration), but every resume, shard reopen and
+  /// merge refuses a journal whose golden differs from its own
+  /// (require_same_golden).
   std::uint64_t golden_digest = 0;
-  double golden_seconds = 0.0;
-  std::uint64_t golden_output_bytes = 0;
 };
 
 /// One journaled trial attempt. NotInjected attempts are journaled too:
@@ -139,9 +136,18 @@ class CampaignJournalWriter {
 
 /// Loads a journal. A truncated or checksum-corrupt tail is dropped (and
 /// reported via dropped_bytes); everything before it is returned. Throws
-/// std::runtime_error only if the file cannot be opened or its header is
-/// itself missing or corrupt.
+/// std::runtime_error only if the file cannot be opened, is a PHIFIJL1
+/// journal, or its header is itself missing or corrupt.
 JournalContents read_journal(const std::string& path);
+
+/// Throws std::runtime_error, naming `what` and both digests, unless the
+/// journal was written from the golden output whose digest is
+/// `golden_digest`: its records were classified against another output (a
+/// changed input_seed, or changed workload code), so continuing it would
+/// mix two campaigns.
+void require_same_golden(const JournalHeader& header,
+                         std::uint64_t golden_digest,
+                         const std::string& what);
 
 /// CRC-32 (IEEE, reflected) over a byte buffer; exposed for tests and for
 /// tools that audit journals.

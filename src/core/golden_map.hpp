@@ -2,9 +2,9 @@
 //
 // The golden bytes are mapped ONCE — into a sealed memfd when the kernel
 // supports it — before any fork; every template and trial child inherits
-// the read-only mapping for free, classifies in place (memcmp + digest),
-// and ships only a verdict. For the overwhelmingly common Masked outcome,
-// zero output bytes cross the per-slot SharedChannel.
+// the read-only mapping for free, classifies in place (memcmp), and ships
+// only a verdict (with an SDC's summary). No output bytes cross the
+// per-slot SharedChannel.
 //
 // The seals (F_SEAL_WRITE et al.) turn "read-only by convention" into
 // "read-only by kernel contract": no process, including this one, can
@@ -18,8 +18,9 @@
 
 namespace phifi::fi {
 
-/// FNV-1a 64-bit digest; the trial output fingerprint. Stable across
-/// processes and runs by construction (pure function of the bytes).
+/// FNV-1a 64-bit digest; the golden output's identity in journal headers.
+/// Stable across processes and runs by construction (pure function of the
+/// bytes).
 [[nodiscard]] std::uint64_t fnv1a64(std::span<const std::byte> bytes);
 
 class GoldenMap {

@@ -8,37 +8,31 @@
 
 #include <sys/mman.h>
 
-#include <algorithm>
 #include <new>
 #include <stdexcept>
 
 namespace phifi::fi {
 
-SharedChannel::SharedChannel(std::size_t output_capacity) {
-  capacity_ = output_capacity;
-  map_bytes_ = sizeof(ShmHeader) + output_capacity;
-  void* mem = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+SharedChannel::SharedChannel() {
+  void* mem = ::mmap(nullptr, sizeof(ShmHeader), PROT_READ | PROT_WRITE,
                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (mem == MAP_FAILED) {
     throw std::runtime_error("SharedChannel: mmap failed");
   }
   header_ = new (mem) ShmHeader{};
-  payload_ = static_cast<std::byte*>(mem) + sizeof(ShmHeader);
   reset();
 }
 
 SharedChannel::~SharedChannel() {
   if (header_ != nullptr) {
     header_->~ShmHeader();
-    ::munmap(header_, map_bytes_);
+    ::munmap(header_, sizeof(ShmHeader));
   }
 }
 
 void SharedChannel::reset() {
   header_->record_ready.store(0, std::memory_order_relaxed);
-  header_->output_ready.store(0, std::memory_order_relaxed);
   header_->heartbeat.store(0, std::memory_order_relaxed);
-  header_->output_size = 0;
   header_->record = InjectionRecord{};
   // Fork-server fields. The template is guaranteed idle here (blocked on
   // the command socket, dead, or not yet spawned), so relaxed stores are a plain
@@ -50,7 +44,9 @@ void SharedChannel::reset() {
   header_->child_pid.store(0, std::memory_order_relaxed);
   header_->verdict = 0;
   header_->child_status = 0;
-  header_->output_digest = 0;
+  header_->sdc_pattern = 0;
+  header_->sdc_mismatched = 0;
+  header_->sdc_max_relative_error = 0.0;
   header_->trial_valid = 0;
   header_->setup_seconds = 0.0;
   header_->inject_seconds = 0.0;
@@ -70,37 +66,18 @@ void SharedChannel::store_record(const InjectionRecord& record) {
   header_->record_ready.store(1, std::memory_order_release);
 }
 
-void SharedChannel::store_output(std::span<const std::byte> output) {
-  // A corrupted run can report an output larger than the golden; copying
-  // it would run past this mapping into whatever follows (another slot's
-  // channel, which every trial child inherits). Its size alone crosses.
-  if (output.size() <= capacity_) {
-    std::copy(output.begin(), output.end(), payload_);
-  }
-  header_->output_size = output.size();
-  header_->output_ready.store(1, std::memory_order_release);
-}
-
-bool SharedChannel::output_ready() const {
-  return header_->output_ready.load(std::memory_order_acquire) != 0;
-}
-
 bool SharedChannel::record_ready() const {
   return header_->record_ready.load(std::memory_order_acquire) != 0;
 }
 
 InjectionRecord SharedChannel::record() const { return header_->record; }
 
-std::span<const std::byte> SharedChannel::output() const {
-  // output_size is child-written: past the mapping it returns no bytes.
-  const std::uint64_t size = header_->output_size;
-  if (size > capacity_) return {};
-  return {payload_, size};
-}
-
-void SharedChannel::store_verdict(bool matches_golden, std::uint64_t digest) {
+void SharedChannel::store_verdict(bool matches_golden,
+                                  const SdcSummary& sdc) {
   header_->verdict = matches_golden ? 1 : 0;
-  header_->output_digest = digest;
+  header_->sdc_pattern = static_cast<std::uint32_t>(sdc.pattern);
+  header_->sdc_mismatched = sdc.mismatched;
+  header_->sdc_max_relative_error = sdc.max_relative_error;
   header_->verdict_ready.store(1, std::memory_order_release);
 }
 
@@ -159,8 +136,15 @@ bool SharedChannel::verdict_ready() const {
 
 bool SharedChannel::verdict_matches() const { return header_->verdict != 0; }
 
-std::uint64_t SharedChannel::output_digest() const {
-  return header_->output_digest;
+SdcSummary SharedChannel::sdc_summary() const {
+  SdcSummary sdc;
+  sdc.mismatched = header_->sdc_mismatched;
+  sdc.max_relative_error = header_->sdc_max_relative_error;
+  // Child-written: a value outside the enum reads as unclassified.
+  sdc.pattern = header_->sdc_pattern < static_cast<std::uint32_t>(kPatternCount)
+                    ? static_cast<ErrorPattern>(header_->sdc_pattern)
+                    : ErrorPattern::kNone;
+  return sdc;
 }
 
 bool SharedChannel::status_ready() const {

@@ -1,9 +1,10 @@
 // Parent/child result channel for forked fault-injection trials.
 //
 // The supervisor forks each trial so crashes and hangs (DUEs) cannot poison
-// the campaign process. The child reports the injection record and the
-// program output through an anonymous shared mmap created before the fork;
-// the parent reads it after reaping the child. A record-ready flag is set
+// the campaign process. The child reports the injection record, its
+// verdict and, for an SDC, the summary of its corrupted output through an
+// anonymous shared mmap created before the fork; the parent reads it after
+// reaping the child. No output bytes cross. A record-ready flag is set
 // *before* the fault is applied so that even a trial that crashes
 // microseconds after the flip still tells the parent what was corrupted.
 #pragma once
@@ -11,9 +12,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 
 #include "core/flip_engine.hpp"
+#include "core/sdc_summary.hpp"
 
 namespace phifi::fi {
 
@@ -24,14 +25,13 @@ namespace phifi::fi {
 // phicheck:shm-pod phifi::fi::ShmHeader size=280 atomic
 struct ShmHeader {
   std::atomic<std::uint32_t> record_ready;
-  std::atomic<std::uint32_t> output_ready;
+  // Child-side classification verdict: set once the trial child compared
+  // its output against the shared golden mapping (and, on a mismatch,
+  // summarized it into the sdc_* fields).
+  std::atomic<std::uint32_t> verdict_ready;
   std::atomic<std::uint64_t> heartbeat;
-  std::uint64_t output_size;
   InjectionRecord record;
   // ---- fork-server fields ----
-  // Child-side classification verdict: set once the trial child compared
-  // its output against the shared golden mapping (or digest).
-  std::atomic<std::uint32_t> verdict_ready;
   // Template-side completion: the template reaped its grandchild and
   // published the wait status (the campaign parent cannot waitpid a
   // grandchild).
@@ -48,7 +48,10 @@ struct ShmHeader {
   std::uint32_t trial_model;
   std::uint32_t trial_policy;
   std::uint32_t trial_burst;
-  std::uint64_t output_digest;  ///< FNV-1a 64 of the child's output bytes
+  // The SDC summary (SdcSummary), written before verdict_ready.
+  std::uint32_t sdc_pattern;
+  std::uint64_t sdc_mismatched;
+  double sdc_max_relative_error;
   std::uint64_t trial_seed;
   double trial_earliest;
   double trial_latest;
@@ -79,8 +82,7 @@ struct TrialCommand {
 
 class SharedChannel {
  public:
-  /// Creates a channel able to carry `output_capacity` output bytes.
-  explicit SharedChannel(std::size_t output_capacity);
+  SharedChannel();
   ~SharedChannel();
 
   SharedChannel(const SharedChannel&) = delete;
@@ -94,11 +96,6 @@ class SharedChannel {
   /// Publishes (or re-publishes) the injection record.
   void store_record(const InjectionRecord& record);
 
-  /// Copies the final output and marks the trial complete. An output over
-  /// capacity() is wrong-shaped: only its size is recorded, and output()
-  /// returns no bytes for it.
-  void store_output(std::span<const std::byte> output);
-
   /// Bumps the liveness heartbeat. The child calls this as it crosses
   /// execution-time windows; the watchdog reads it to tell a slow-but-alive
   /// child from a hung one.
@@ -111,11 +108,10 @@ class SharedChannel {
   void store_trial_timing(double setup_seconds, double inject_seconds,
                           double classify_seconds);
 
-  /// Publishes the child-side classification verdict. Masked trials ship
-  /// only this (zero output bytes cross the channel); SDC trials
-  /// additionally store_output() so the parent can analyze the corrupted
-  /// bytes.
-  void store_verdict(bool matches_golden, std::uint64_t digest);
+  /// Publishes the child-side classification verdict with the summary of
+  /// a mismatching output (zeros for a match); the summary lands first, so
+  /// a parent that sees the verdict sees its summary.
+  void store_verdict(bool matches_golden, const SdcSummary& sdc);
 
   // ---- template (fork-server) side ----
 
@@ -143,7 +139,8 @@ class SharedChannel {
   [[nodiscard]] bool verdict_ready() const;
   /// Valid only when verdict_ready(): did the output match the golden?
   [[nodiscard]] bool verdict_matches() const;
-  [[nodiscard]] std::uint64_t output_digest() const;
+  /// Valid only when verdict_ready(): the mismatching output's summary.
+  [[nodiscard]] SdcSummary sdc_summary() const;
   [[nodiscard]] bool status_ready() const;
   [[nodiscard]] std::int32_t child_status() const;
   [[nodiscard]] std::int32_t child_pid() const;
@@ -154,17 +151,11 @@ class SharedChannel {
   [[nodiscard]] double trial_classify_seconds() const;
 
   [[nodiscard]] std::uint64_t heartbeat() const;
-  [[nodiscard]] bool output_ready() const;
   [[nodiscard]] bool record_ready() const;
   [[nodiscard]] InjectionRecord record() const;
-  [[nodiscard]] std::span<const std::byte> output() const;
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
   ShmHeader* header_ = nullptr;
-  std::byte* payload_ = nullptr;
-  std::size_t capacity_ = 0;
-  std::size_t map_bytes_ = 0;
 };
 
 }  // namespace phifi::fi

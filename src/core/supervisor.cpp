@@ -168,11 +168,9 @@ void TrialSupervisor::prepare_golden() {
   }
   golden_seconds_ = seconds_since(start);
   // Publish the golden once into a sealed read-only mapping every template
-  // and trial inherits; its digest goes into the journal header so a later
-  // resume can adopt the golden without re-running it.
+  // and trial inherits; its digest goes into the journal header so a
+  // resume can refuse a journal written from another golden.
   golden_map_.publish(workload->output_bytes());
-  golden_digest_ = golden_map_.digest();
-  output_capacity_ = golden_map_.size();
   shape_ = workload->output_shape();
   type_ = workload->output_type();
   windows_ = workload->time_windows();
@@ -180,37 +178,14 @@ void TrialSupervisor::prepare_golden() {
   prepared_ = true;
   ensure_slots(1);
   util::log_info() << name_ << ": golden run " << golden_seconds_ << "s, "
-                   << output_capacity_ << " output bytes";
-}
-
-void TrialSupervisor::adopt_golden(std::uint64_t digest,
-                                   std::uint64_t output_bytes,
-                                   double golden_seconds) {
-  if (digest == 0 || output_bytes == 0) {
-    throw std::runtime_error("TrialSupervisor: cannot adopt an empty golden");
-  }
-  // Output metadata comes from a setup-less instance: shape, type, windows
-  // and name are structural workload properties, fixed at construction.
-  auto workload = factory_();
-  shape_ = workload->output_shape();
-  type_ = workload->output_type();
-  windows_ = workload->time_windows();
-  name_ = workload->name();
-  golden_digest_ = digest;
-  output_capacity_ = output_bytes;
-  golden_seconds_ = golden_seconds;  // preserves the watchdog deadline
-  adopted_ = true;
-  prepared_ = true;
-  ensure_slots(1);
-  util::log_info() << name_ << ": adopted golden digest, skipped "
-                   << golden_seconds << "s golden run";
+                   << golden_map_.size() << " output bytes";
 }
 
 void TrialSupervisor::ensure_slots(unsigned count) {
   assert(prepared_ && "call prepare_golden() first");
   while (slots_.size() < count) {
     Slot slot;
-    slot.channel = std::make_unique<SharedChannel>(output_capacity_);
+    slot.channel = std::make_unique<SharedChannel>();
     slots_.push_back(std::move(slot));
   }
 }
@@ -227,20 +202,6 @@ TrialResult TrialSupervisor::run_trial(const TrialConfig& config) {
 TrialResult TrialSupervisor::run_clean_trial() {
   assert(prepared_ && "call prepare_golden() first");
   return run_child(nullptr);
-}
-
-std::span<const std::byte> TrialSupervisor::slot_output(unsigned slot) const {
-  assert(slot < slots_.size());
-  const auto output = slots_[slot].channel->output();
-  // Masked trials ship zero output bytes (the verdict is enough); observers
-  // expecting the trial's output get the golden span, which is
-  // bit-identical by definition of Masked.
-  if (output.empty() && golden_map_.mapped() &&
-      slots_[slot].channel->verdict_ready() &&
-      slots_[slot].channel->verdict_matches()) {
-    return golden_map_.golden();
-  }
-  return output;
 }
 
 TrialResult TrialSupervisor::run_child(const TrialConfig* config) {
@@ -628,11 +589,12 @@ TrialResult TrialSupervisor::finalize_slot(Slot& slot, int status,
     // armed fraction (shouldn't happen with finish()-backstop, but stay
     // honest if it does).
     result.outcome = Outcome::kNotInjected;
+  } else if (slot.channel->verdict_matches()) {
+    // The child already classified against the shared golden mapping.
+    result.outcome = Outcome::kMasked;
   } else {
-    // The child already classified against the shared golden mapping (or
-    // its digest) and shipped only the verdict.
-    result.outcome = slot.channel->verdict_matches() ? Outcome::kMasked
-                                                     : Outcome::kSdc;
+    result.outcome = Outcome::kSdc;
+    result.sdc = slot.channel->sdc_summary();
   }
   result.classified_seconds = seconds_since(slot.start);
 
@@ -713,8 +675,8 @@ void TrialSupervisor::trial_main(Workload& workload, SiteRegistry& registry,
   // template), so there is no factory/setup/register_sites here — straight
   // to arming the flip and running. Classification happens in place
   // against the inherited golden mapping; only a verdict (and, for SDC,
-  // the corrupted bytes) crosses the channel. Exit only through _exit() so
-  // the parent's atexit handlers and buffers are not replayed.
+  // its summary) crosses the channel. Exit only through _exit() so the
+  // parent's atexit handlers and buffers are not replayed.
   //
   // Injected faults routinely corrupt the child's heap; glibc then spams
   // stderr before aborting. That abort IS the result (a DUE), so the noise
@@ -787,29 +749,23 @@ void TrialSupervisor::trial_main(Workload& workload, SiteRegistry& registry,
     workload.run(device, progress);
     progress.finish();
 
-    // Classify in place: memcmp against the inherited golden mapping, or
-    // digest-only when the golden was adopted from a journal.
+    // Classify in place: memcmp against the inherited golden mapping
+    // decides the verdict. Only a mismatch is summarized, in one pass that
+    // allocates nothing (the fault may have corrupted the heap).
     const auto classify_start = Clock::now();
     const auto output = workload.output_bytes();
-    const std::uint64_t digest = fnv1a64(output);
-    bool matches;
-    if (golden_map_.mapped()) {
-      matches = output.size() == golden_map_.size() &&
-                std::memcmp(output.data(), golden_map_.golden().data(),
-                            output.size()) == 0;
-    } else {
-      matches = output.size() == output_capacity_ && digest == golden_digest_;
-    }
-    // SDC ships the corrupted bytes for parent-side analysis; Masked ships
-    // nothing but the verdict. Output lands before the verdict flag so the
-    // parent never sees a verdict without its bytes.
-    if (!matches) channel->store_output(output);
+    const auto golden = golden_map_.golden();
+    const bool matches =
+        output.size() == golden.size() &&
+        std::memcmp(output.data(), golden.data(), output.size()) == 0;
+    SdcSummary sdc;
+    if (!matches) sdc = summarize_sdc(golden, output, type_, shape_);
     // The trial paid no setup (the post-setup image arrived via COW); the
     // template's one-time cost is attributed by finalize_slot to the trial
     // that spawned it.
     channel->store_trial_timing(0.0, inject_seconds,
                                 seconds_since(classify_start));
-    channel->store_verdict(matches, digest);
+    channel->store_verdict(matches, sdc);
   } catch (const std::bad_alloc&) {
     ::_exit(kChildExitRlimit);
   } catch (...) {

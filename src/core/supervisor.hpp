@@ -6,10 +6,11 @@
 // image, so COW hands every trial a pristine copy. The grandchild starts a
 // flip thread (the Flip-script analog), runs the benchmark on the emulated
 // device, classifies its output in place against the golden copy (a sealed
-// read-only mapping every process inherits) and ships the verdict through
-// a shared-memory channel. The campaign process is the watchdog: it blocks
-// on each template's command socket for the completion byte, kills trials
-// past the deadline, and classifies the outcome — Masked (output
+// read-only mapping every process inherits), summarizes a mismatch (the
+// SDC summary) and ships both through a shared-memory channel; no output
+// bytes reach the campaign process. The campaign process is the watchdog:
+// it blocks on each template's command socket for the completion byte,
+// kills trials past the deadline, and classifies the outcome — Masked (output
 // bit-identical to the golden copy), SDC (mismatch), or DUE (crash /
 // abnormal exit / hang).
 //
@@ -30,6 +31,7 @@
 #include "core/flip_engine.hpp"
 #include "core/golden_map.hpp"
 #include "core/outcome.hpp"
+#include "core/sdc_summary.hpp"
 #include "core/shared_channel.hpp"
 #include "core/workload_api.hpp"
 #include "phi/counters.hpp"
@@ -106,6 +108,9 @@ struct TrialResult {
   /// True when the trial paid no workload setup on its critical path:
   /// every trial except the one that (re)spawned its slot's template.
   bool setup_skipped = false;
+  /// What an SDC did to the output, summarized by the trial child; zeros
+  /// for every other outcome.
+  SdcSummary sdc;
 
   // ---- latency anatomy (not journaled: the profiler and perfbench read
   //      these; the journal keeps the fields above) ----
@@ -146,15 +151,6 @@ class TrialSupervisor {
   /// afterwards so the campaign process is single-threaded when it forks.
   void prepare_golden();
 
-  /// Alternative to prepare_golden(): adopts a golden digest recorded by an
-  /// earlier run (e.g. a fabric shard journal) instead of re-running the
-  /// golden execution. Output metadata is probed from a setup-less
-  /// workload instance; trials classify by digest alone (golden bytes are
-  /// not materialized, so golden() stays empty and Masked outputs are
-  /// unavailable).
-  void adopt_golden(std::uint64_t digest, std::uint64_t output_bytes,
-                    double golden_seconds);
-
   /// Runs one injected trial in a forked child and classifies the outcome.
   /// Synchronous convenience over slot 0; must not be mixed with in-flight
   /// async slots.
@@ -166,9 +162,9 @@ class TrialSupervisor {
 
   // ---- multi-slot (parallel campaign) API ----
 
-  /// Grows the slot pool to `count` slots, each with its own shm channel
-  /// sized for the golden output. Requires prepare_golden() first; never
-  /// shrinks, and never reallocates the channel of an active slot.
+  /// Grows the slot pool to `count` slots, each with its own shm channel.
+  /// Requires prepare_golden() first; never shrinks, and never reallocates
+  /// the channel of an active slot.
   void ensure_slots(unsigned count);
 
   [[nodiscard]] unsigned slot_count() const {
@@ -206,7 +202,7 @@ class TrialSupervisor {
   /// the slot respawns its template.
   void kill_active_slots();
 
-  /// The sealed golden mapping (empty when the golden was adopted).
+  /// The sealed golden mapping.
   [[nodiscard]] std::span<const std::byte> golden() const {
     return golden_map_.golden();
   }
@@ -216,15 +212,11 @@ class TrialSupervisor {
   [[nodiscard]] double golden_seconds() const { return golden_seconds_; }
   [[nodiscard]] std::string_view workload_name() const { return name_; }
 
-  /// FNV-1a 64 digest of the golden output (0 until prepared/adopted).
-  [[nodiscard]] std::uint64_t golden_digest() const { return golden_digest_; }
-  /// Golden output size in bytes; valid for an adopted golden too, where
-  /// the bytes themselves are not materialized.
-  [[nodiscard]] std::uint64_t golden_output_bytes() const {
-    return output_capacity_;
+  /// FNV-1a 64 digest of the golden output (0 until prepared). Journal
+  /// headers carry it, and a resume refuses a journal whose golden differs.
+  [[nodiscard]] std::uint64_t golden_digest() const {
+    return golden_map_.digest();
   }
-  /// True when the golden was adopted from a recorded digest.
-  [[nodiscard]] bool adopted() const { return adopted_; }
   /// Times a dead template process had to be respawned mid-campaign.
   [[nodiscard]] unsigned template_respawns() const {
     return template_respawns_;
@@ -244,10 +236,6 @@ class TrialSupervisor {
   [[nodiscard]] const phi::CounterSnapshot& golden_counters() const {
     return golden_counters_;
   }
-
-  /// Output bytes of the given slot's last completed trial; valid until
-  /// the slot is reused.
-  [[nodiscard]] std::span<const std::byte> slot_output(unsigned slot) const;
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -295,7 +283,7 @@ class TrialSupervisor {
   [[noreturn]] void template_main(SharedChannel* channel, int cmd_fd,
                                   int parent_fd, pid_t parent);
   /// Trial grandchild body: inject, run, classify in place, ship the
-  /// verdict.
+  /// verdict and the SDC summary.
   [[noreturn]] void trial_main(Workload& workload, SiteRegistry& registry,
                                const TrialCommand& command,
                                SharedChannel* channel, pid_t parent);
@@ -312,11 +300,8 @@ class TrialSupervisor {
   unsigned active_count_ = 0;
   bool prepared_ = false;
   /// Sealed read-only shared mapping of the golden output, inherited by
-  /// every template and trial (unmapped when the golden was adopted).
+  /// every template and trial.
   GoldenMap golden_map_;
-  std::uint64_t golden_digest_ = 0;
-  std::uint64_t output_capacity_ = 0;  ///< golden output bytes
-  bool adopted_ = false;
   unsigned template_respawns_ = 0;
 };
 

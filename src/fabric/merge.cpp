@@ -28,6 +28,7 @@ MergeSummary merge_shards(const fi::CampaignConfig& config,
   MergeSummary summary;
   std::vector<fi::JournalRecord> pool;
   std::uint64_t run_id = 0;
+  std::uint64_t golden_digest = options.golden_digest;
   for (const std::string& path : shard_paths) {
     const fi::JournalContents contents = fi::read_journal(path);
     // Every shard of one fabric campaign carries the coordinator's run id;
@@ -40,6 +41,9 @@ MergeSummary merge_shards(const fi::CampaignConfig& config,
           "(fingerprint mismatch — check workload, seed, policy, models, "
           "trials, and stop_ci_width)");
     }
+    if (golden_digest == 0) golden_digest = contents.header.golden_digest;
+    fi::require_same_golden(contents.header, golden_digest,
+                            "merge refused: shard '" + path + "'");
     if (contents.dropped_bytes > 0) {
       if (!options.allow_torn_tail) {
         throw std::runtime_error(
@@ -121,6 +125,7 @@ MergeSummary merge_shards(const fi::CampaignConfig& config,
   header.time_windows = time_windows;
   header.workload = std::string(workload);
   header.run_id = run_id;
+  header.golden_digest = golden_digest;
   fi::CampaignJournalWriter writer(options.out_path, header,
                                    fi::JournalFsync::kOnClose);
   for (const fi::JournalRecord* record : selected) {

@@ -31,6 +31,11 @@ struct MergeOptions {
   /// was re-executed elsewhere — the contiguity check still catches any
   /// genuinely missing range.
   bool allow_torn_tail = false;
+  /// Digest of the golden output the shards must have been classified
+  /// against (phifi_merge passes its own golden run's); 0 takes the first
+  /// shard's. Either way every shard must agree, and the merged journal's
+  /// header carries it, so a replay checks it like any resume.
+  std::uint64_t golden_digest = 0;
 };
 
 struct MergeSummary {
@@ -45,8 +50,9 @@ struct MergeSummary {
 
 /// Merges shards into `options.out_path`. Throws std::runtime_error — the
 /// message names the offending shard — when a shard has a mismatched
-/// fingerprint or workload, is torn (without allow_torn_tail), or when the
-/// union of shards leaves a gap before the campaign boundary.
+/// fingerprint, workload or golden digest, is torn (without
+/// allow_torn_tail), or when the union of shards leaves a gap before the
+/// campaign boundary.
 MergeSummary merge_shards(const fi::CampaignConfig& config,
                           std::string_view workload, unsigned time_windows,
                           const MergeOptions& options);

@@ -119,6 +119,9 @@ void WorkerLoop::open_shard() {
           std::to_string(contents.header.fingerprint) +
           ", this campaign is " + std::to_string(fingerprint_) + ")");
     }
+    fi::require_same_golden(contents.header, supervisor_->golden_digest(),
+                            "fabric: shard journal '" + options_->shard_path +
+                                "'");
     for (const fi::JournalRecord& record : contents.records) {
       done_.emplace(record.attempt_index, attempt_from_trial(record.trial));
     }
@@ -138,11 +141,8 @@ void WorkerLoop::open_shard() {
     header.time_windows = supervisor_->time_windows();
     header.workload = supervisor_->workload_name();
     header.run_id = run_id_;
-    // Golden identity rides the shard header so a restarted worker can
-    // adopt the digest instead of re-running the golden.
+    // A restarted worker, and the merge, refuse a shard from another golden.
     header.golden_digest = supervisor_->golden_digest();
-    header.golden_seconds = supervisor_->golden_seconds();
-    header.golden_output_bytes = supervisor_->golden_output_bytes();
     shard_ = std::make_unique<fi::CampaignJournalWriter>(
         options_->shard_path, header, config_.journal_fsync,
         config_.journal_batch);

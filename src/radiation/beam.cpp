@@ -3,14 +3,20 @@
 #include <bit>
 #include <stdexcept>
 
+#include "phi/resource_map.hpp"
 #include "util/log.hpp"
 
 namespace phifi::radiation {
 
+BeamPlan::BeamPlan(double flux)
+    : sensitivity_(DeviceSensitivity::knc_3120a(phi::ResourceMap::for_spec(
+          phi::DeviceSpec::knights_corner_3120a()))),
+      flux_(flux) {}
+
 BeamDraw BeamPlan::draw(std::uint64_t seed, std::uint64_t index) const {
   util::Rng rng(fi::trial_seed_for(seed, index));
   const double strikes_mean =
-      sensitivity_->expected_strikes(fluence_per_run());
+      sensitivity_.expected_strikes(fluence_per_run());
   BeamDraw draw;
   while (draw.runs < kMaxRunsPerAttempt) {
     ++draw.runs;
@@ -19,7 +25,7 @@ BeamDraw BeamPlan::draw(std::uint64_t seed, std::uint64_t index) const {
     // The first strike that escapes the hardware decides the run (the beam
     // is tuned so two visible faults in one execution are negligible).
     for (std::uint64_t s = 0; s < strikes; ++s) {
-      const StrikeOutcome outcome = sensitivity_->sample_strike(rng);
+      const StrikeOutcome outcome = sensitivity_.sample_strike(rng);
       switch (outcome.kind) {
         case StrikeOutcome::Kind::kAbsorbed:
           ++draw.absorbed;
@@ -60,8 +66,7 @@ std::uint64_t BeamPlan::fingerprint() const {
 }
 
 BeamResult fold_beam(const fi::CampaignResult& campaign,
-                     const BeamPlan& plan, std::uint64_t seed,
-                     const analysis::SdcAnalyzer& analyzer) {
+                     const BeamPlan& plan, std::uint64_t seed) {
   BeamResult result;
   result.workload = campaign.workload;
   for (std::uint64_t index = 0; index < campaign.attempts; ++index) {
@@ -80,9 +85,19 @@ BeamResult fold_beam(const fi::CampaignResult& campaign,
   result.sdc_fit = analysis::fit_from_counts(result.sdc, result.fluence);
   result.due_fit =
       analysis::fit_from_counts(result.due_total(), result.fluence);
-  result.patterns = analyzer.patterns();
-  result.tolerance = analyzer.tolerance();
-  result.single_element_fraction = analyzer.single_element_fraction();
+  std::uint64_t sdcs = 0;
+  std::uint64_t single_element = 0;
+  for (const fi::TrialResult& trial : campaign.trials) {
+    if (trial.outcome != fi::Outcome::kSdc) continue;
+    ++sdcs;
+    single_element += trial.sdc.mismatched == 1;
+    result.patterns.add(trial.sdc.pattern);
+    result.tolerance.add_sdc(trial.sdc.max_relative_error);
+  }
+  result.single_element_fraction =
+      sdcs == 0 ? 0.0
+                : static_cast<double>(single_element) /
+                      static_cast<double>(sdcs);
 
   util::log_info() << result.workload << ": beam campaign " << result.runs
                    << " runs, " << result.executions << " executed, "

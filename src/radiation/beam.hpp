@@ -19,7 +19,8 @@
 #include <string>
 
 #include "analysis/fit.hpp"
-#include "analysis/sdc_analyzer.hpp"
+#include "analysis/spatial.hpp"
+#include "analysis/tolerance.hpp"
 #include "core/campaign.hpp"
 #include "radiation/sensitivity.hpp"
 
@@ -46,9 +47,8 @@ struct BeamDraw {
 
 class BeamPlan final : public fi::CampaignPlan {
  public:
-  explicit BeamPlan(const DeviceSensitivity& sensitivity,
-                    double flux = kDefaultFlux)
-      : sensitivity_(&sensitivity), flux_(flux) {}
+  /// The Knights Corner 3120A (DeviceSensitivity::knc_3120a) under `flux`.
+  explicit BeamPlan(double flux = kDefaultFlux);
 
   /// Attempt `index` of the campaign seeded `seed`, from its own stream
   /// util::Rng(trial_seed_for(seed, index)): per run a Poisson strike
@@ -64,7 +64,7 @@ class BeamPlan final : public fi::CampaignPlan {
   [[nodiscard]] double fluence_per_run() const { return flux_ * kRunSeconds; }
 
  private:
-  const DeviceSensitivity* sensitivity_;
+  DeviceSensitivity sensitivity_;
   double flux_;
 };
 
@@ -93,7 +93,7 @@ struct BeamResult {
   }
 
   /// SDC FIT attributed to one spatial pattern (Fig. 2's stacked bars).
-  [[nodiscard]] double pattern_fit(analysis::ErrorPattern pattern) const {
+  [[nodiscard]] double pattern_fit(fi::ErrorPattern pattern) const {
     return sdc_fit.fit * patterns.fraction(pattern);
   }
 };
@@ -101,10 +101,11 @@ struct BeamResult {
 /// Folds a beam campaign's committed attempts into the Sec. 4 result: runs,
 /// fluence, strikes and machine checks by asking `plan` again for attempts
 /// [0, campaign.attempts) of seed `seed`; SDCs and program DUEs from the
-/// tallies (NotInjected attempts count as masked executions); patterns and
-/// the tolerance curve from `analyzer`, the campaign's observer.
+/// tallies (NotInjected attempts count as masked executions); patterns, the
+/// tolerance curve and the single-element share from the SDC summaries in
+/// campaign.trials. Replayed journal records carry the same summaries, so a
+/// resumed or merged campaign folds exactly what a live one does.
 BeamResult fold_beam(const fi::CampaignResult& campaign,
-                     const BeamPlan& plan, std::uint64_t seed,
-                     const analysis::SdcAnalyzer& analyzer);
+                     const BeamPlan& plan, std::uint64_t seed);
 
 }  // namespace phifi::radiation

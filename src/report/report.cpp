@@ -13,15 +13,15 @@ namespace phifi::report {
 
 using analysis::CategoryCriticality;
 using analysis::CheckpointPlan;
-using analysis::ErrorPattern;
 using analysis::criticality_table;
 using analysis::due_pvf;
-using analysis::kPatternCount;
 using analysis::machine_mtbf_days;
 using analysis::machine_mtbf_seconds;
 using analysis::optimal_checkpoint;
 using analysis::recommend_mitigation;
 using analysis::sdc_pvf;
+using fi::ErrorPattern;
+using fi::kPatternCount;
 
 
 namespace {
@@ -53,6 +53,9 @@ std::string render_report(const ReportInputs& inputs) {
     render_outcome_row(
         os, std::string("model ") + std::string(to_string(model)),
         campaign.by_model[static_cast<std::size_t>(model)]);
+  }
+  if (campaign.decided.total() > 0) {
+    render_outcome_row(os, "decided (machine check)", campaign.decided);
   }
   os << "\n";
 

@@ -112,22 +112,19 @@ TEST_F(CampaignTest, ObserverSeesEveryTrial) {
   config.seed = 10;
   Campaign campaign(*supervisor_, config);
   int observed = 0;
-  int with_output = 0;
+  int summarized = 0;
   const CampaignResult result =
       campaign.run([&](const TrialResult& trial,
                        std::span<const std::byte> output) {
         ++observed;
-        if (trial.outcome == Outcome::kMasked ||
-            trial.outcome == Outcome::kSdc) {
-          EXPECT_FALSE(output.empty());
-          ++with_output;
-        } else {
-          EXPECT_TRUE(output.empty());
-        }
+        // No output bytes reach the campaign process; an SDC's evidence
+        // is the summary its child published.
+        EXPECT_TRUE(output.empty());
+        EXPECT_EQ(trial.sdc.mismatched > 0, trial.outcome == Outcome::kSdc);
+        summarized += trial.sdc.mismatched > 0;
       });
   EXPECT_EQ(observed, 12);
-  EXPECT_EQ(static_cast<std::uint64_t>(with_output),
-            result.overall.masked + result.overall.sdc);
+  EXPECT_EQ(static_cast<std::uint64_t>(summarized), result.overall.sdc);
 }
 
 TEST_F(CampaignTest, DeterministicForSeed) {

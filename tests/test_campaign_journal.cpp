@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,8 +29,6 @@ JournalHeader sample_header() {
   header.time_windows = 4;
   header.workload = "Toy";
   header.golden_digest = 0xfeedfacecafef00dULL;
-  header.golden_seconds = 0.375;
-  header.golden_output_bytes = 512;
   return header;
 }
 
@@ -58,6 +59,9 @@ TrialResult sample_trial(int i) {
   std::snprintf(trial.record.site_name, sizeof trial.record.site_name,
                 "site_%d", i);
   std::snprintf(trial.record.category, sizeof trial.record.category, "data");
+  trial.sdc.mismatched = 5u + static_cast<unsigned>(i);
+  trial.sdc.max_relative_error = 0.5 * (i + 1);
+  trial.sdc.pattern = static_cast<ErrorPattern>(i % kPatternCount);
   return trial;
 }
 
@@ -82,6 +86,9 @@ void expect_trial_eq(const TrialResult& a, const TrialResult& b) {
   EXPECT_DOUBLE_EQ(a.record.progress_fraction, b.record.progress_fraction);
   EXPECT_STREQ(a.record.site_name, b.record.site_name);
   EXPECT_STREQ(a.record.category, b.record.category);
+  EXPECT_EQ(a.sdc.mismatched, b.sdc.mismatched);
+  EXPECT_EQ(a.sdc.max_relative_error, b.sdc.max_relative_error);
+  EXPECT_EQ(a.sdc.pattern, b.sdc.pattern);
 }
 
 /// Writes a journal with `count` sample records and returns its path.
@@ -124,10 +131,6 @@ TEST(CampaignJournal, RoundTripsHeaderAndRecords) {
   EXPECT_EQ(contents.header.time_windows, 4u);
   EXPECT_EQ(contents.header.workload, "Toy");
   EXPECT_EQ(contents.header.golden_digest, sample_header().golden_digest);
-  EXPECT_DOUBLE_EQ(contents.header.golden_seconds,
-                   sample_header().golden_seconds);
-  EXPECT_EQ(contents.header.golden_output_bytes,
-            sample_header().golden_output_bytes);
   EXPECT_EQ(contents.dropped_bytes, 0u);
   EXPECT_EQ(contents.valid_bytes, fs::file_size(path));
   ASSERT_EQ(contents.records.size(), 3u);
@@ -135,6 +138,76 @@ TEST(CampaignJournal, RoundTripsHeaderAndRecords) {
     EXPECT_EQ(contents.records[i].attempt_index,
               static_cast<std::uint64_t>(i));
     expect_trial_eq(contents.records[i].trial, sample_trial(i));
+  }
+}
+
+TEST(CampaignJournal, SdcSummarySurvivesTheRoundTrip) {
+  // Every pattern, and an infinite maximum relative error (a NaN or a
+  // missing element in the output), come back as written.
+  const std::string path = temp_path("sdc_summary.jnl");
+  fs::remove(path);
+  std::vector<TrialResult> written;
+  {
+    CampaignJournalWriter writer(path, sample_header(),
+                                 JournalFsync::kOnClose);
+    for (int p = 0; p < kPatternCount; ++p) {
+      JournalRecord record;
+      record.attempt_index = static_cast<std::uint64_t>(p);
+      record.trial = sample_trial(p);
+      record.trial.sdc.pattern = static_cast<ErrorPattern>(p);
+      record.trial.sdc.mismatched = 1ULL << (8 * p);
+      if (p == kPatternCount - 1) {
+        record.trial.sdc.max_relative_error =
+            std::numeric_limits<double>::infinity();
+      }
+      written.push_back(record.trial);
+      writer.append(record);
+    }
+  }
+  const JournalContents contents = read_journal(path);
+  ASSERT_EQ(contents.records.size(), written.size());
+  for (std::size_t i = 0; i < written.size(); ++i) {
+    expect_trial_eq(contents.records[i].trial, written[i]);
+  }
+  EXPECT_TRUE(std::isinf(contents.records.back().trial.sdc.max_relative_error));
+}
+
+TEST(CampaignJournal, VersionOneJournalIsRefusedByName) {
+  // A PHIFIJL1 journal's records carry no SDC summary; reading one as the
+  // current format would drop every record as a torn tail, and a resume
+  // would silently re-run the campaign.
+  const std::string path = write_sample_journal("v1.jnl", 2);
+  {
+    std::fstream stream(path,
+                        std::ios::in | std::ios::out | std::ios::binary);
+    stream.seekp(7);
+    stream.put('1');
+  }
+  try {
+    (void)read_journal(path);
+    FAIL() << "a PHIFIJL1 journal was read";
+  } catch (const std::runtime_error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("PHIFIJL1"), std::string::npos) << message;
+    EXPECT_NE(message.find("before SDC summaries"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("re-run the campaign"), std::string::npos)
+        << message;
+  }
+}
+
+TEST(CampaignJournal, GoldenMismatchIsRefusedNamingBothDigests) {
+  require_same_golden(sample_header(), sample_header().golden_digest, "x");
+  try {
+    require_same_golden(sample_header(), 0x1234, "journal 'j'");
+    FAIL() << "a different golden was accepted";
+  } catch (const std::runtime_error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("journal 'j'"), std::string::npos) << message;
+    EXPECT_NE(message.find("0xfeedfacecafef00d"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("0x0000000000001234"), std::string::npos)
+        << message;
   }
 }
 
@@ -285,15 +358,10 @@ TEST(CampaignJournal, InjectFingerprintIsUnchanged) {
 }
 
 TEST(CampaignJournal, BeamAndInjectCampaignsHaveDifferentFingerprints) {
-  const phi::ResourceMap map =
-      phi::ResourceMap::for_spec(phi::DeviceSpec::knights_corner_3120a());
-  const radiation::DeviceSensitivity sensitivity =
-      radiation::DeviceSensitivity::knc_3120a(map);
-  const radiation::BeamPlan plan(sensitivity);
   CampaignConfig inject;
   inject.seed = 11;
   CampaignConfig beam = inject;
-  beam.plan = &plan;
+  beam.plan = std::make_shared<radiation::BeamPlan>();
   beam.min_sdc = 100;
   beam.min_due = 40;
   const std::uint64_t base = campaign_fingerprint(beam, "CLAMR", 4);
@@ -306,9 +374,8 @@ TEST(CampaignJournal, BeamAndInjectCampaignsHaveDifferentFingerprints) {
   other = beam;
   other.min_due = 41;
   EXPECT_NE(campaign_fingerprint(other, "CLAMR", 4), base);
-  const radiation::BeamPlan slower(sensitivity, 1.0e5);
   other = beam;
-  other.plan = &slower;
+  other.plan = std::make_shared<radiation::BeamPlan>(1.0e5);
   EXPECT_NE(campaign_fingerprint(other, "CLAMR", 4), base);
 }
 

@@ -38,10 +38,12 @@ CampaignConfig small_campaign(const std::string& journal) {
 
 /// Runs the configured campaign on a fresh toy supervisor.
 CampaignResult run_campaign(const CampaignConfig& config,
-                            const TrialObserver& observer = nullptr) {
+                            const TrialObserver& observer = nullptr,
+                            const SupervisorConfig& supervisor_config =
+                                toy_supervisor_config()) {
   ToyWorkload::reset_run_counter();
   TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
-                             toy_supervisor_config());
+                             supervisor_config);
   supervisor.prepare_golden();
   Campaign campaign(supervisor, config);
   return campaign.run(observer);
@@ -86,6 +88,10 @@ void expect_same_campaign(const CampaignResult& a, const CampaignResult& b) {
               b.trials[i].record.element_index);
     EXPECT_EQ(a.trials[i].record.flipped_bits[0],
               b.trials[i].record.flipped_bits[0]);
+    EXPECT_EQ(a.trials[i].sdc.mismatched, b.trials[i].sdc.mismatched);
+    EXPECT_EQ(a.trials[i].sdc.max_relative_error,
+              b.trials[i].sdc.max_relative_error);
+    EXPECT_EQ(a.trials[i].sdc.pattern, b.trials[i].sdc.pattern);
   }
 }
 
@@ -206,6 +212,40 @@ TEST(CampaignResume, MismatchedFingerprintIsRejected) {
   resume_config.resume = true;
   resume_config.seed ^= 0xff;
   EXPECT_THROW((void)run_campaign(resume_config), std::runtime_error);
+}
+
+TEST(CampaignResume, JournalFromAnotherGoldenIsRejected) {
+  // input_seed is not in the fingerprint, but it changes the inputs and so
+  // the golden output: continuing the journal would mix two campaigns.
+  const std::string journal = temp_path("resume_golden.jnl");
+  fs::remove(journal);
+  std::atomic<bool> stop{false};
+  CampaignConfig config = small_campaign(journal);
+  config.stop_flag = &stop;
+  int completed = 0;
+  (void)run_campaign(config,
+                     [&](const TrialResult&, std::span<const std::byte>) {
+                       if (++completed == 1) stop.store(true);
+                     });
+
+  SupervisorConfig other_inputs = toy_supervisor_config();
+  other_inputs.input_seed += 1;  // the toy scales its output by seed % 7
+  CampaignConfig resume_config = small_campaign(journal);
+  resume_config.resume = true;
+  try {
+    (void)run_campaign(resume_config, nullptr, other_inputs);
+    FAIL() << "a journal from another golden output was resumed";
+  } catch (const std::runtime_error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("different golden output"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("golden digest 0x"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("this campaign's 0x"), std::string::npos)
+        << message;
+  }
+  // The same inputs still resume.
+  EXPECT_NO_THROW((void)run_campaign(resume_config));
 }
 
 TEST(CampaignResume, NotInjectedAttemptsKeepSeedStreamAligned) {

@@ -30,7 +30,7 @@ TEST(CliConfig, DefaultsWhenEmpty) {
 TEST(CliConfig, ParsesAllKeys) {
   const RunnerConfig config = parse(R"(
 # a comment
-mode = beam
+mode = inject
 workload = HotSpot
 seed = 0x10
 trials = 123
@@ -38,16 +38,12 @@ policy = bytes-weighted
 models = Single + Zero
 earliest_fraction = 0.2
 latest_fraction = 0.8
-flux = 1e5
-min_sdc = 7
-min_due = 3
-max_executions = 99
 device_os_threads = 2
 timeout_factor = 11
 min_timeout_seconds = 0.5
 input_seed = 42
 )");
-  EXPECT_EQ(config.mode, RunMode::kBeam);
+  EXPECT_EQ(config.mode, RunMode::kInject);
   EXPECT_EQ(config.workload, "HotSpot");
   EXPECT_EQ(config.seed, 16u);
   EXPECT_EQ(config.trials, 123u);
@@ -56,11 +52,66 @@ input_seed = 42
   EXPECT_EQ(config.models[0], fi::FaultModel::kSingle);
   EXPECT_EQ(config.models[1], fi::FaultModel::kZero);
   EXPECT_DOUBLE_EQ(config.earliest_fraction, 0.2);
-  EXPECT_DOUBLE_EQ(config.flux, 1e5);
-  EXPECT_EQ(config.min_sdc, 7u);
   EXPECT_EQ(config.supervisor.device_os_threads, 2u);
   EXPECT_DOUBLE_EQ(config.supervisor.min_timeout_seconds, 0.5);
   EXPECT_EQ(config.supervisor.input_seed, 42u);
+}
+
+TEST(CliConfig, ParsesAllBeamKeys) {
+  const RunnerConfig config = parse(R"(
+workload = HotSpot
+flux = 1e5
+min_sdc = 7
+min_due = 3
+max_executions = 99
+input_seed = 42
+mode = beam
+)");
+  EXPECT_EQ(config.mode, RunMode::kBeam);
+  EXPECT_EQ(config.workload, "HotSpot");
+  EXPECT_DOUBLE_EQ(config.flux, 1e5);
+  EXPECT_EQ(config.min_sdc, 7u);
+  EXPECT_EQ(config.min_due, 3u);
+  EXPECT_EQ(config.max_executions, 99u);
+  EXPECT_EQ(config.supervisor.input_seed, 42u);
+}
+
+TEST(CliConfig, KeysOfTheOtherModeAreRefusedByName) {
+  // They would have no effect; the mode line may come after them.
+  for (const char* key : {"trials = 5", "policy = bytes-weighted",
+                          "models = Single", "earliest_fraction = 0.1",
+                          "latest_fraction = 0.9"}) {
+    const std::string line = key;
+    const std::string name = line.substr(0, line.find(' '));
+    try {
+      (void)parse(line + "\nmode = beam\n");
+      FAIL() << name << " was accepted in a beam file";
+    } catch (const std::runtime_error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("line 1"), std::string::npos) << message;
+      EXPECT_NE(message.find("'" + name + "'"), std::string::npos)
+          << message;
+      EXPECT_NE(message.find("mode = beam"), std::string::npos) << message;
+    }
+    EXPECT_NO_THROW((void)parse(line + "\n")) << name;
+  }
+  for (const char* key : {"flux = 1e5", "min_sdc = 3", "min_due = 2",
+                          "max_executions = 10"}) {
+    const std::string line = key;
+    const std::string name = line.substr(0, line.find(' '));
+    try {
+      (void)parse("mode = inject\n" + line + "\n");
+      FAIL() << name << " was accepted in an inject file";
+    } catch (const std::runtime_error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+      EXPECT_NE(message.find("'" + name + "'"), std::string::npos)
+          << message;
+    }
+    EXPECT_THROW((void)parse(line + "\n"), std::runtime_error)
+        << name << " in a file with no mode line (inject)";
+    EXPECT_NO_THROW((void)parse("mode = beam\n" + line + "\n")) << name;
+  }
 }
 
 TEST(CliConfig, ParsesDurabilityAndSupervisionKeys) {
@@ -193,7 +244,6 @@ TEST(CliConfig, InvalidInjectionWindowRejected) {
 
 TEST(CliConfig, FormatParseRoundTrip) {
   RunnerConfig config;
-  config.mode = RunMode::kBeam;
   config.workload = "NW";
   config.seed = 77;
   config.trials = 321;
@@ -206,6 +256,29 @@ TEST(CliConfig, FormatParseRoundTrip) {
   EXPECT_EQ(reparsed.trials, config.trials);
   EXPECT_EQ(reparsed.policy, config.policy);
   EXPECT_EQ(reparsed.models, config.models);
+}
+
+TEST(CliConfig, BeamFormatParseRoundTrip) {
+  RunnerConfig config;
+  config.mode = RunMode::kBeam;
+  config.workload = "NW";
+  config.seed = 77;
+  config.flux = 5e5;
+  config.min_sdc = 9;
+  config.min_due = 4;
+  config.max_executions = 321;
+  const std::string text = format_config(config);
+  // Only the beam's own keys are written.
+  EXPECT_EQ(text.find("trials"), std::string::npos) << text;
+  EXPECT_EQ(text.find("models"), std::string::npos) << text;
+  const RunnerConfig reparsed = parse(text);
+  EXPECT_EQ(reparsed.mode, config.mode);
+  EXPECT_EQ(reparsed.workload, config.workload);
+  EXPECT_EQ(reparsed.seed, config.seed);
+  EXPECT_DOUBLE_EQ(reparsed.flux, config.flux);
+  EXPECT_EQ(reparsed.min_sdc, config.min_sdc);
+  EXPECT_EQ(reparsed.min_due, config.min_due);
+  EXPECT_EQ(reparsed.max_executions, config.max_executions);
 }
 
 TEST(CliRunner, UnknownWorkloadThrows) {
@@ -353,29 +426,36 @@ TEST(CliRunner, BeamModeWritesEveryOutputFile) {
   EXPECT_NE(report.str().find("## Beam experiment"), std::string::npos);
 }
 
-TEST(CliRunner, BeamModeRefusesResumeAndFabricRoles) {
-  RunnerConfig beam;
-  beam.mode = RunMode::kBeam;
-  EXPECT_EQ(refusal(beam), "");
-  RunnerConfig resume = beam;
+TEST(CliRunner, BeamModeResumesATornJournal) {
+  // A beam journal cut in half resumes onto the uninterrupted result: its
+  // records carry the SDC summaries the beam fold needs.
+  namespace fs = std::filesystem;
+  RunnerConfig config;
+  config.mode = RunMode::kBeam;
+  config.workload = "DGEMM";
+  config.seed = 6;
+  config.min_sdc = 3;
+  config.min_due = 1;
+  config.jobs = 2;
+  config.journal_file = ::testing::TempDir() + "phifi_cli_beam_resume.jnl";
+  fs::remove(config.journal_file);
+  std::ostringstream full_out;
+  const RunSummary full = run_from_config(config, full_out);
+  fs::resize_file(config.journal_file,
+                  fs::file_size(config.journal_file) / 2);
+
+  RunnerConfig resume = config;
   resume.resume = true;
-  resume.journal_file = ::testing::TempDir() + "phifi_cli_beam_refused.jnl";
-  RunnerConfig coordinator = beam;
-  coordinator.fabric_listen = "unix:/nonexistent/phifi.sock";
-  RunnerConfig worker = beam;
-  worker.fabric_connect = "unix:/nonexistent/phifi.sock";
-  worker.fabric_shard = ::testing::TempDir() + "phifi_cli_beam_shard.jnl";
-  for (const auto& [config, key] :
-       {std::pair{resume, "resume"}, std::pair{coordinator, "fabric_listen"},
-        std::pair{worker, "fabric_connect"}}) {
-    EXPECT_NE(refusal(config).find(key), std::string::npos) << key;
-    std::ostringstream out;
-    EXPECT_THROW(run_from_config(config, out), std::invalid_argument) << key;
-  }
-  // Injection campaigns keep both.
-  RunnerConfig inject = resume;
-  inject.mode = RunMode::kInject;
-  EXPECT_EQ(refusal(inject), "");
+  std::ostringstream resumed_out;
+  const RunSummary resumed = run_from_config(resume, resumed_out);
+  EXPECT_GT(resumed.resumed_trials, 0u);
+  EXPECT_EQ(resumed.outcomes.total(), full.outcomes.total());
+  EXPECT_EQ(resumed.outcomes.sdc, full.outcomes.sdc);
+  EXPECT_EQ(resumed.outcomes.due, full.outcomes.due);
+  EXPECT_EQ(resumed.sdc_fit, full.sdc_fit);
+  EXPECT_EQ(resumed.due_fit, full.due_fit);
+  // The beam table reads the same.
+  EXPECT_EQ(resumed_out.str(), full_out.str());
 }
 
 TEST(CliConfig, SupervisorDefaultsAreTheSupervisorsOwn) {
@@ -401,16 +481,24 @@ TEST(CliConfig, BeamModeMapsItsKeysOntoTheCampaign) {
   config.max_executions = 321;
   config.min_sdc = 7;
   config.min_due = 3;
+  config.flux = 3e5;
   const fi::CampaignConfig beam = config.campaign_config();
   EXPECT_EQ(beam.trials, 321u);
   EXPECT_EQ(beam.min_sdc, 7u);
   EXPECT_EQ(beam.min_due, 3u);
-  // An injection campaign leaves the error-count finish line off.
+  // The plan rides the config, so every role fingerprints the flux.
+  ASSERT_NE(beam.plan, nullptr);
+  EXPECT_EQ(beam.plan->fingerprint(), radiation::BeamPlan(3e5).fingerprint());
+  EXPECT_EQ(fi::campaign_fingerprint(beam, "DGEMM", 5),
+            fi::campaign_fingerprint(config.campaign_config(), "DGEMM", 5));
+  // An injection campaign leaves the error-count finish line and the plan
+  // off.
   config.mode = RunMode::kInject;
   const fi::CampaignConfig inject = config.campaign_config();
   EXPECT_EQ(inject.trials, config.trials);
   EXPECT_EQ(inject.min_sdc, 0u);
   EXPECT_EQ(inject.min_due, 0u);
+  EXPECT_EQ(inject.plan, nullptr);
 }
 
 }  // namespace

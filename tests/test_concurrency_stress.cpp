@@ -100,29 +100,29 @@ TEST(ConcurrencyStressTest, MetricsRegistryHistogramUnderSnapshot) {
   EXPECT_EQ(bucket_sum, h->count());
 }
 
-TEST(ConcurrencyStressTest, SharedChannelHeartbeatAndOutput) {
+TEST(ConcurrencyStressTest, SharedChannelHeartbeatAndSdcSummary) {
   // In production the writer is the forked child and the reader is the
   // watchdog thread in the parent; same memory, same orderings — threads
   // here make the race visible to TSan.
-  phifi::fi::SharedChannel channel(256);
+  phifi::fi::SharedChannel channel;
   channel.reset();
 
-  const std::string payload = "stress-output";
   std::atomic<bool> writer_done{false};
 
-  std::thread writer([&channel, &payload, &writer_done] {
+  std::thread writer([&channel, &writer_done] {
     phifi::fi::InjectionRecord record{};
     record.site_index = 7;
     channel.store_record(record);
     for (int i = 0; i < kIters; ++i) channel.beat();
-    std::vector<std::byte> bytes(payload.size());
-    std::memcpy(bytes.data(), payload.data(), payload.size());
-    channel.store_output(bytes);
+    channel.store_verdict(false, {.mismatched = 13,
+                                  .max_relative_error = 0.125,
+                                  .pattern = phifi::fi::ErrorPattern::kLine});
     writer_done.store(true, std::memory_order_release);
   });
 
   // Reader polls exactly like the watchdog: heartbeat must be monotone,
-  // and record/output flags must only ever go up.
+  // record/verdict flags must only ever go up, and a verdict, once seen,
+  // comes with its whole summary.
   std::uint64_t last_beat = 0;
   bool saw_record = false;
   while (!writer_done.load(std::memory_order_acquire)) {
@@ -130,18 +130,22 @@ TEST(ConcurrencyStressTest, SharedChannelHeartbeatAndOutput) {
     EXPECT_GE(beat, last_beat);
     last_beat = beat;
     if (channel.record_ready()) saw_record = true;
+    if (channel.verdict_ready()) {
+      EXPECT_EQ(channel.sdc_summary().mismatched, 13u);
+    }
     std::this_thread::yield();
   }
   writer.join();
 
   EXPECT_TRUE(saw_record || channel.record_ready());
-  EXPECT_TRUE(channel.output_ready());
+  EXPECT_TRUE(channel.verdict_ready());
   EXPECT_EQ(channel.heartbeat(), static_cast<std::uint64_t>(kIters));
   EXPECT_EQ(channel.record().site_index, 7u);
 
-  const auto out = channel.output();
-  ASSERT_EQ(out.size(), payload.size());
-  EXPECT_EQ(std::memcmp(out.data(), payload.data(), payload.size()), 0);
+  const phifi::fi::SdcSummary sdc = channel.sdc_summary();
+  EXPECT_EQ(sdc.mismatched, 13u);
+  EXPECT_EQ(sdc.max_relative_error, 0.125);
+  EXPECT_EQ(sdc.pattern, phifi::fi::ErrorPattern::kLine);
 }
 
 TEST(ConcurrencyStressTest, ParallelSlotChannels) {
@@ -154,7 +158,7 @@ TEST(ConcurrencyStressTest, ParallelSlotChannels) {
   std::vector<std::unique_ptr<phifi::fi::SharedChannel>> channels;
   channels.reserve(kSlots);
   for (int s = 0; s < kSlots; ++s) {
-    channels.push_back(std::make_unique<phifi::fi::SharedChannel>(64));
+    channels.push_back(std::make_unique<phifi::fi::SharedChannel>());
     channels.back()->reset();
   }
 
@@ -168,9 +172,9 @@ TEST(ConcurrencyStressTest, ParallelSlotChannels) {
       record.site_index = static_cast<unsigned>(s);
       channel.store_record(record);
       for (int i = 0; i < kIters; ++i) channel.beat();
-      const std::byte fill{static_cast<unsigned char>(0x40 + s)};
-      std::vector<std::byte> bytes(32, fill);
-      channel.store_output(bytes);
+      phifi::fi::SdcSummary sdc;
+      sdc.mismatched = 0x40 + static_cast<std::uint64_t>(s);
+      channel.store_verdict(false, sdc);
       writers_done.fetch_add(1, std::memory_order_release);
     });
   }
@@ -192,12 +196,11 @@ TEST(ConcurrencyStressTest, ParallelSlotChannels) {
   // Slot isolation: every channel holds exactly its own writer's data.
   for (int s = 0; s < kSlots; ++s) {
     auto& channel = *channels[static_cast<std::size_t>(s)];
-    EXPECT_TRUE(channel.output_ready());
+    EXPECT_TRUE(channel.verdict_ready());
     EXPECT_EQ(channel.heartbeat(), static_cast<std::uint64_t>(kIters));
     EXPECT_EQ(channel.record().site_index, static_cast<unsigned>(s));
-    const auto out = channel.output();
-    ASSERT_EQ(out.size(), 32u);
-    EXPECT_EQ(out[0], std::byte{static_cast<unsigned char>(0x40 + s)});
+    EXPECT_EQ(channel.sdc_summary().mismatched,
+              0x40 + static_cast<std::uint64_t>(s));
   }
 }
 

@@ -34,11 +34,13 @@
 #include "fabric/options.hpp"
 #include "fabric/protocol.hpp"
 #include "fabric/worker.hpp"
+#include "radiation/beam.hpp"
 #include "telemetry/estimator.hpp"
 #include "telemetry/history.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/progress.hpp"
 #include "telemetry/trace.hpp"
+#include "tests/beam_helpers.hpp"
 #include "tests/toy_workload.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
@@ -198,13 +200,13 @@ std::string uniform_detail(std::uint64_t n, const std::string& outcome) {
 /// records to its shard, then SIGKILLs itself mid-lease — the crash the
 /// reclaim machinery exists for.
 [[noreturn]] void child_doomed_worker(const fi::CampaignConfig& config,
+                                      WorkloadFactoryFn factory,
                                       std::uint64_t fingerprint,
                                       const std::string& address,
                                       const std::string& shard_path,
                                       int kill_after) {
   ToyWorkload::reset_run_counter();
-  fi::TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
-                                 toy_supervisor_config());
+  fi::TrialSupervisor supervisor(factory, toy_supervisor_config());
   supervisor.prepare_golden();
   const std::optional<LeasedClient> client = lease_one(address, fingerprint);
   if (!client.has_value()) ::_exit(4);
@@ -213,6 +215,7 @@ std::string uniform_detail(std::uint64_t n, const std::string& outcome) {
   header.fingerprint = fingerprint;
   header.time_windows = supervisor.time_windows();
   header.workload = std::string(supervisor.workload_name());
+  header.golden_digest = supervisor.golden_digest();
   fi::CampaignJournalWriter shard(shard_path, header,
                                   fi::JournalFsync::kEveryRecord);
 
@@ -273,8 +276,9 @@ TEST(FabricCampaign, WorkerKillIsReclaimedAndMatchesJobs1) {
   const pid_t doomed = ::fork();
   ASSERT_GE(doomed, 0);
   if (doomed == 0) {
-    child_doomed_worker(config, fingerprint, coordinator_options.address,
-                        shard1, /*kill_after=*/2);
+    child_doomed_worker(config, &phifi::testing::make_toy_normal, fingerprint,
+                        coordinator_options.address, shard1,
+                        /*kill_after=*/2);
   }
   FabricOptions survivor_options = coordinator_options;
   survivor_options.shard_path = shard0;
@@ -497,8 +501,9 @@ TEST(FabricCampaign, ObservabilityPlaneServesLiveFleetState) {
   ASSERT_GE(doomed, 0);
   if (doomed == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    child_doomed_worker(config, fingerprint, coordinator_options.address,
-                        shard_doomed, /*kill_after=*/1);
+    child_doomed_worker(config, &phifi::testing::make_toy_slow, fingerprint,
+                        coordinator_options.address, shard_doomed,
+                        /*kill_after=*/1);
   }
 
   // Scraper thread: polls both routes while the campaign runs, keeping
@@ -694,6 +699,91 @@ TEST(FabricCampaign, CoordinatorCountersAreTheFleetTally) {
   for (std::string line; std::getline(lines, line);) last_line = line;
   EXPECT_EQ(last_line.rfind("[progress] 10/10 trials", 0), 0u)
       << progress_lines.str();
+}
+
+TEST(FabricCampaign, BeamCampaignThroughTheFabricGivesTheLocalResult) {
+  // A beam campaign sharded over two workers, merged and replayed folds to
+  // the local jobs-1 BeamResult: the shard records carry each SDC's
+  // summary, and every role plans and fingerprints with the same plan.
+  constexpr std::uint64_t kSeed = 99;
+  fi::CampaignConfig config;
+  config.seed = kSeed;
+  config.trials = 400;
+  config.min_sdc = 5;
+  config.min_due = 2;
+  const auto plan = std::make_shared<const radiation::BeamPlan>();
+  config.plan = plan;
+
+  const auto run_local = [&config, &plan](const std::string& journal,
+                                          bool resume) {
+    fi::CampaignConfig local = config;
+    local.journal_path = journal;
+    local.resume = resume;
+    ToyWorkload::reset_run_counter();
+    fi::TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
+                                   toy_supervisor_config());
+    supervisor.prepare_golden();
+    const fi::CampaignResult result = fi::Campaign(supervisor, local).run();
+    return radiation::fold_beam(result, *plan, kSeed);
+  };
+  const std::string reference_path = temp_path("fab_beam_ref.jnl");
+  fs::remove(reference_path);
+  const radiation::BeamResult reference = run_local(reference_path, false);
+  const fi::JournalContents reference_journal =
+      fi::read_journal(reference_path);
+  const std::uint64_t fingerprint = reference_journal.header.fingerprint;
+
+  const std::string socket_path = temp_path("fab_beam.sock");
+  const std::vector<std::string> shards = {temp_path("fab_beam_shard0.jnl"),
+                                           temp_path("fab_beam_shard1.jnl")};
+  const std::string merged = temp_path("fab_beam_merged.jnl");
+  for (const auto& path : {socket_path, shards[0], shards[1], merged}) {
+    fs::remove(path);
+  }
+  FabricOptions options;
+  options.address = "unix:" + socket_path;
+  options.lease_size = 4;
+  options.heartbeat_seconds = 0.05;
+  std::vector<pid_t> workers;
+  for (std::size_t w = 0; w < shards.size(); ++w) {
+    FabricOptions worker_options = options;
+    worker_options.shard_path = shards[w];
+    worker_options.reconnect_initial_ms = 30.0;
+    const pid_t worker = ::fork();
+    ASSERT_GE(worker, 0);
+    if (worker == 0) {
+      child_run_worker(config, &phifi::testing::make_toy_normal, fingerprint,
+                       worker_options,
+                       /*startup_delay_ms=*/static_cast<unsigned>(20 * w));
+    }
+    workers.push_back(worker);
+  }
+  std::ostringstream sink;
+  const CoordinatorResult result = run_coordinator(
+      config, fingerprint, options, nullptr, nullptr, nullptr, nullptr, sink);
+  for (const pid_t worker : workers) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(worker, &status, 0), worker);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+  }
+  EXPECT_TRUE(result.complete) << sink.str();
+  EXPECT_EQ(result.fleet_sdc, reference.sdc);
+
+  MergeOptions merge_options;
+  for (const std::string& shard : shards) {
+    if (fs::exists(shard)) merge_options.shards.push_back(shard);
+  }
+  merge_options.out_path = merged;
+  (void)merge_shards(config, "Toy", reference_journal.header.time_windows,
+                     merge_options);
+  expect_same_records(reference_journal.records,
+                      fi::read_journal(merged).records);
+
+  // Replaying the merged journal (a resume that finds the campaign done)
+  // folds the same beam result as the local run.
+  phifi::testing::expect_same_beam(run_local(merged, /*resume=*/true),
+                                   reference);
 }
 
 /// run_coordinator on a thread of this process, for drills whose clients

@@ -5,7 +5,6 @@
 
 #include <cstring>
 
-#include "analysis/compare.hpp"
 #include "core/campaign.hpp"
 #include "core/progress.hpp"
 #include "workloads/registry.hpp"
@@ -181,14 +180,13 @@ TEST(HardeningComparison, AbftEliminatesSignificantSdcs) {
     config.trials = 60;
     config.seed = 0xabf;
     config.policy = fi::SelectionPolicy::kGlobalBytesWeighted;
-    return fi::Campaign(supervisor, config)
-        .run([&](const fi::TrialResult& trial,
-                 std::span<const std::byte> output) {
-          if (trial.outcome != fi::Outcome::kSdc) return;
-          const analysis::Comparison comparison = analysis::compare_outputs(
-              supervisor.golden(), output, fi::ElementType::kF64);
-          significant_sdcs += comparison.is_sdc_at(1e-6);
-        });
+    const fi::CampaignResult result =
+        fi::Campaign(supervisor, config).run();
+    for (const fi::TrialResult& trial : result.trials) {
+      significant_sdcs += trial.outcome == fi::Outcome::kSdc &&
+                          trial.sdc.is_sdc_at(1e-6);
+    }
+    return result;
   };
   std::size_t baseline_significant = 0;
   std::size_t hardened_significant = 0;

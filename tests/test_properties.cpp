@@ -7,11 +7,11 @@
 #include <set>
 #include <tuple>
 
-#include "analysis/spatial.hpp"
 #include "analysis/tolerance.hpp"
 #include "core/fault_model.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
+#include "tests/sdc_helpers.hpp"
 #include "util/statistics.hpp"
 #include "workloads/clamr/zorder.hpp"
 #include "workloads/registry.hpp"
@@ -70,8 +70,8 @@ TEST(SpatialProperties, TransposeMapsPatternsConsistently) {
     const std::vector<std::size_t> b(transposed.begin(), transposed.end());
     // Transposition swaps rows and columns; every pattern class is
     // symmetric under it.
-    EXPECT_EQ(analysis::classify_pattern(a, shape),
-              analysis::classify_pattern(b, shape));
+    EXPECT_EQ(testing::summarize_at(shape, a).pattern,
+              testing::summarize_at(shape, b).pattern);
   }
 }
 
@@ -90,8 +90,8 @@ TEST(SpatialProperties, TranslationInvariantWithinBounds) {
       const util::Coord c = util::unflatten(shape, flat);
       shifted.push_back(util::flatten(shape, {c.x + 7, c.y + 7, 0}));
     }
-    EXPECT_EQ(analysis::classify_pattern(original, shape),
-              analysis::classify_pattern(shifted, shape));
+    EXPECT_EQ(testing::summarize_at(shape, original).pattern,
+              testing::summarize_at(shape, shifted).pattern);
   }
 }
 
@@ -107,10 +107,10 @@ TEST(SpatialProperties, SubsetOfLineIsLineOrSingle) {
       }
     }
     if (indices.empty()) continue;
-    const analysis::ErrorPattern pattern =
-        analysis::classify_pattern(indices, shape);
-    EXPECT_TRUE(pattern == analysis::ErrorPattern::kLine ||
-                pattern == analysis::ErrorPattern::kSingle)
+    const fi::ErrorPattern pattern =
+        testing::summarize_at(shape, indices).pattern;
+    EXPECT_TRUE(pattern == fi::ErrorPattern::kLine ||
+                pattern == fi::ErrorPattern::kSingle)
         << to_string(pattern);
   }
 }

@@ -1,3 +1,7 @@
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -9,6 +13,7 @@
 #include "core/campaign_journal.hpp"
 #include "radiation/beam.hpp"
 #include "radiation/sensitivity.hpp"
+#include "tests/beam_helpers.hpp"
 #include "tests/toy_workload.hpp"
 
 namespace phifi::radiation {
@@ -118,18 +123,20 @@ class ToyUnderBeam : public ::testing::Test {
     config.trials = 400;
     config.min_sdc = 5;
     config.min_due = 2;
-    config.plan = &plan_;
+    config.plan = plan_;
     config.jobs = jobs;
     config.journal_path = journal;
     return config;
   }
 
-  Run run(unsigned jobs, const std::string& journal = "") {
-    analysis::SdcAnalyzer analyzer(*supervisor_);
-    fi::Campaign campaign(*supervisor_, config(jobs, journal));
+  Run run(unsigned jobs, const std::string& journal = "",
+          bool resume = false) {
+    fi::CampaignConfig campaign_config = config(jobs, journal);
+    campaign_config.resume = resume;
+    fi::Campaign campaign(*supervisor_, campaign_config);
     Run result;
-    result.campaign = campaign.run(analyzer.observer());
-    result.beam = fold_beam(result.campaign, plan_, kSeed, analyzer);
+    result.campaign = campaign.run();
+    result.beam = fold_beam(result.campaign, *plan_, kSeed);
     return result;
   }
 
@@ -145,10 +152,7 @@ class ToyUnderBeam : public ::testing::Test {
     return result;
   }
 
-  phi::ResourceMap map_ =
-      phi::ResourceMap::for_spec(phi::DeviceSpec::knights_corner_3120a());
-  DeviceSensitivity sensitivity_ = DeviceSensitivity::knc_3120a(map_);
-  BeamPlan plan_{sensitivity_};
+  std::shared_ptr<const BeamPlan> plan_ = std::make_shared<BeamPlan>();
   std::unique_ptr<fi::TrialSupervisor> supervisor_;
 };
 
@@ -170,18 +174,20 @@ TEST_F(ToyUnderBeam, SmallCampaignProducesFitEstimates) {
               1e-6);
   // Pattern fractions decompose the SDC FIT.
   double pattern_fit_sum = 0.0;
-  for (int p = 1; p < analysis::kPatternCount; ++p) {
-    pattern_fit_sum +=
-        result.pattern_fit(static_cast<analysis::ErrorPattern>(p));
+  for (int p = 1; p < fi::kPatternCount; ++p) {
+    pattern_fit_sum += result.pattern_fit(static_cast<fi::ErrorPattern>(p));
   }
+  // Every SDC carries its summary: a class and at least one wrong element.
+  EXPECT_EQ(result.patterns.total(), result.sdc);
+  EXPECT_EQ(result.patterns.count(fi::ErrorPattern::kNone), 0u);
   EXPECT_NEAR(pattern_fit_sum, result.sdc_fit.fit,
               result.sdc_fit.fit * 1e-9 + 1e-9);
 }
 
 TEST_F(ToyUnderBeam, PlanIsAPureFunctionOfSeedAndIndex) {
   for (std::uint64_t index = 0; index < 50; ++index) {
-    const BeamDraw a = plan_.draw(kSeed, index);
-    const BeamDraw b = plan_.draw(kSeed, index);
+    const BeamDraw a = plan_->draw(kSeed, index);
+    const BeamDraw b = plan_->draw(kSeed, index);
     EXPECT_EQ(a.runs, b.runs);
     EXPECT_EQ(a.strikes, b.strikes);
     EXPECT_EQ(a.absorbed, b.absorbed);
@@ -189,48 +195,58 @@ TEST_F(ToyUnderBeam, PlanIsAPureFunctionOfSeedAndIndex) {
     EXPECT_EQ(a.trial.trial_seed, b.trial.trial_seed);
     EXPECT_GE(a.runs, 1u);
     EXPECT_LE(a.absorbed, a.strikes);
-    EXPECT_EQ(plan_.attempt(kSeed, index).decided.has_value(),
+    EXPECT_EQ(plan_->attempt(kSeed, index).decided.has_value(),
               a.machine_check);
   }
 }
 
 TEST_F(ToyUnderBeam, DrawWithoutAVisibleStrikeGivesUp) {
-  const BeamPlan dark(sensitivity_, /*flux=*/0.0);
+  const BeamPlan dark(/*flux=*/0.0);
   EXPECT_THROW((void)dark.draw(kSeed, 0), std::runtime_error);
 }
 
 TEST_F(ToyUnderBeam, ResultIsIdenticalAtJobsOneAndFour) {
   const Run one = run(1);
   const Run four = run(4);
-  const BeamResult& a = one.beam;
-  const BeamResult& b = four.beam;
   // The finish line stops on the same attempt.
   EXPECT_EQ(one.campaign.attempts, four.campaign.attempts);
-  EXPECT_EQ(a.runs, b.runs);
-  EXPECT_EQ(a.executions, b.executions);
-  EXPECT_EQ(a.fluence, b.fluence);
-  EXPECT_EQ(a.strikes, b.strikes);
-  EXPECT_EQ(a.absorbed, b.absorbed);
-  EXPECT_EQ(a.sdc, b.sdc);
-  EXPECT_EQ(a.due_machine_check, b.due_machine_check);
-  EXPECT_EQ(a.due_program, b.due_program);
-  EXPECT_EQ(a.masked_faults, b.masked_faults);
-  EXPECT_EQ(a.sdc_fit.fit, b.sdc_fit.fit);
-  EXPECT_EQ(a.sdc_fit.fit_lo, b.sdc_fit.fit_lo);
-  EXPECT_EQ(a.sdc_fit.fit_hi, b.sdc_fit.fit_hi);
-  EXPECT_EQ(a.due_fit.fit, b.due_fit.fit);
-  EXPECT_EQ(a.due_fit.fit_lo, b.due_fit.fit_lo);
-  EXPECT_EQ(a.due_fit.fit_hi, b.due_fit.fit_hi);
-  EXPECT_EQ(a.single_element_fraction, b.single_element_fraction);
-  EXPECT_EQ(a.patterns.total(), b.patterns.total());
-  for (int p = 0; p < analysis::kPatternCount; ++p) {
-    const auto pattern = static_cast<analysis::ErrorPattern>(p);
-    EXPECT_EQ(a.patterns.count(pattern), b.patterns.count(pattern));
+  testing::expect_same_beam(one.beam, four.beam);
+}
+
+TEST_F(ToyUnderBeam, KilledAndResumedCampaignGivesTheUninterruptedResult) {
+  // SIGKILL a jobs-4 campaign after a few commits, resume it at jobs 2:
+  // the replayed records carry their SDC summaries, so the resumed fold
+  // equals an uninterrupted jobs-1 run in every figure.
+  constexpr int kCommitsBeforeKill = 4;
+  const std::string journal = temp_path("killed.jnl");
+  std::filesystem::remove(journal);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    testing::ToyWorkload::reset_run_counter();
+    fi::TrialSupervisor supervisor(&testing::make_toy_normal,
+                                   testing::toy_supervisor_config());
+    supervisor.prepare_golden();
+    int committed = 0;
+    fi::Campaign(supervisor, config(4, journal))
+        .run([&committed](const fi::TrialResult&, std::span<const std::byte>) {
+          if (++committed == kCommitsBeforeKill) ::kill(::getpid(), SIGKILL);
+        });
+    ::_exit(42);  // not reached: the kill lands inside run()
   }
-  for (double t : analysis::ToleranceAnalysis::default_tolerances()) {
-    EXPECT_EQ(a.tolerance.remaining_fraction(t),
-              b.tolerance.remaining_fraction(t));
-  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status));
+  ASSERT_EQ(WTERMSIG(status), SIGKILL);
+  const std::size_t journaled = fi::read_journal(journal).records.size();
+  ASSERT_GE(journaled, static_cast<std::size_t>(kCommitsBeforeKill));
+
+  const Run resumed = run(2, journal, /*resume=*/true);
+  const Run uninterrupted = run(1);
+  EXPECT_GE(resumed.campaign.resumed_trials, 1u);
+  EXPECT_EQ(resumed.campaign.attempts, uninterrupted.campaign.attempts);
+  testing::expect_same_beam(resumed.beam, uninterrupted.beam);
+  std::filesystem::remove(journal);
 }
 
 TEST_F(ToyUnderBeam, JournalHoldsMachineChecksAndFoldsToTheLiveResult) {
@@ -245,7 +261,7 @@ TEST_F(ToyUnderBeam, JournalHoldsMachineChecksAndFoldsToTheLiveResult) {
   std::uint64_t machine_checks = 0;
   for (const fi::JournalRecord& record : contents.records) {
     const bool planned =
-        plan_.draw(kSeed, record.attempt_index).machine_check;
+        plan_->draw(kSeed, record.attempt_index).machine_check;
     const bool journaled =
         record.trial.outcome == fi::Outcome::kDue &&
         record.trial.due_kind == fi::DueKind::kMachineCheck;
@@ -255,21 +271,56 @@ TEST_F(ToyUnderBeam, JournalHoldsMachineChecksAndFoldsToTheLiveResult) {
   EXPECT_GT(machine_checks, 0u);
   EXPECT_EQ(live.campaign.due_kinds.at("machine-check"), machine_checks);
 
-  // The records alone, folded with the plan, give the live counts.
-  const BeamResult folded =
-      fold_beam(replay(contents.records), plan_, kSeed,
-                analysis::SdcAnalyzer(*supervisor_));
-  EXPECT_EQ(folded.runs, live.beam.runs);
-  EXPECT_EQ(folded.fluence, live.beam.fluence);
-  EXPECT_EQ(folded.strikes, live.beam.strikes);
-  EXPECT_EQ(folded.absorbed, live.beam.absorbed);
-  EXPECT_EQ(folded.executions, live.beam.executions);
-  EXPECT_EQ(folded.sdc, live.beam.sdc);
-  EXPECT_EQ(folded.due_machine_check, live.beam.due_machine_check);
-  EXPECT_EQ(folded.due_program, live.beam.due_program);
-  EXPECT_EQ(folded.masked_faults, live.beam.masked_faults);
-  EXPECT_EQ(folded.sdc_fit.fit, live.beam.sdc_fit.fit);
-  EXPECT_EQ(folded.due_fit.fit, live.beam.due_fit.fit);
+  // The records alone, folded with the plan, give the live result,
+  // patterns and tolerance curve included.
+  testing::expect_same_beam(
+      fold_beam(replay(contents.records), *plan_, kSeed), live.beam);
+  std::filesystem::remove(journal);
+}
+
+TEST_F(ToyUnderBeam, MachineChecksStayOutOfTheModelAndWindowSlices) {
+  // A machine check has no fault model and no window: it folds into the
+  // decided tally, so the Single and window-1 slices hold program outcomes
+  // only, and each slicing still sums to the overall tally.
+  const std::string journal = temp_path("slices.jnl");
+  std::filesystem::remove(journal);
+  (void)run(1, journal);
+  const std::vector<fi::JournalRecord> records =
+      fi::read_journal(journal).records;
+  const fi::CampaignResult folded = replay(records);
+
+  fi::OutcomeTally programs_by_model[4];
+  std::vector<fi::OutcomeTally> programs_by_window(folded.by_window.size());
+  std::uint64_t machine_checks = 0;
+  for (const fi::JournalRecord& record : records) {
+    const fi::TrialResult& trial = record.trial;
+    if (trial.outcome == fi::Outcome::kNotInjected) continue;
+    if (trial.due_kind == fi::DueKind::kMachineCheck) {
+      ++machine_checks;
+      continue;
+    }
+    programs_by_model[static_cast<int>(trial.record.model)].add(trial.outcome);
+    programs_by_window[trial.window].add(trial.outcome);
+  }
+  ASSERT_GT(machine_checks, 0u);
+  EXPECT_EQ(folded.decided.due, machine_checks);
+  EXPECT_EQ(folded.decided.total(), machine_checks);
+
+  const auto same = [](const fi::OutcomeTally& a, const fi::OutcomeTally& b) {
+    return a.masked == b.masked && a.sdc == b.sdc && a.due == b.due;
+  };
+  fi::OutcomeTally model_sum = folded.decided;
+  for (int m = 0; m < 4; ++m) {
+    EXPECT_TRUE(same(folded.by_model[m], programs_by_model[m])) << m;
+    model_sum += folded.by_model[m];
+  }
+  fi::OutcomeTally window_sum = folded.decided;
+  for (std::size_t w = 0; w < folded.by_window.size(); ++w) {
+    EXPECT_TRUE(same(folded.by_window[w], programs_by_window[w])) << w;
+    window_sum += folded.by_window[w];
+  }
+  EXPECT_TRUE(same(model_sum, folded.overall));
+  EXPECT_TRUE(same(window_sum, folded.overall));
   std::filesystem::remove(journal);
 }
 

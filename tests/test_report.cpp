@@ -55,8 +55,8 @@ TEST(Report, BeamSectionIncludesFitAndCheckpointAdvice) {
   beam.sdc = 100;
   beam.sdc_fit = analysis::fit_from_counts(100, 1e10);
   beam.due_fit = analysis::fit_from_counts(30, 1e10);
-  beam.patterns.add(analysis::ErrorPattern::kLine);
-  beam.patterns.add(analysis::ErrorPattern::kSingle);
+  beam.patterns.add(fi::ErrorPattern::kLine);
+  beam.patterns.add(fi::ErrorPattern::kSingle);
   beam.tolerance.add_sdc(0.001);
   beam.tolerance.add_sdc(1.0);
 

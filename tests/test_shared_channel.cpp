@@ -11,15 +11,14 @@ namespace phifi::fi {
 namespace {
 
 TEST(SharedChannel, InitiallyEmpty) {
-  SharedChannel channel(64);
+  SharedChannel channel;
   EXPECT_FALSE(channel.record_ready());
-  EXPECT_FALSE(channel.output_ready());
-  EXPECT_EQ(channel.capacity(), 64u);
-  EXPECT_TRUE(channel.output().empty());
+  EXPECT_FALSE(channel.verdict_ready());
+  EXPECT_EQ(channel.sdc_summary().mismatched, 0u);
 }
 
 TEST(SharedChannel, RecordRoundTrip) {
-  SharedChannel channel(16);
+  SharedChannel channel;
   InjectionRecord record;
   record.injected = true;
   record.model = FaultModel::kDouble;
@@ -37,24 +36,29 @@ TEST(SharedChannel, RecordRoundTrip) {
   EXPECT_STREQ(loaded.site_name, "var_x");
 }
 
-TEST(SharedChannel, OutputRoundTripAndReset) {
-  SharedChannel channel(8);
-  const std::byte payload[4] = {std::byte{1}, std::byte{2}, std::byte{3},
-                                std::byte{4}};
-  channel.store_output(payload);
-  ASSERT_TRUE(channel.output_ready());
-  const auto output = channel.output();
-  ASSERT_EQ(output.size(), 4u);
-  EXPECT_EQ(std::memcmp(output.data(), payload, 4), 0);
+TEST(SharedChannel, VerdictAndSummaryRoundTripAndReset) {
+  SharedChannel channel;
+  SdcSummary sdc;
+  sdc.mismatched = 12;
+  sdc.max_relative_error = 0.25;
+  sdc.pattern = ErrorPattern::kSquare;
+  channel.store_verdict(/*matches_golden=*/false, sdc);
+  ASSERT_TRUE(channel.verdict_ready());
+  EXPECT_FALSE(channel.verdict_matches());
+  const SdcSummary loaded = channel.sdc_summary();
+  EXPECT_EQ(loaded.mismatched, 12u);
+  EXPECT_EQ(loaded.max_relative_error, 0.25);
+  EXPECT_EQ(loaded.pattern, ErrorPattern::kSquare);
 
   channel.reset();
-  EXPECT_FALSE(channel.output_ready());
+  EXPECT_FALSE(channel.verdict_ready());
   EXPECT_FALSE(channel.record_ready());
-  EXPECT_TRUE(channel.output().empty());
+  EXPECT_EQ(channel.sdc_summary().mismatched, 0u);
+  EXPECT_EQ(channel.sdc_summary().pattern, ErrorPattern::kNone);
 }
 
 TEST(SharedChannel, SecondRecordOverwritesFirst) {
-  SharedChannel channel(8);
+  SharedChannel channel;
   InjectionRecord provisional;
   provisional.injected = true;
   provisional.model = FaultModel::kZero;
@@ -69,7 +73,7 @@ TEST(SharedChannel, SecondRecordOverwritesFirst) {
 
 TEST(SharedChannel, VisibleAcrossFork) {
   // The core property: a child's writes are observed by the parent.
-  SharedChannel channel(16);
+  SharedChannel channel;
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
@@ -77,22 +81,23 @@ TEST(SharedChannel, VisibleAcrossFork) {
     record.injected = true;
     record.element_index = 1234;
     channel.store_record(record);
-    const std::byte payload[2] = {std::byte{0xaa}, std::byte{0xbb}};
-    channel.store_output(payload);
+    channel.store_verdict(false, {.mismatched = 3,
+                                  .max_relative_error = 0.5,
+                                  .pattern = ErrorPattern::kLine});
     _exit(0);
   }
   int status = 0;
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
   ASSERT_TRUE(channel.record_ready());
-  ASSERT_TRUE(channel.output_ready());
+  ASSERT_TRUE(channel.verdict_ready());
   EXPECT_EQ(channel.record().element_index, 1234u);
-  EXPECT_EQ(channel.output()[0], std::byte{0xaa});
-  EXPECT_EQ(channel.output()[1], std::byte{0xbb});
+  EXPECT_EQ(channel.sdc_summary().mismatched, 3u);
+  EXPECT_EQ(channel.sdc_summary().pattern, ErrorPattern::kLine);
 }
 
 TEST(SharedChannel, HeartbeatCountsAndResets) {
-  SharedChannel channel(8);
+  SharedChannel channel;
   EXPECT_EQ(channel.heartbeat(), 0u);
   channel.beat();
   channel.beat();
@@ -104,7 +109,7 @@ TEST(SharedChannel, HeartbeatCountsAndResets) {
 
 TEST(SharedChannel, HeartbeatVisibleAcrossFork) {
   // The watchdog's liveness signal: child beats, parent observes.
-  SharedChannel channel(8);
+  SharedChannel channel;
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
@@ -117,11 +122,16 @@ TEST(SharedChannel, HeartbeatVisibleAcrossFork) {
   EXPECT_EQ(channel.heartbeat(), 5u);
 }
 
-TEST(SharedChannel, ZeroCapacityHandlesEmptyOutput) {
-  SharedChannel channel(0);
-  channel.store_output({});
-  EXPECT_TRUE(channel.output_ready());
-  EXPECT_TRUE(channel.output().empty());
+TEST(SharedChannel, UnknownPatternReadsAsUnclassified) {
+  // The summary is child-written; a value no ErrorPattern names (a wild
+  // write) must not reach a PatternTally index.
+  SharedChannel channel;
+  SdcSummary sdc;
+  sdc.mismatched = 2;
+  sdc.pattern = static_cast<ErrorPattern>(200);
+  channel.store_verdict(false, sdc);
+  EXPECT_EQ(channel.sdc_summary().pattern, ErrorPattern::kNone);
+  EXPECT_EQ(channel.sdc_summary().mismatched, 2u);
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 // journal_file at it and run `phifi_run <config> --resume` to rebuild
 // tallies, estimator state, and the history record — then gate with
 // `phifi_parse --drift` against a --jobs 1 baseline. Exit codes: 0 merged,
-// 1 merge refused (gap / fingerprint mismatch / torn shard), 2 usage.
+// 1 merge refused (gap / fingerprint or golden mismatch / torn shard),
+// 2 usage.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -66,9 +67,11 @@ int main(int argc, char** argv) {
       return 2;
     }
     // The fingerprint covers time_windows, which only the instantiated
-    // workload knows — prepare the golden copy exactly as phifi_run does.
+    // workload knows, and every shard must carry this golden's digest —
+    // prepare the golden copy exactly as phifi_run does.
     fi::TrialSupervisor supervisor(factory, config.supervisor_config());
     supervisor.prepare_golden();
+    options.golden_digest = supervisor.golden_digest();
 
     const fabric::MergeSummary summary =
         fabric::merge_shards(config.campaign_config(),

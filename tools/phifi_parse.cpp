@@ -152,6 +152,8 @@ void print_json(const phifi::fi::CampaignResult& result, std::size_t trials) {
     by_window.push_back(std::move(entry));
   }
   root["by_window"] = std::move(by_window);
+  // Machine checks: outside every model and window, inside `overall`.
+  root["decided"] = tally_json(result.decided);
   Value by_category = Value::object();
   for (const auto& [category, tally] : result.by_category) {
     by_category[category] = tally_json(tally);
@@ -186,6 +188,10 @@ void print_text(const phifi::fi::CampaignResult& result, std::size_t trials) {
   }
   for (unsigned w = 0; w < result.time_windows; ++w) {
     add_row("window " + std::to_string(w + 1), result.by_window[w]);
+  }
+  // The model rows, and the window rows, sum to overall with this one.
+  if (result.decided.total() > 0) {
+    add_row("decided (machine check)", result.decided);
   }
   for (const auto& [category, tally] : result.by_category) {
     add_row("category " + category, tally);

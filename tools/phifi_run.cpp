@@ -242,10 +242,6 @@ int main(int argc, char** argv) {
     }
     if (!serve_metrics.empty()) config.fabric_serve_metrics = serve_metrics;
     config.stop_flag = &g_stop;
-    if (const std::string reason = cli::refusal(config); !reason.empty()) {
-      std::cerr << "phifi_run: " << reason << "\n";
-      return 2;
-    }
     if (config.resume && config.journal_file.empty()) {
       std::cerr << "phifi_run: --resume requires 'journal_file' in the "
                    "config\n";
