@@ -3,8 +3,9 @@
 // (GDB + disabled optimizations there; fork isolation, volatile control
 // accesses, and progress instrumentation here) but the claim under test is
 // the same: the injector keeps trials cheap enough for 10k-trial campaigns.
-// Trials fork from a per-slot template that paid setup once, so a trial's
-// cost is its run plus fork, inject and classify.
+// Trials fork from parked checkpoints of a per-slot template that paid
+// setup once, so a trial's cost is fork, inject, classify and its run from
+// the latest checkpoint at or before its injection target.
 //
 // The table is per workload because the paper's worst case is a
 // per-benchmark number. The telemetry, scheduler-scaling and mean

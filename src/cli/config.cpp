@@ -215,9 +215,6 @@ RunnerConfig parse_config(std::istream& is) {
       config.min_due = parse_u64(line_number, value);
     } else if (key == "max_executions") {
       config.max_executions = parse_u64(line_number, value);
-    } else if (key == "device_os_threads") {
-      supervisor.device_os_threads =
-          static_cast<unsigned>(parse_u64(line_number, value));
     } else if (key == "timeout_factor") {
       supervisor.timeout_factor = parse_double(line_number, value);
     } else if (key == "min_timeout_seconds") {
@@ -352,8 +349,7 @@ std::string format_config(const RunnerConfig& config) {
        << "earliest_fraction = " << config.earliest_fraction << "\n"
        << "latest_fraction = " << config.latest_fraction << "\n";
   }
-  os << "device_os_threads = " << supervisor.device_os_threads << "\n"
-     << "timeout_factor = " << supervisor.timeout_factor << "\n"
+  os << "timeout_factor = " << supervisor.timeout_factor << "\n"
      << "min_timeout_seconds = " << supervisor.min_timeout_seconds << "\n"
      << "input_seed = " << supervisor.input_seed << "\n"
      << "kill_grace_seconds = " << supervisor.kill_grace_seconds << "\n"

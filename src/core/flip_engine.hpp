@@ -74,6 +74,10 @@ class FlipEngine {
   InjectionRecord inject(FaultModel model, util::Rng& rng,
                          double progress_fraction, unsigned burst = 1);
 
+  /// Switches the selection policy of later inject() calls; allocates
+  /// nothing, so a trial forked from a parked engine can retarget it.
+  void set_policy(SelectionPolicy policy) { policy_ = policy; }
+
  private:
   std::size_t select_site(util::Rng& rng);
   std::size_t select_carol_fi(util::Rng& rng);

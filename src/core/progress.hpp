@@ -10,12 +10,14 @@
 // which matters both for determinism and because a campaign forks thousands
 // of children on a possibly oversubscribed host. The same ticks drive the
 // heartbeat pulse, so a trial's journaled heartbeat count says how far its
-// run got.
+// run got, and the checkpoint hook, where a fork server parks a copy of
+// the fault-free run for trials that inject later.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <utility>
 
 namespace phifi::fi {
@@ -32,6 +34,16 @@ class ProgressTracker {
   /// treat it as a monotone liveness pulse, not an exact counter.
   using PulseHook = std::function<void()>;
 
+  /// Hook invoked once, on the ticking thread, by the first tick that
+  /// reaches the fraction last passed to checkpoint_at(): after that tick's
+  /// pulse and before its injection check, so a hook that calls arm() still
+  /// fires the injection on this tick. Single-threaded runs only.
+  using CheckpointHook = std::function<void()>;
+
+  /// checkpoint_at() argument that no tick reaches.
+  static constexpr double kNoCheckpoint =
+      std::numeric_limits<double>::infinity();
+
   void reset(std::uint64_t total_steps) {
     total_.store(total_steps, std::memory_order_relaxed);
     done_.store(0, std::memory_order_relaxed);
@@ -42,9 +54,12 @@ class ProgressTracker {
     pulse_divisions_ = 0;
     pulse_done_.store(0, std::memory_order_relaxed);
     pulse_ = nullptr;
+    checkpoint_ = kNoCheckpoint;
+    checkpoint_hook_ = nullptr;
   }
 
-  /// Arms the one-shot injection hook. Call before run(), never during.
+  /// Arms the one-shot injection hook. Call before run(), or from a pulse
+  /// or checkpoint hook of a single-threaded run.
   void arm(double target_fraction, InjectionHook hook) {
     target_ = target_fraction;
     hook_ = std::move(hook);
@@ -60,6 +75,16 @@ class ProgressTracker {
     pulse_done_.store(0, std::memory_order_relaxed);
   }
 
+  /// Installs the checkpoint hook; it fires at no fraction until
+  /// checkpoint_at() names one.
+  void set_checkpoint_hook(CheckpointHook hook) {
+    checkpoint_hook_ = std::move(hook);
+  }
+
+  /// Schedules the checkpoint hook at `fraction` (kNoCheckpoint: never).
+  /// Call before run() or from the checkpoint hook itself.
+  void checkpoint_at(double fraction) { checkpoint_ = fraction; }
+
   [[nodiscard]] bool fired() const {
     return fired_.load(std::memory_order_acquire);
   }
@@ -68,7 +93,9 @@ class ProgressTracker {
   void tick(std::uint64_t steps = 1) {
     const std::uint64_t done =
         done_.fetch_add(steps, std::memory_order_relaxed) + steps;
-    if (!armed_ && pulse_divisions_ == 0) return;
+    if (!armed_ && pulse_divisions_ == 0 && checkpoint_ == kNoCheckpoint) {
+      return;
+    }
     const std::uint64_t total = total_.load(std::memory_order_relaxed);
     if (total == 0) return;
     const double fraction =
@@ -80,6 +107,10 @@ class ProgressTracker {
         pulse_done_.store(slice, std::memory_order_relaxed);
         pulse_();
       }
+    }
+    if (fraction >= checkpoint_) {
+      checkpoint_ = kNoCheckpoint;
+      checkpoint_hook_();
     }
     if (armed_ && fraction >= target_ &&
         !fired_.exchange(true, std::memory_order_acq_rel)) {
@@ -121,6 +152,8 @@ class ProgressTracker {
   unsigned pulse_divisions_ = 0;
   std::atomic<std::uint64_t> pulse_done_{0};
   PulseHook pulse_;
+  double checkpoint_ = kNoCheckpoint;
+  CheckpointHook checkpoint_hook_;
 };
 
 }  // namespace phifi::fi

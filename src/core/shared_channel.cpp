@@ -48,13 +48,12 @@ void SharedChannel::reset() {
   header_->sdc_mismatched = 0;
   header_->sdc_max_relative_error = 0.0;
   header_->trial_valid = 0;
-  header_->setup_seconds = 0.0;
   header_->inject_seconds = 0.0;
   header_->classify_seconds = 0.0;
 }
 
-void SharedChannel::beat() {
-  header_->heartbeat.fetch_add(1, std::memory_order_release);
+void SharedChannel::beat(std::uint64_t pulses) {
+  header_->heartbeat.fetch_add(pulses, std::memory_order_release);
 }
 
 std::uint64_t SharedChannel::heartbeat() const {
@@ -111,10 +110,8 @@ void SharedChannel::store_template_setup_seconds(double seconds) {
   header_->template_setup_seconds = seconds;
 }
 
-void SharedChannel::store_trial_timing(double setup_seconds,
-                                       double inject_seconds,
+void SharedChannel::store_trial_timing(double inject_seconds,
                                        double classify_seconds) {
-  header_->setup_seconds = setup_seconds;
   header_->inject_seconds = inject_seconds;
   header_->classify_seconds = classify_seconds;
 }
@@ -161,10 +158,6 @@ std::int32_t SharedChannel::child_pid() const {
 
 double SharedChannel::template_setup_seconds() const {
   return header_->template_setup_seconds;
-}
-
-double SharedChannel::trial_setup_seconds() const {
-  return header_->setup_seconds;
 }
 
 double SharedChannel::trial_inject_seconds() const {

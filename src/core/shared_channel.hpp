@@ -22,7 +22,7 @@ namespace phifi::fi {
 /// trial communicate through. Namespace-scope (not a private nested type)
 /// so the phicheck-generated layout asserts can name it; nothing outside
 /// SharedChannel should touch it.
-// phicheck:shm-pod phifi::fi::ShmHeader size=280 atomic
+// phicheck:shm-pod phifi::fi::ShmHeader size=272 atomic
 struct ShmHeader {
   std::atomic<std::uint32_t> record_ready;
   // Child-side classification verdict: set once the trial child compared
@@ -55,15 +55,15 @@ struct ShmHeader {
   std::uint64_t trial_seed;
   double trial_earliest;
   double trial_latest;
-  /// One-time workload setup cost in the template, for trial telemetry.
-  /// Written once by the template, never cleared by reset().
+  /// One-time cost of the template before it serves its first trial:
+  /// workload setup plus the run-ahead that parks its checkpoints. Written
+  /// once by the template, never cleared by reset().
   double template_setup_seconds;
   // ---- per-trial phase timing (latency anatomy profiler) ----
   // Written by the trial child before it exits, cleared by reset(): how
-  // much of the child's wall-clock went to workload setup, to site
-  // registration + flip arming, and to in-child classification. The
-  // campaign subtracts these from the reap interval to isolate the run.
-  double setup_seconds;
+  // much of the child's wall-clock went to flip arming and to in-child
+  // classification. The campaign subtracts these from the reap interval
+  // to isolate the run.
   double inject_seconds;
   double classify_seconds;
 };
@@ -96,17 +96,16 @@ class SharedChannel {
   /// Publishes (or re-publishes) the injection record.
   void store_record(const InjectionRecord& record);
 
-  /// Bumps the liveness heartbeat. The child calls this as it crosses
-  /// execution-time windows; the watchdog reads it to tell a slow-but-alive
-  /// child from a hung one.
-  void beat();
+  /// Bumps the liveness heartbeat by `pulses`. The child calls this as it
+  /// crosses execution-time windows (a trial resumed from a checkpoint
+  /// first credits the pulses of the prefix it skipped); the watchdog
+  /// reads it to tell a slow-but-alive child from a hung one.
+  void beat(std::uint64_t pulses = 1);
 
-  /// Publishes how the child's own wall-clock decomposed: workload setup,
-  /// site registration + flip arming, and in-child
-  /// classification, all in seconds. Plain stores — the parent reads them
-  /// only after reaping, and zeros (never written) are valid.
-  void store_trial_timing(double setup_seconds, double inject_seconds,
-                          double classify_seconds);
+  /// Publishes how the child's own wall-clock decomposed: flip arming and
+  /// in-child classification, in seconds. Plain stores — the parent reads
+  /// them only after reaping, and zeros (never written) are valid.
+  void store_trial_timing(double inject_seconds, double classify_seconds);
 
   /// Publishes the child-side classification verdict with the summary of
   /// a mismatching output (zeros for a match); the summary lands first, so
@@ -126,8 +125,8 @@ class SharedChannel {
   /// completion signal for template-mode trials.
   void publish_status(std::int32_t status);
 
-  /// Records the template's one-time workload setup cost (never cleared
-  /// by reset(); written before the first publish_status()).
+  /// Records the template's one-time setup and run-ahead cost (never
+  /// cleared by reset(); written before the first publish_status()).
   void store_template_setup_seconds(double seconds);
 
   // ---- parent side ----
@@ -146,7 +145,6 @@ class SharedChannel {
   [[nodiscard]] std::int32_t child_pid() const;
   [[nodiscard]] double template_setup_seconds() const;
   /// Child-reported phase timing, valid after reap; zero if never stored.
-  [[nodiscard]] double trial_setup_seconds() const;
   [[nodiscard]] double trial_inject_seconds() const;
   [[nodiscard]] double trial_classify_seconds() const;
 

@@ -1,14 +1,20 @@
 // Trial supervisor: the Supervisor script of CAROL-FI (Sec. 5.1).
 //
 // Every trial runs through a per-slot fork server. A slot's template
-// process is forked from the campaign process, pays workload setup once,
-// and then forks one trial grandchild per command from its post-setup
-// image, so COW hands every trial a pristine copy. The grandchild starts a
-// flip thread (the Flip-script analog), runs the benchmark on the emulated
-// device, classifies its output in place against the golden copy (a sealed
-// read-only mapping every process inherits), summarizes a mismatch (the
-// SDC summary) and ships both through a shared-memory channel; no output
-// bytes reach the campaign process. The campaign process is the watchdog:
+// process is forked from the campaign process and pays workload setup and
+// the trial context (device, progress tracker, flip engine) once. It then
+// runs the fault-free run ahead and parks a forked copy of it — a
+// checkpoint — at progress points spaced by the golden run time (none for
+// short runs: the template then serves from its pre-run image alone).
+// Each trial is forked from the latest checkpoint at or before its
+// injection target and resumes the interrupted run there, executing
+// exactly what a from-start run executes from that point, so COW hands
+// every trial a pristine copy and no trial re-runs the prefix. The trial
+// arms the flip (the Flip-script analog), finishes the benchmark on the
+// emulated device, classifies its output in place against the golden copy
+// (a sealed read-only mapping every process inherits), summarizes a
+// mismatch (the SDC summary) and ships both through a shared-memory
+// channel; no output bytes reach the campaign process. The campaign process is the watchdog:
 // it blocks on each template's command socket for the completion byte,
 // kills trials past the deadline, and classifies the outcome — Masked (output
 // bit-identical to the golden copy), SDC (mismatch), or DUE (crash /
@@ -44,8 +50,9 @@ struct SupervisorConfig {
   /// Input-generation seed; fixed for a whole campaign so every trial runs
   /// the same computation as the golden copy.
   std::uint64_t input_seed = 0x900d5eedULL;
-  /// OS threads backing the emulated device inside each trial child (trial
-  /// children are single-threaded hosts).
+  /// OS threads backing the emulated device. Trials are single-threaded:
+  /// TrialSupervisor refuses any other value than 1. Kept only for
+  /// callers that still read it.
   unsigned device_os_threads = 1;
   phi::DeviceSpec device_spec = phi::DeviceSpec::knights_corner_3120a();
   /// Watchdog deadline = max(min_timeout_seconds,
@@ -196,10 +203,11 @@ class TrialSupervisor {
   void wait_for_completion();
 
   /// Cancels every active slot without classifying: SIGKILLs the slot's
-  /// trial grandchild, lets its template reap it, then SIGKILLs and reaps
-  /// the template — used to cancel speculative attempts past the
-  /// campaign's finish line and to tear down on abort. The next launch in
-  /// the slot respawns its template.
+  /// trial grandchild, lets its template reap it, then shuts the template
+  /// down (it reaps its checkpoints first; SIGKILL is the backstop) — used
+  /// to cancel speculative attempts past the campaign's finish line and to
+  /// tear down on abort. The next launch in the slot respawns its
+  /// template.
   void kill_active_slots();
 
   /// The sealed golden mapping.
@@ -268,8 +276,10 @@ class TrialSupervisor {
   /// Ensures a live template and hands it the slot's pending command,
   /// respawning (bounded) if the template died before it could be woken.
   void dispatch_pending(unsigned slot);
-  /// SIGKILLs and reaps the slot's template and closes its command socket.
-  void kill_template(Slot& slot);
+  /// Closes the slot's command socket and reaps its template, which tears
+  /// its checkpoints down first; SIGKILL is a backstop after a grace, or
+  /// immediate when `graceful` is false (a wedged template).
+  void kill_template(Slot& slot, bool graceful);
   /// Watchdog kill: signals the grandchild and waits for the template to
   /// publish its status. Returns false when the grandchild does not exist
   /// yet and `force` is not set (retry next poll); with `force`, kills the
@@ -278,15 +288,12 @@ class TrialSupervisor {
                            bool* escalated);
   /// Reap-pass handler for a template process that died mid-trial.
   void handle_template_death(unsigned slot);
-  /// Template process body: setup once, then loop forking trial
-  /// grandchildren from the post-setup image on command.
+  /// The template's trial context and checkpoint tree (supervisor.cpp).
+  struct TrialContext;
+  /// Template process body: setup and the trial context once, then parked
+  /// checkpoints of one run-ahead serve the trial grandchildren.
   [[noreturn]] void template_main(SharedChannel* channel, int cmd_fd,
-                                  int parent_fd, pid_t parent);
-  /// Trial grandchild body: inject, run, classify in place, ship the
-  /// verdict and the SDC summary.
-  [[noreturn]] void trial_main(Workload& workload, SiteRegistry& registry,
-                               const TrialCommand& command,
-                               SharedChannel* channel, pid_t parent);
+                                  pid_t parent);
 
   WorkloadFactory factory_;
   SupervisorConfig config_;

@@ -56,6 +56,22 @@ void clean_template_loop() {
   }
 }
 
+// phicheck:fork-child-entry
+void clean_trial_setup() {}
+
+// phicheck:fork-resume — a serve loop whose child returns to its caller
+// and resumes the interrupted run right after its entry call.
+void clean_resume_server() {
+  for (int i = 0; i < 3; ++i) {
+    const int pid = fork();
+    if (pid == 0) {
+      clean_trial_setup();
+      return;
+    }
+    (void)pid;
+  }
+}
+
 // phicheck:poll-loop
 void clean_event_loop() {
   for (int i = 0; i < 3; ++i) {

@@ -41,7 +41,6 @@ TEST(OutcomeTally, EmptyRatesAreZero) {
 class CampaignTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ToyWorkload::reset_run_counter();
     supervisor_ = std::make_unique<TrialSupervisor>(
         &phifi::testing::make_toy_normal, toy_supervisor_config());
     supervisor_->prepare_golden();

@@ -40,7 +40,6 @@ CampaignConfig parallel_campaign(unsigned jobs, const std::string& journal) {
 
 CampaignResult run_campaign(const CampaignConfig& config,
                             const TrialObserver& observer = nullptr) {
-  ToyWorkload::reset_run_counter();
   TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                              toy_supervisor_config());
   supervisor.prepare_golden();
@@ -125,7 +124,6 @@ TEST(CampaignParallel, SigkilledParallelCampaignResumesBitIdentical) {
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    ToyWorkload::reset_run_counter();
     TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                                toy_supervisor_config());
     supervisor.prepare_golden();
@@ -220,7 +218,6 @@ TEST(CampaignParallel, SlotOutputsStayIsolated) {
   const std::string journal = temp_path("parallel_slots.jnl");
   fs::remove(journal);
 
-  ToyWorkload::reset_run_counter();
   TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                              toy_supervisor_config());
   supervisor.prepare_golden();
@@ -276,7 +273,6 @@ TEST(CampaignParallel, StopCiWidthSurvivesSigkillAndResume) {
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    ToyWorkload::reset_run_counter();
     TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                                toy_supervisor_config());
     supervisor.prepare_golden();
@@ -309,7 +305,6 @@ TEST(CampaignParallel, StopCiWidthIsFingerprinted) {
   CampaignConfig a = parallel_campaign(1, "");
   CampaignConfig b = a;
   b.stop_ci_width = 0.2;
-  ToyWorkload::reset_run_counter();
   TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                              toy_supervisor_config());
   supervisor.prepare_golden();

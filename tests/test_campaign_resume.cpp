@@ -41,7 +41,6 @@ CampaignResult run_campaign(const CampaignConfig& config,
                             const TrialObserver& observer = nullptr,
                             const SupervisorConfig& supervisor_config =
                                 toy_supervisor_config()) {
-  ToyWorkload::reset_run_counter();
   TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                              supervisor_config);
   supervisor.prepare_golden();
@@ -110,7 +109,6 @@ TEST(CampaignResume, SigkilledCampaignResumesBitIdentical) {
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    ToyWorkload::reset_run_counter();
     TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                                toy_supervisor_config());
     supervisor.prepare_golden();

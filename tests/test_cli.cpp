@@ -38,7 +38,6 @@ policy = bytes-weighted
 models = Single + Zero
 earliest_fraction = 0.2
 latest_fraction = 0.8
-device_os_threads = 2
 timeout_factor = 11
 min_timeout_seconds = 0.5
 input_seed = 42
@@ -52,7 +51,6 @@ input_seed = 42
   EXPECT_EQ(config.models[0], fi::FaultModel::kSingle);
   EXPECT_EQ(config.models[1], fi::FaultModel::kZero);
   EXPECT_DOUBLE_EQ(config.earliest_fraction, 0.2);
-  EXPECT_EQ(config.supervisor.device_os_threads, 2u);
   EXPECT_DOUBLE_EQ(config.supervisor.min_timeout_seconds, 0.5);
   EXPECT_EQ(config.supervisor.input_seed, 42u);
 }
@@ -225,6 +223,8 @@ TEST(CliConfig, CommentsAndWhitespaceIgnored) {
 
 TEST(CliConfig, UnknownKeyIsError) {
   EXPECT_THROW(parse("trails = 100\n"), std::runtime_error);
+  // Removed: trials run on one device thread.
+  EXPECT_THROW(parse("device_os_threads = 2\n"), std::runtime_error);
 }
 
 TEST(CliConfig, BadValuesAreErrors) {

@@ -145,7 +145,6 @@ TEST(CampaignEstimator, PublishExportsOverallAndPerCellGauges) {
 // records, overall and cell by cell.
 TEST(CampaignEstimator, MatchesOfflinePassOverRealCampaign) {
   using phifi::testing::ToyWorkload;
-  ToyWorkload::reset_run_counter();
   fi::TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                                  phifi::testing::toy_supervisor_config());
   supervisor.prepare_golden();

@@ -420,7 +420,6 @@ fi::JournalContents reference_journal(const fi::CampaignConfig& base,
   fs::remove(path);
   fi::CampaignConfig config = base;
   config.journal_path = path;
-  ToyWorkload::reset_run_counter();
   fi::TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                                  toy_supervisor_config());
   supervisor.prepare_golden();
@@ -458,7 +457,6 @@ TEST(CampaignRunRange, CommitsExactlyTheJobsOneRecords) {
   for (const auto& [begin, end] :
        std::vector<std::pair<std::uint64_t, std::uint64_t>>{
            {4, reference.records.size()}, {0, 4}}) {
-    ToyWorkload::reset_run_counter();
     fi::TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                                    toy_supervisor_config());
     supervisor.prepare_golden();
@@ -488,7 +486,6 @@ TEST(CampaignRunRange, OnTickCancelKeepsAJobsOnePrefix) {
       reference_journal(base, temp_path("range_cancel_ref.jnl"));
   constexpr std::uint64_t kBegin = 2;
   constexpr std::size_t kCancelAfter = 3;
-  ToyWorkload::reset_run_counter();
   fi::TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                                  toy_supervisor_config());
   supervisor.prepare_golden();

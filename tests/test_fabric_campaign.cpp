@@ -72,7 +72,6 @@ fi::JournalContents reference_journal(const fi::CampaignConfig& base,
   fs::remove(path);
   fi::CampaignConfig config = base;
   config.journal_path = path;
-  ToyWorkload::reset_run_counter();
   fi::TrialSupervisor supervisor(factory, toy_supervisor_config());
   supervisor.prepare_golden();
   fi::Campaign campaign(supervisor, config);
@@ -109,7 +108,6 @@ void expect_same_records(const std::vector<fi::JournalRecord>& a,
                                    FabricOptions options,
                                    unsigned startup_delay_ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(startup_delay_ms));
-  ToyWorkload::reset_run_counter();
   fi::TrialSupervisor supervisor(factory, toy_supervisor_config());
   supervisor.prepare_golden();
   const WorkerResult result = run_worker(supervisor, config, fingerprint,
@@ -205,7 +203,6 @@ std::string uniform_detail(std::uint64_t n, const std::string& outcome) {
                                       const std::string& address,
                                       const std::string& shard_path,
                                       int kill_after) {
-  ToyWorkload::reset_run_counter();
   fi::TrialSupervisor supervisor(factory, toy_supervisor_config());
   supervisor.prepare_golden();
   const std::optional<LeasedClient> client = lease_one(address, fingerprint);
@@ -462,7 +459,6 @@ TEST(FabricCampaign, ObservabilityPlaneServesLiveFleetState) {
   // advances early and publishes estimator gauges), the doomed worker owns
   // [2,4) and dies, leaving a dead row until the reclaim re-issues it.
   const fi::CampaignConfig config = fabric_campaign(/*trials=*/8);
-  ToyWorkload::reset_run_counter();
   fi::TrialSupervisor supervisor(&phifi::testing::make_toy_slow,
                                  toy_supervisor_config());
   supervisor.prepare_golden();
@@ -719,7 +715,6 @@ TEST(FabricCampaign, BeamCampaignThroughTheFabricGivesTheLocalResult) {
     fi::CampaignConfig local = config;
     local.journal_path = journal;
     local.resume = resume;
-    ToyWorkload::reset_run_counter();
     fi::TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                                    toy_supervisor_config());
     supervisor.prepare_golden();

@@ -1,8 +1,11 @@
 // Per-slot fork-server trials: a fixed-seed toy campaign must reproduce a
 // committed oracle draw for draw — at any worker count, across SIGKILL +
-// resume, and across a template process dying mid-campaign — a cancel
-// must stay prompt even when nobody reaps the orphaned trial processes, and
-// a SIGKILLed campaign process must take its template and trial with it.
+// resume, and across a template process dying mid-campaign — a trial
+// forked from a parked checkpoint must equal a from-start execution, a
+// cancel must stay prompt even when nobody reaps the orphaned trial
+// processes, a SIGKILLed campaign process must take its whole slot tree
+// with it, and no slot process may hold a descriptor it inherited.
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/prctl.h>
 #include <sys/types.h>
@@ -20,11 +23,15 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/campaign.hpp"
 #include "core/campaign_journal.hpp"
 #include "core/golden_map.hpp"
+#include "core/sdc_summary.hpp"
+#include "phi/device.hpp"
 #include "tests/toy_workload.hpp"
+#include "util/rng.hpp"
 
 namespace phifi::fi {
 namespace {
@@ -50,7 +57,6 @@ CampaignConfig fastpath_campaign(unsigned jobs, const std::string& journal) {
 CampaignResult run_campaign(WorkloadFactory factory,
                             const CampaignConfig& config,
                             const TrialObserver& observer = nullptr) {
-  ToyWorkload::reset_run_counter();
   TrialSupervisor supervisor(factory, toy_supervisor_config());
   supervisor.prepare_golden();
   Campaign campaign(supervisor, config);
@@ -137,7 +143,6 @@ TEST(FastPath, GoldenMapPublishesSealedReadOnlyCopy) {
 }
 
 TEST(FastPath, PrepareGoldenPublishesTheSealedCopy) {
-  ToyWorkload::reset_run_counter();
   TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                              toy_supervisor_config());
   supervisor.prepare_golden();
@@ -189,7 +194,6 @@ TEST(FastPath, SigkilledJournalResumesOntoTheOracle) {
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    ToyWorkload::reset_run_counter();
     TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                                toy_supervisor_config());
     supervisor.prepare_golden();
@@ -218,7 +222,6 @@ TEST(FastPath, TemplateCrashMidCampaignRespawnsOntoTheOracle) {
   // The drill: SIGKILL the slot's fork server partway through a campaign.
   // The supervisor must respawn it, replay the pending command if one was
   // in flight, and still land on the oracle.
-  ToyWorkload::reset_run_counter();
   TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                              toy_supervisor_config());
   supervisor.prepare_golden();
@@ -240,7 +243,6 @@ TEST(FastPath, TemplateDeathMidTrialReplaysDeterministically) {
   // Kill the template while its grandchild trial is in flight: the orphaned
   // grandchild is cleaned up and the command replayed against a fresh
   // template, converging on the exact same classified result.
-  ToyWorkload::reset_run_counter();
   TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                              toy_supervisor_config());
   supervisor.prepare_golden();
@@ -281,7 +283,6 @@ TEST(FastPath, CancelIsPromptWhenOrphansStayUnreaped) {
     int code = 0;
     try {
       if (::prctl(PR_SET_CHILD_SUBREAPER, 1) != 0) ::_exit(10);
-      ToyWorkload::reset_run_counter();
       fi::SupervisorConfig config = toy_supervisor_config();
       config.heartbeat_divisions = 0;  // the follow-up trial hits the deadline
       TrialSupervisor supervisor(&phifi::testing::make_toy_hang, config);
@@ -322,27 +323,63 @@ TEST(FastPath, CancelIsPromptWhenOrphansStayUnreaped) {
          "3 = exception, 4 = cancel orphaned a trial process";
 }
 
-/// First child of `pid` (a single-threaded process) per /proc, or -1.
-pid_t first_child(pid_t pid) {
+/// Children of `pid` (a single-threaded process) per /proc.
+std::vector<pid_t> children_of(pid_t pid) {
   std::ifstream children("/proc/" + std::to_string(pid) + "/task/" +
                          std::to_string(pid) + "/children");
-  pid_t child = -1;
-  children >> child;
-  return child;
+  std::vector<pid_t> out;
+  for (pid_t child = 0; children >> child;) out.push_back(child);
+  return out;
+}
+
+/// Every descendant of `pid`, parents before their children.
+std::vector<pid_t> descendants_of(pid_t pid) {
+  std::vector<pid_t> out = children_of(pid);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    for (const pid_t child : children_of(out[i])) out.push_back(child);
+  }
+  return out;
+}
+
+/// Scheduler state of `pid` per /proc/<pid>/stat ('R' running), or '?'.
+char state_of(pid_t pid) {
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string line;
+  std::getline(stat, line);
+  const std::size_t paren = line.rfind(')');
+  return paren != std::string::npos && paren + 2 < line.size()
+             ? line[paren + 2]
+             : '?';
+}
+
+/// The running trial of a one-slot campaign run by `helper`: a leaf of the
+/// slot tree below the template (a checkpoint's child, or the template's
+/// when it serves alone) that runs on two looks in a row. Parked
+/// checkpoints and the template sleep on their sockets. -1 if none yet.
+pid_t running_trial(pid_t helper) {
+  for (const pid_t tmpl : children_of(helper)) {
+    for (const pid_t pid : descendants_of(tmpl)) {
+      if (children_of(pid).empty() && state_of(pid) == 'R') {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        if (children_of(pid).empty() && state_of(pid) == 'R') return pid;
+      }
+    }
+  }
+  return -1;
 }
 
 TEST(FastPath, TemplateAndTrialDieWithTheCampaignProcess) {
   // A hanging trial's only watchdog is the campaign process. When that
-  // process is SIGKILLed, its template and the trial must die too, or they
-  // linger forever holding whatever the campaign held open (a fabric
-  // worker's coordinator socket). This process is the subreaper, so both
-  // reparent here and can be reaped here; a helper runs the campaign.
+  // process is SIGKILLed, its template, every parked checkpoint and the
+  // trial must die too, or they linger forever holding whatever the
+  // campaign held open (a fabric worker's coordinator socket). This
+  // process is the subreaper, so they all reparent here and can be reaped
+  // here; a helper runs the campaign.
   ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
   const pid_t helper = ::fork();
   ASSERT_GE(helper, 0);
   if (helper == 0) {
     ::setpgid(0, 0);  // survivors keep this group: the test kills them by it
-    ToyWorkload::reset_run_counter();
     SupervisorConfig config = toy_supervisor_config();
     config.min_timeout_seconds = 60.0;  // only the SIGKILL ends the hang
     TrialSupervisor supervisor(&phifi::testing::make_toy_hang, config);
@@ -355,31 +392,24 @@ TEST(FastPath, TemplateAndTrialDieWithTheCampaignProcess) {
   }
   ::setpgid(helper, helper);
 
-  // The slot is busy once the helper's template has forked the trial.
-  pid_t template_pid = -1;
-  pid_t trial_pid = -1;
-  for (int i = 0; i < 2000 && trial_pid <= 0; ++i) {
-    if (template_pid <= 0) template_pid = first_child(helper);
-    if (template_pid > 0) trial_pid = first_child(template_pid);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // The slot is busy once the trial runs; then the tree is complete.
+  pid_t trial = -1;
+  for (int i = 0; i < 400 && trial <= 0; ++i) {
+    trial = running_trial(helper);
+    if (trial <= 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  const bool busy = template_pid > 0 && trial_pid > 0;
+  const std::vector<pid_t> tree = descendants_of(helper);
   ::kill(helper, SIGKILL);
   ASSERT_EQ(::waitpid(helper, nullptr, 0), helper);
 
-  // Both reparent here; each counts as gone once it is reaped here.
-  bool template_gone = !busy;
-  bool trial_gone = !busy;
+  // Everything reparents here; each counts as gone once it is reaped here.
+  std::vector<pid_t> alive = trial > 0 ? tree : std::vector<pid_t>{};
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  while ((!template_gone || !trial_gone) &&
-         std::chrono::steady_clock::now() < deadline) {
-    if (!template_gone) {
-      template_gone = ::waitpid(template_pid, nullptr, WNOHANG) == template_pid;
-    }
-    if (!trial_gone) {
-      trial_gone = ::waitpid(trial_pid, nullptr, WNOHANG) == trial_pid;
-    }
+  while (!alive.empty() && std::chrono::steady_clock::now() < deadline) {
+    std::erase_if(alive, [](pid_t pid) {
+      return ::waitpid(pid, nullptr, WNOHANG) == pid;
+    });
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 
@@ -390,11 +420,177 @@ TEST(FastPath, TemplateAndTrialDieWithTheCampaignProcess) {
   }
   ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 0), 0);
 
-  ASSERT_TRUE(busy) << "the helper never had a trial in flight";
-  EXPECT_TRUE(template_gone) << "template " << template_pid
-                             << " outlived the campaign process";
-  EXPECT_TRUE(trial_gone) << "trial " << trial_pid
-                          << " outlived the campaign process";
+  ASSERT_GT(trial, 0) << "the helper never had a trial running";
+  EXPECT_NE(std::find(tree.begin(), tree.end(), trial), tree.end());
+  for (const pid_t pid : alive) {
+    ADD_FAILURE() << "slot process " << pid << (pid == trial ? " (the trial)"
+                                                             : "")
+                  << " outlived the campaign process";
+  }
+}
+
+/// A toy run long enough (2400 steps, several ms) for the golden run time
+/// to park checkpoints on any host.
+std::unique_ptr<Workload> make_long_toy() {
+  return std::make_unique<ToyWorkload>(ToyWorkload::Mode::kNormal, 2400);
+}
+
+/// What one trial reports, from the supervisor or from a from-start run.
+struct TrialReport {
+  InjectionRecord record;
+  bool matches = false;
+  SdcSummary sdc;
+  std::uint64_t heartbeats = 0;
+};
+
+/// Executes `config` from the start of a fresh long toy in a forked child,
+/// without the supervisor: the reference a checkpointed trial must equal.
+TrialReport from_start(const TrialConfig& config, const SupervisorConfig& sup,
+                       const TrialSupervisor& golden) {
+  int fds[2];
+  EXPECT_EQ(::pipe(fds), 0);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::close(fds[0]);
+    ToyWorkload workload(ToyWorkload::Mode::kNormal, 2400);
+    workload.setup(sup.input_seed);
+    SiteRegistry registry;
+    workload.register_sites(registry);
+    phi::Device device(sup.device_spec, 1);
+    ProgressTracker progress;
+    progress.reset(workload.total_steps());
+    TrialReport out;
+    progress.set_pulse(sup.heartbeat_divisions, [&out] { ++out.heartbeats; });
+    util::Rng rng(config.trial_seed);
+    const double target =
+        rng.uniform(config.earliest_fraction, config.latest_fraction);
+    FlipEngine engine(registry, config.policy);
+    progress.arm(target, [&](double at) {
+      out.record = engine.inject(config.model, rng, at, config.burst_elements);
+    });
+    workload.run(device, progress);
+    progress.finish();
+    const auto output = workload.output_bytes();
+    out.matches = output.size() == golden.golden().size() &&
+                  std::equal(output.begin(), output.end(),
+                             golden.golden().begin());
+    if (!out.matches) {
+      out.sdc = summarize_sdc(golden.golden(), output, golden.output_type(),
+                              golden.output_shape());
+    }
+    const bool sent = ::write(fds[1], &out, sizeof(out)) ==
+                      static_cast<ssize_t>(sizeof(out));
+    ::_exit(sent ? 0 : 1);
+  }
+  ::close(fds[1]);
+  TrialReport out;
+  EXPECT_EQ(::read(fds[0], &out, sizeof(out)),
+            static_cast<ssize_t>(sizeof(out)));
+  ::close(fds[0]);
+  int status = 0;
+  EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  return out;
+}
+
+TEST(FastPath, CheckpointedTrialsEqualFromStartRuns) {
+  // Targets on and between every 1/16 grid point span every checkpoint the
+  // template can park; each routed trial must report exactly what a
+  // from-start execution of its command reports.
+  const SupervisorConfig sup = toy_supervisor_config();
+  TrialSupervisor supervisor(&make_long_toy, sup);
+  supervisor.prepare_golden();
+  constexpr FaultModel kModels[] = {FaultModel::kSingle, FaultModel::kDouble,
+                                    FaultModel::kRandom, FaultModel::kZero};
+  std::vector<double> targets;
+  for (int k = 0; k < 32; ++k) targets.push_back((k + 0.5) / 32.0);
+  for (int k = 1; k < 16; ++k) targets.push_back(k / 16.0);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    TrialConfig config;
+    config.trial_seed = 0x5eed00 + i;
+    config.model = kModels[i % 4];
+    config.policy = i % 2 == 0 ? SelectionPolicy::kCarolFi
+                               : SelectionPolicy::kBytesWeighted;
+    config.earliest_fraction = targets[i];
+    config.latest_fraction = targets[i];
+    const TrialResult got = supervisor.run_trial(config);
+    const TrialReport want = from_start(config, sup, supervisor);
+    SCOPED_TRACE("target " + std::to_string(targets[i]));
+    ASSERT_TRUE(got.outcome == Outcome::kMasked ||
+                got.outcome == Outcome::kSdc);
+    EXPECT_EQ(got.outcome == Outcome::kMasked, want.matches);
+    const InjectionRecord& a = got.record;
+    const InjectionRecord& b = want.record;
+    EXPECT_EQ(a.injected, b.injected);
+    EXPECT_EQ(a.changed, b.changed);
+    EXPECT_EQ(a.model, b.model);
+    EXPECT_EQ(a.frame, b.frame);
+    EXPECT_EQ(a.worker, b.worker);
+    EXPECT_EQ(a.site_index, b.site_index);
+    EXPECT_EQ(a.element_index, b.element_index);
+    EXPECT_EQ(a.burst_elements, b.burst_elements);
+    EXPECT_EQ(a.flipped_bits[0], b.flipped_bits[0]);
+    EXPECT_EQ(a.flipped_bits[1], b.flipped_bits[1]);
+    EXPECT_EQ(a.flipped_count, b.flipped_count);
+    EXPECT_EQ(a.progress_fraction, b.progress_fraction);
+    EXPECT_STREQ(a.site_name, b.site_name);
+    EXPECT_STREQ(a.category, b.category);
+    EXPECT_EQ(got.sdc.pattern, want.sdc.pattern);
+    EXPECT_EQ(got.sdc.mismatched, want.sdc.mismatched);
+    EXPECT_EQ(got.sdc.max_relative_error, want.sdc.max_relative_error);
+    EXPECT_EQ(got.heartbeats, want.heartbeats);
+  }
+  // The routes above were real: the template parked checkpoints.
+  EXPECT_GE(children_of(supervisor.slot_template_pid(0)).size(), 2u);
+}
+
+TEST(FastPath, LostCheckpointRespawnsTheTemplateAndReplays) {
+  // Every parked checkpoint dies: the next trial's route hits a closed
+  // socket, the template exits, and the campaign process respawns it and
+  // replays the command onto the same result.
+  TrialSupervisor supervisor(&make_long_toy, toy_supervisor_config());
+  supervisor.prepare_golden();
+  const TrialConfig config{.trial_seed = 0xbeefULL,
+                           .earliest_fraction = 0.9,
+                           .latest_fraction = 0.9};
+  const TrialResult reference = supervisor.run_trial(config);
+  const std::vector<pid_t> parked =
+      children_of(supervisor.slot_template_pid(0));
+  ASSERT_GE(parked.size(), 2u);
+  for (const pid_t pid : parked) ASSERT_EQ(::kill(pid, SIGKILL), 0);
+  const TrialResult replayed = supervisor.run_trial(config);
+  EXPECT_GE(supervisor.template_respawns(), 1u);
+  EXPECT_EQ(replayed.outcome, reference.outcome);
+  EXPECT_EQ(replayed.record.site_index, reference.record.site_index);
+  EXPECT_EQ(replayed.record.element_index, reference.record.element_index);
+  EXPECT_EQ(replayed.record.flipped_bits[0], reference.record.flipped_bits[0]);
+  EXPECT_EQ(replayed.heartbeats, reference.heartbeats);
+}
+
+TEST(FastPath, SlotProcessesHoldNoInheritedDescriptor) {
+  // A descriptor the campaign process holds (here opened before the first
+  // launch, without close-on-exec) must not reach the template, its
+  // checkpoints or their trials.
+  TrialSupervisor supervisor(&make_long_toy, toy_supervisor_config());
+  supervisor.prepare_golden();
+  const std::string marker = temp_path("inherited_fd");
+  const int inherited = ::open(marker.c_str(), O_RDWR | O_CREAT, 0600);
+  ASSERT_GE(inherited, 0);
+  (void)supervisor.run_clean_trial();
+  const pid_t tmpl = supervisor.slot_template_pid(0);
+  ASSERT_GT(tmpl, 0);
+  std::vector<pid_t> tree = descendants_of(tmpl);
+  tree.push_back(tmpl);
+  for (const pid_t pid : tree) {
+    const fs::path fds = "/proc/" + std::to_string(pid) + "/fd";
+    for (const auto& fd : fs::directory_iterator(fds)) {
+      std::error_code ec;
+      EXPECT_NE(fs::read_symlink(fd.path(), ec), fs::path(marker))
+          << "slot process " << pid << " holds the campaign's descriptor";
+    }
+  }
+  ::close(inherited);
+  fs::remove(marker);
 }
 
 }  // namespace

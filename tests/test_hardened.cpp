@@ -14,7 +14,6 @@ namespace {
 
 fi::SupervisorConfig test_config() {
   fi::SupervisorConfig config;
-  config.device_os_threads = 1;
   config.min_timeout_seconds = 1.0;
   return config;
 }

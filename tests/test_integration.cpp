@@ -12,7 +12,6 @@ namespace {
 
 fi::SupervisorConfig integration_config() {
   fi::SupervisorConfig config;
-  config.device_os_threads = 1;
   config.min_timeout_seconds = 1.0;
   config.timeout_factor = 40.0;
   return config;

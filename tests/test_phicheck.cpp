@@ -106,6 +106,20 @@ TEST(PhicheckTest, FixtureScanFindsAllSeededViolations) {
             std::string::npos)
       << r.output;
 
+  // Resume servers: a child branch that falls back into the serve loop,
+  // and one that allocates before the interrupted run resumes.
+  EXPECT_NE(r.output.find("resume_fork_bad.cpp:17: [fork-safety] resume "
+                          "server 'falls_back_server' forks a child whose "
+                          "branch does not return"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("resume_fork_bad.cpp:28: [fork-safety] call to "
+                          "'malloc' (heap/stdio) between fork() and the "
+                          "workload entry point in resume server "
+                          "'allocating_server'"),
+            std::string::npos)
+      << r.output;
+
   // Shm-POD: allocating member, raw pointer member, missing size pin.
   EXPECT_NE(r.output.find("shm_nonpod.cpp:10: [shm-pod] member 'label'"),
             std::string::npos)
@@ -178,7 +192,7 @@ TEST(PhicheckTest, FixtureScanFindsAllSeededViolations) {
             std::string::npos)
       << r.output;
 
-  EXPECT_NE(r.output.find("phicheck: 20 finding(s)"), std::string::npos)
+  EXPECT_NE(r.output.find("phicheck: 23 finding(s)"), std::string::npos)
       << r.output;
 }
 
@@ -251,7 +265,7 @@ TEST(PhicheckTest, ShmAssertEmissionCoversRealSharedStructs) {
             std::string::npos)
       << r.output;
   EXPECT_NE(
-      r.output.find("static_assert(sizeof(phifi::fi::ShmHeader) == 280"),
+      r.output.find("static_assert(sizeof(phifi::fi::ShmHeader) == 272"),
       std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find(

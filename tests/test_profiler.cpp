@@ -245,7 +245,6 @@ TEST(ProfilerCampaign, FeedsEveryPhaseEveryTrialAtJobs1And2) {
         temp_path("profiler_j" + std::to_string(jobs) + ".ndjson");
     fs::remove(path);
     TrialProfiler profiler(path);
-    phifi::testing::ToyWorkload::reset_run_counter();
     fi::TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                                    phifi::testing::toy_supervisor_config());
     supervisor.prepare_golden();

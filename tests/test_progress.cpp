@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -128,6 +129,53 @@ TEST(Progress, ResetClearsPulse) {
   progress.reset(10);
   progress.tick(10);
   EXPECT_EQ(pulses, 0);
+}
+
+TEST(Progress, CheckpointHookRunsBetweenPulseAndInjectionCheck) {
+  // A trial forked inside the checkpoint hook re-arms there; its injection
+  // must still fire on the tick that reached the checkpoint.
+  ProgressTracker progress;
+  progress.reset(100);
+  std::string order;
+  progress.set_pulse(4, [&] { order += 'p'; });
+  progress.set_checkpoint_hook([&] {
+    order += 'c';
+    progress.arm(0.25, [&](double at) {
+      order += 'i';
+      EXPECT_DOUBLE_EQ(at, 0.25);
+    });
+  });
+  progress.checkpoint_at(0.25);
+  for (int i = 0; i < 24; ++i) progress.tick();
+  EXPECT_EQ(order, "");
+  progress.tick();
+  EXPECT_EQ(order, "pci");
+  for (int i = 0; i < 75; ++i) progress.tick();
+  EXPECT_EQ(order, "pcippp");  // one checkpoint, one injection
+}
+
+TEST(Progress, CheckpointHookSchedulesTheNextOne) {
+  ProgressTracker progress;
+  progress.reset(16);
+  std::vector<double> at;
+  progress.set_checkpoint_hook([&] {
+    at.push_back(progress.fraction());
+    progress.checkpoint_at(at.size() < 3 ? 0.25 * (at.size() + 1)
+                                         : ProgressTracker::kNoCheckpoint);
+  });
+  progress.checkpoint_at(0.0);  // reached by the first tick
+  progress.tick(16);
+  // One tick that crosses several checkpoints takes only the first.
+  EXPECT_EQ(at, std::vector<double>({1.0}));
+  progress.reset(16);
+  progress.set_checkpoint_hook([&] {
+    at.push_back(progress.fraction());
+    progress.checkpoint_at(at.size() < 4 ? 0.25 * at.size()
+                                         : ProgressTracker::kNoCheckpoint);
+  });
+  progress.checkpoint_at(0.25);
+  for (int i = 0; i < 16; ++i) progress.tick();
+  EXPECT_EQ(at, std::vector<double>({1.0, 0.25, 0.5, 0.75}));
 }
 
 TEST(Progress, ConcurrentTickersFireExactlyOnce) {

@@ -111,7 +111,6 @@ class ToyUnderBeam : public ::testing::Test {
   };
 
   void SetUp() override {
-    testing::ToyWorkload::reset_run_counter();
     supervisor_ = std::make_unique<fi::TrialSupervisor>(
         &testing::make_toy_normal, testing::toy_supervisor_config());
     supervisor_->prepare_golden();
@@ -223,7 +222,6 @@ TEST_F(ToyUnderBeam, KilledAndResumedCampaignGivesTheUninterruptedResult) {
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    testing::ToyWorkload::reset_run_counter();
     fi::TrialSupervisor supervisor(&testing::make_toy_normal,
                                    testing::toy_supervisor_config());
     supervisor.prepare_golden();

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <stdexcept>
 #include <thread>
 
 #include "tests/toy_workload.hpp"
@@ -28,7 +29,6 @@ using phifi::testing::ToyWorkload;
 using phifi::testing::toy_supervisor_config;
 
 TEST(Supervisor, GoldenIsPrepared) {
-  ToyWorkload::reset_run_counter();
   TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                              toy_supervisor_config());
   supervisor.prepare_golden();
@@ -39,8 +39,15 @@ TEST(Supervisor, GoldenIsPrepared) {
   EXPECT_EQ(supervisor.workload_name(), "Toy");
 }
 
+TEST(Supervisor, RefusesMoreThanOneDeviceThread) {
+  // A checkpoint fork keeps only the forking thread: trials run on one.
+  auto config = toy_supervisor_config();
+  config.device_os_threads = 2;
+  EXPECT_THROW(TrialSupervisor(&phifi::testing::make_toy_normal, config),
+               std::invalid_argument);
+}
+
 TEST(Supervisor, CleanTrialIsMasked) {
-  ToyWorkload::reset_run_counter();
   TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                              toy_supervisor_config());
   supervisor.prepare_golden();
@@ -50,7 +57,6 @@ TEST(Supervisor, CleanTrialIsMasked) {
 }
 
 TEST(Supervisor, RandomFaultInOutputIsSdc) {
-  ToyWorkload::reset_run_counter();
   TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                              toy_supervisor_config());
   supervisor.prepare_golden();
@@ -81,7 +87,6 @@ TEST(Supervisor, RandomFaultInOutputIsSdc) {
 }
 
 TEST(Supervisor, CrashTrialIsDueCrash) {
-  ToyWorkload::reset_run_counter();
   TrialSupervisor supervisor(&phifi::testing::make_toy_crash,
                              toy_supervisor_config());
   supervisor.prepare_golden();
@@ -93,7 +98,6 @@ TEST(Supervisor, CrashTrialIsDueCrash) {
 }
 
 TEST(Supervisor, HangTrialIsDueHang) {
-  ToyWorkload::reset_run_counter();
   auto config = toy_supervisor_config();
   config.min_timeout_seconds = 0.3;
   config.timeout_factor = 5.0;
@@ -109,7 +113,6 @@ TEST(Supervisor, HangTrialIsDueHang) {
 }
 
 TEST(Supervisor, SigtermIgnoringHangIsEscalatedToSigkill) {
-  ToyWorkload::reset_run_counter();
   auto config = toy_supervisor_config();
   config.min_timeout_seconds = 0.3;
   config.timeout_factor = 5.0;
@@ -129,7 +132,6 @@ TEST(Supervisor, AddressSpaceRlimitIsDueRlimit) {
 #ifdef PHIFI_ASAN
   GTEST_SKIP() << "RLIMIT_AS is incompatible with ASan shadow memory";
 #endif
-  ToyWorkload::reset_run_counter();
   auto config = toy_supervisor_config();
   config.child_address_space_mb = 512;
   // Generous deadline: this test asserts *classification* (rlimit beats
@@ -146,7 +148,6 @@ TEST(Supervisor, AddressSpaceRlimitIsDueRlimit) {
 }
 
 TEST(Supervisor, CpuRlimitIsDueRlimit) {
-  ToyWorkload::reset_run_counter();
   auto config = toy_supervisor_config();
   // Deadline far beyond the CPU limit so the kernel's SIGXCPU, not the
   // watchdog, is what stops the spinning child.
@@ -163,35 +164,41 @@ TEST(Supervisor, CpuRlimitIsDueRlimit) {
 }
 
 TEST(Supervisor, HeartbeatExtendsDeadlineForSlowChild) {
-  ToyWorkload::reset_run_counter();
   auto config = toy_supervisor_config();
   config.min_timeout_seconds = 0.15;
   config.heartbeat_divisions = 16;
   config.max_deadline_factor = 4.0;
   TrialSupervisor supervisor(&phifi::testing::make_toy_slow, config);
   supervisor.prepare_golden();
-  // The slowed run (~0.3s) blows past the 0.15s base deadline, but the
-  // child keeps beating, so the watchdog lets it finish.
-  const TrialResult result = supervisor.run_clean_trial();
-  EXPECT_EQ(result.outcome, Outcome::kMasked);
+  // The toy slows down once its early injection fired: the slowed run
+  // (~0.3s) blows past the 0.15s base deadline, but the child keeps
+  // beating, so the watchdog lets it finish (the flip may make it an SDC).
+  TrialConfig trial;
+  trial.trial_seed = 12;
+  trial.earliest_fraction = 0.02;
+  trial.latest_fraction = 0.03;
+  const TrialResult result = supervisor.run_trial(trial);
+  EXPECT_NE(result.outcome, Outcome::kDue);
   EXPECT_GT(result.heartbeats, 0u);
   EXPECT_GT(result.seconds, 0.15);
 }
 
 TEST(Supervisor, SlowChildWithoutHeartbeatIsKilled) {
-  ToyWorkload::reset_run_counter();
   auto config = toy_supervisor_config();
   config.min_timeout_seconds = 0.15;
   config.heartbeat_divisions = 0;  // heartbeat off: hard deadline applies
   TrialSupervisor supervisor(&phifi::testing::make_toy_slow, config);
   supervisor.prepare_golden();
-  const TrialResult result = supervisor.run_clean_trial();
+  TrialConfig trial;
+  trial.trial_seed = 13;
+  trial.earliest_fraction = 0.02;
+  trial.latest_fraction = 0.03;
+  const TrialResult result = supervisor.run_trial(trial);
   EXPECT_EQ(result.outcome, Outcome::kDue);
   EXPECT_EQ(result.due_kind, DueKind::kHang);
 }
 
 TEST(Supervisor, StallTimeoutCutsSilentChildEarly) {
-  ToyWorkload::reset_run_counter();
   auto config = toy_supervisor_config();
   config.min_timeout_seconds = 3.0;  // generous absolute deadline
   config.heartbeat_divisions = 16;
@@ -209,7 +216,6 @@ TEST(Supervisor, StallTimeoutCutsSilentChildEarly) {
 }
 
 TEST(Supervisor, WaitSurvivesSignalInterruptions) {
-  ToyWorkload::reset_run_counter();
   // Install a no-op SIGUSR1 handler WITHOUT SA_RESTART so every delivery
   // forces waitpid/nanosleep in the supervisor out with EINTR.
   struct sigaction action = {};
@@ -241,7 +247,6 @@ TEST(Supervisor, WaitSurvivesSignalInterruptions) {
 }
 
 TEST(Supervisor, ThrowTrialIsDueAbnormalExit) {
-  ToyWorkload::reset_run_counter();
   TrialSupervisor supervisor(&phifi::testing::make_toy_throw,
                              toy_supervisor_config());
   supervisor.prepare_golden();
@@ -253,7 +258,6 @@ TEST(Supervisor, ThrowTrialIsDueAbnormalExit) {
 }
 
 TEST(Supervisor, WindowAttributionMatchesProgressFraction) {
-  ToyWorkload::reset_run_counter();
   TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
                              toy_supervisor_config());
   supervisor.prepare_golden();
@@ -270,11 +274,9 @@ TEST(Supervisor, WindowAttributionMatchesProgressFraction) {
 }
 
 TEST(Supervisor, GoldenIsDeterministicAcrossInstances) {
-  ToyWorkload::reset_run_counter();
   TrialSupervisor a(&phifi::testing::make_toy_normal,
                     toy_supervisor_config());
   a.prepare_golden();
-  ToyWorkload::reset_run_counter();
   TrialSupervisor b(&phifi::testing::make_toy_normal,
                     toy_supervisor_config());
   b.prepare_golden();

@@ -382,7 +382,6 @@ class CampaignTelemetryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     using phifi::testing::ToyWorkload;
-    ToyWorkload::reset_run_counter();
     trace_path_ = temp_path("telemetry_campaign.ndjson");
     journal_path_ = temp_path("telemetry_campaign.jnl");
     fs::remove(trace_path_);

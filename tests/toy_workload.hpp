@@ -1,16 +1,14 @@
 // A tiny, controllable workload for exercising the supervisor machinery:
 // configurable to run cleanly, crash, hang, or throw mid-execution.
 //
-// Misbehaving modes only act from the second run() onwards within a
-// process tree: the first run is the supervisor's in-process golden
-// execution, which must stay clean. Templates and their trial grandchildren
-// inherit the incremented counter and therefore misbehave. Call
-// reset_run_counter() before each prepare_golden().
+// Misbehaving modes only act once the run's injection has fired, like a
+// real fault: the golden run, a clean trial and the template's fault-free
+// run-ahead (which parks the checkpoints trials are forked from) stay
+// clean.
 #pragma once
 
 #include <csignal>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -48,8 +46,6 @@ class ToyWorkload : public fi::Workload {
   explicit ToyWorkload(Mode mode = Mode::kNormal, unsigned steps = 600)
       : mode_(mode), steps_(steps) {}
 
-  static void reset_run_counter() { global_runs_.store(0); }
-
   [[nodiscard]] std::string_view name() const override { return "Toy"; }
 
   void setup(std::uint64_t input_seed) override {
@@ -58,11 +54,16 @@ class ToyWorkload : public fi::Workload {
   }
 
   void run(phi::Device&, fi::ProgressTracker& progress) override {
-    const bool golden_run = global_runs_.fetch_add(1) == 0;
     const volatile double* scale = &scale_;
+    bool misbehaved = false;
     for (unsigned step = 0; step < steps_; ++step) {
-      if (!golden_run && step == steps_ / 2) misbehave();
-      if (!golden_run && mode_ == Mode::kSlow) {
+      // Crash, hang, throw and bloat strike at the first step at or after
+      // mid-run once the injection has fired.
+      if (!misbehaved && step >= steps_ / 2 && progress.fired()) {
+        misbehaved = true;
+        misbehave();
+      }
+      if (mode_ == Mode::kSlow && progress.fired()) {
         // Much slower than the golden run, but still ticking: the heartbeat
         // should keep the watchdog from killing this child.
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -77,7 +78,7 @@ class ToyWorkload : public fi::Workload {
     }
     // Grown only here: the last tick reached fraction 1, so the flip has
     // fired and the registered span over out_ is no longer written.
-    if (!golden_run && mode_ == Mode::kOversize) {
+    if (mode_ == Mode::kOversize && progress.fired()) {
       out_.resize(out_.size() * 1024);
     }
   }
@@ -144,8 +145,6 @@ class ToyWorkload : public fi::Workload {
     }
   }
 
-  static inline std::atomic<int> global_runs_{0};
-
   Mode mode_;
   unsigned steps_;
   std::vector<double> out_;
@@ -181,7 +180,6 @@ inline std::unique_ptr<fi::Workload> make_toy_slow() {
 /// Supervisor config tuned for fast unit tests.
 inline fi::SupervisorConfig toy_supervisor_config() {
   fi::SupervisorConfig config;
-  config.device_os_threads = 1;
   config.device_spec = phi::DeviceSpec::test_device();
   config.min_timeout_seconds = 0.5;
   config.timeout_factor = 30.0;

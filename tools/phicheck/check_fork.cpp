@@ -11,7 +11,12 @@
 //   * inside a child-entry function, everything before the
 //     `// phicheck:fork-workload-entry` marker is checked against the
 //     banned set (heap, stdio, locking); after the marker the workload owns
-//     the process and anything goes.
+//     the process and anything goes,
+//   * a `// phicheck:fork-resume` function is a serve loop whose child
+//     returns to its caller to resume an interrupted run: each child
+//     branch must end in `return` right after a fork-child-entry call, and
+//     its whole body is checked against the banned set, because the child
+//     runs it before the workload resumes.
 #include <climits>
 #include <set>
 
@@ -72,9 +77,44 @@ std::set<std::string> annotated_functions(const SourceFile& file,
   return out;
 }
 
+/// Token texts after the call `call` (past its closing parenthesis) up to
+/// and including `block_end`.
+std::vector<std::string> tail_after_call(const std::vector<Token>& tokens,
+                                         const CallSite& call,
+                                         std::size_t block_end) {
+  std::size_t after = call.token_index;
+  while (after < block_end && tokens[after].text != "(") ++after;
+  int depth = 0;
+  for (; after <= block_end; ++after) {
+    if (tokens[after].text == "(") {
+      ++depth;
+    } else if (tokens[after].text == ")" && --depth == 0) {
+      ++after;
+      break;
+    }
+  }
+  std::vector<std::string> tail;
+  for (; after <= block_end; ++after) tail.push_back(tokens[after].text);
+  return tail;
+}
+
+/// Whether `tail` starts with `expected` and holds only `;`/`}` after it.
+bool tail_is(const std::vector<std::string>& tail,
+             const std::vector<std::string>& expected) {
+  if (tail.size() < expected.size()) return false;
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    if (i < expected.size() ? tail[i] != expected[i]
+                            : tail[i] != ";" && tail[i] != "}") {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Checks one child-entry function: banned constructs before the
 /// fork-workload-entry marker (or the whole body when no marker).
 void check_child_entry(const SourceFile& file, const FunctionDef& fn,
+                       const std::string& role,
                        std::vector<Finding>& findings) {
   const std::vector<Token>& tokens = file.lexed.tokens;
   int boundary = INT_MAX;
@@ -91,8 +131,8 @@ void check_child_entry(const SourceFile& file, const FunctionDef& fn,
     if (file.lexed.allows("fork-safety", line)) return;
     findings.push_back(
         {file.lexed.path, line, "fork-safety",
-         what + " between fork() and the workload entry point in child-entry "
-                "function '" + fn.name + "'"});
+         what + " between fork() and the workload entry point in " + role +
+             " '" + fn.name + "'"});
   };
   for (const CallSite& call : fn.calls) {
     if (call.line >= boundary) continue;
@@ -120,6 +160,8 @@ std::vector<Finding> check_fork_safety(const Codebase& cb) {
   for (const SourceFile& file : cb.files) {
     const std::set<std::string> entries =
         annotated_functions(file, "fork-child-entry");
+    const std::set<std::string> resumes =
+        annotated_functions(file, "fork-resume");
     const std::vector<Token>& tokens = file.lexed.tokens;
     for (const FunctionDef& fn : file.functions) {
       for (const CallSite& call : fn.calls) {
@@ -173,48 +215,47 @@ std::vector<Finding> check_fork_safety(const Codebase& cb) {
                        "', which is not annotated phicheck:fork-child-entry "
                        "(and is not _exit/exec*)"});
             }
-            // Double-fork (fork-server) topology: when a child-entry
-            // function itself forks, its child branch must end the
-            // grandchild — last statement a call to an entry or
-            // _exit/exec* function with nothing after it. A branch that
-            // falls through resumes the template's serve loop in the
-            // grandchild, and two processes start consuming commands.
-            if (entries.count(fn.name) != 0 &&
-                !file.lexed.allows("fork-safety", tokens[i].line)) {
-              const CallSite* last = nullptr;
-              for (const CallSite& child_call : fn.calls) {
-                if (child_call.token_index >= block_begin &&
-                    child_call.token_index <= block_end &&
-                    (last == nullptr ||
-                     child_call.token_index > last->token_index)) {
-                  last = &child_call;
-                }
+            // The last call of the child branch, and what follows it.
+            const CallSite* last = nullptr;
+            for (const CallSite& child_call : fn.calls) {
+              if (child_call.token_index >= block_begin &&
+                  child_call.token_index <= block_end &&
+                  (last == nullptr ||
+                   child_call.token_index > last->token_index)) {
+                last = &child_call;
               }
-              bool terminates =
-                  last != nullptr && (entries.count(last->name) != 0 ||
-                                      exec_like().count(last->name) != 0);
-              if (terminates) {
-                std::size_t after = last->token_index;
-                while (after < block_end && tokens[after].text != "(") {
-                  ++after;
-                }
-                int depth = 0;
-                for (; after <= block_end; ++after) {
-                  if (tokens[after].text == "(") {
-                    ++depth;
-                  } else if (tokens[after].text == ")" && --depth == 0) {
-                    ++after;
-                    break;
-                  }
-                }
-                for (; after <= block_end; ++after) {
-                  if (tokens[after].text != ";" &&
-                      tokens[after].text != "}") {
-                    terminates = false;
-                    break;
-                  }
-                }
+            }
+            const std::vector<std::string> tail =
+                last == nullptr ? std::vector<std::string>{}
+                                : tail_after_call(tokens, *last, block_end);
+            if (file.lexed.allows("fork-safety", tokens[i].line)) {
+              // Suppressed by hand.
+            } else if (resumes.count(fn.name) != 0) {
+              // Resume server: the child returns to its caller and resumes
+              // the interrupted run — right after its entry call, never
+              // back into the serve loop.
+              if (last == nullptr || entries.count(last->name) == 0 ||
+                  !tail_is(tail, {";", "return", ";"})) {
+                findings.push_back(
+                    {file.lexed.path, tokens[i].line, "fork-safety",
+                     "resume server '" + fn.name +
+                         "' forks a child whose branch does not return "
+                         "right after a fork-child-entry call; end it "
+                         "with `entry(...); return;` so the child resumes "
+                         "the interrupted run"});
               }
+            } else if (entries.count(fn.name) != 0) {
+              // Double-fork (fork-server) topology: when a child-entry
+              // function itself forks, its child branch must end the
+              // grandchild — last statement a call to an entry or
+              // _exit/exec* function with nothing after it. A branch that
+              // falls through resumes the template's serve loop in the
+              // grandchild, and two processes start consuming commands.
+              const bool terminates =
+                  last != nullptr &&
+                  (entries.count(last->name) != 0 ||
+                   exec_like().count(last->name) != 0) &&
+                  tail_is(tail, {});
               if (!terminates) {
                 findings.push_back(
                     {file.lexed.path, tokens[i].line, "fork-safety",
@@ -222,7 +263,9 @@ std::vector<Finding> check_fork_safety(const Codebase& cb) {
                          "' forks a grandchild whose branch can fall "
                          "through into the serve loop; end the child "
                          "branch with a call to a fork-child-entry or "
-                         "_exit/exec* function"});
+                         "_exit/exec* function (or annotate a serve loop "
+                         "whose child resumes its caller "
+                         "phicheck:fork-resume)"});
               }
             }
             break;
@@ -237,7 +280,9 @@ std::vector<Finding> check_fork_safety(const Codebase& cb) {
     }
     for (const FunctionDef& fn : file.functions) {
       if (entries.count(fn.name) != 0) {
-        check_child_entry(file, fn, findings);
+        check_child_entry(file, fn, "child-entry function", findings);
+      } else if (resumes.count(fn.name) != 0) {
+        check_child_entry(file, fn, "resume server", findings);
       }
     }
   }
