@@ -256,6 +256,12 @@ RunSummary run_fabric(const RunnerConfig& config,
       throw std::runtime_error("fabric: coordinator rejected this worker: " +
                                result.reject_reason);
     }
+    if (result.unreachable) {
+      throw std::runtime_error("fabric: coordinator at " + options.address +
+                               " unreachable for " +
+                               util::fmt(result.unreachable_seconds, 1) +
+                               " s");
+    }
     summary.interrupted = result.interrupted;
     summary.aborted = result.aborted;
     summary.fabric_leases = result.leases_done;

@@ -7,6 +7,12 @@
 // (the loop control slots in each worker's ControlBlock). The flip engine
 // then mimics the Flip-script selection: thread -> frame -> variable ->
 // element -> fault model.
+//
+// A workload also registers *state*: memory a later step of its run reads
+// that no site holds and faults must not target (a pass's saved result, a
+// live element count). Sites, state and the output together are what a
+// trial's digests are compared on when the supervisor cuts a trial whose
+// run has re-joined the golden run (docs/PARALLELISM.md).
 #pragma once
 
 #include <cstddef>
@@ -40,6 +46,20 @@ struct InjectionSite {
   }
 };
 
+/// Registered memory that is digested but never injected into.
+struct StateSpan {
+  std::string name;
+  const std::byte* data = nullptr;
+  std::size_t bytes = 0;
+};
+
+/// 64-bit digest of `bytes`, read as little-endian 8-byte words (the last
+/// one zero-padded) over four interleaved lanes. Every step is a bijection
+/// of a lane's state — xor a word, multiply by an odd constant, xor-shift
+/// — and the lanes fold the same way, so two buffers of one length that
+/// differ in a single word never collide. Allocates nothing.
+[[nodiscard]] std::uint64_t state_digest(std::span<const std::byte> bytes);
+
 /// Collects the sites of one workload instance. Lives in the trial child
 /// process; pointers reference live workload memory.
 class SiteRegistry {
@@ -69,6 +89,18 @@ class SiteRegistry {
                {reinterpret_cast<std::byte*>(&value), sizeof(T)}, sizeof(T));
   }
 
+  /// Registers state: memory a later step of the run reads, which no site
+  /// holds and faults must not target. Only state_digest() sees it; the
+  /// flip engine, size(), total_bytes() and frame_sites*() do not.
+  void add_state(std::string name, std::span<const std::byte> bytes);
+
+  /// Typed convenience: registers one object as state.
+  template <typename T>
+  void add_state_object(std::string name, const T& value) {
+    add_state(std::move(name),
+              {reinterpret_cast<const std::byte*>(&value), sizeof(T)});
+  }
+
   [[nodiscard]] std::span<const InjectionSite> sites() const { return sites_; }
   [[nodiscard]] std::size_t size() const { return sites_.size(); }
   [[nodiscard]] const InjectionSite& site(std::size_t i) const {
@@ -92,10 +124,20 @@ class SiteRegistry {
   /// Total registered bytes (for bytes-weighted selection).
   [[nodiscard]] std::size_t total_bytes() const;
 
-  void clear() { sites_.clear(); }
+  [[nodiscard]] std::span<const StateSpan> state() const { return state_; }
+
+  /// One digest over every state span, in registration order. Allocates
+  /// nothing.
+  [[nodiscard]] std::uint64_t state_digest() const;
+
+  void clear() {
+    sites_.clear();
+    state_.clear();
+  }
 
  private:
   std::vector<InjectionSite> sites_;
+  std::vector<StateSpan> state_;
 };
 
 }  // namespace phifi::fi

@@ -11,7 +11,8 @@
 // of children on a possibly oversubscribed host. The same ticks drive the
 // heartbeat pulse, so a trial's journaled heartbeat count says how far its
 // run got, and the checkpoint hook, where a fork server parks a copy of
-// the fault-free run for trials that inject later.
+// the fault-free run for trials that inject later and records digests of
+// its state, and where an injected trial compares its own state with them.
 #pragma once
 
 #include <atomic>
@@ -82,7 +83,8 @@ class ProgressTracker {
   }
 
   /// Schedules the checkpoint hook at `fraction` (kNoCheckpoint: never).
-  /// Call before run() or from the checkpoint hook itself.
+  /// Call before run(), or from the checkpoint or injection hook of a
+  /// single-threaded run.
   void checkpoint_at(double fraction) { checkpoint_ = fraction; }
 
   [[nodiscard]] bool fired() const {

@@ -50,6 +50,7 @@ void SharedChannel::reset() {
   header_->trial_valid = 0;
   header_->inject_seconds = 0.0;
   header_->classify_seconds = 0.0;
+  header_->converged_at = 0.0;
 }
 
 void SharedChannel::beat(std::uint64_t pulses) {
@@ -78,6 +79,10 @@ void SharedChannel::store_verdict(bool matches_golden,
   header_->sdc_mismatched = sdc.mismatched;
   header_->sdc_max_relative_error = sdc.max_relative_error;
   header_->verdict_ready.store(1, std::memory_order_release);
+}
+
+void SharedChannel::store_converged_at(double fraction) {
+  header_->converged_at = fraction;
 }
 
 TrialCommand SharedChannel::load_command() const {
@@ -167,5 +172,7 @@ double SharedChannel::trial_inject_seconds() const {
 double SharedChannel::trial_classify_seconds() const {
   return header_->classify_seconds;
 }
+
+double SharedChannel::converged_at() const { return header_->converged_at; }
 
 }  // namespace phifi::fi

@@ -22,7 +22,7 @@ namespace phifi::fi {
 /// trial communicate through. Namespace-scope (not a private nested type)
 /// so the phicheck-generated layout asserts can name it; nothing outside
 /// SharedChannel should touch it.
-// phicheck:shm-pod phifi::fi::ShmHeader size=272 atomic
+// phicheck:shm-pod phifi::fi::ShmHeader size=280 atomic
 struct ShmHeader {
   std::atomic<std::uint32_t> record_ready;
   // Child-side classification verdict: set once the trial child compared
@@ -66,6 +66,10 @@ struct ShmHeader {
   // to isolate the run.
   double inject_seconds;
   double classify_seconds;
+  /// Grid fraction at which the trial child found its state equal to the
+  /// golden run's and was cut Masked; 0 for a trial that ran to its end.
+  /// Written before verdict_ready, cleared by reset().
+  double converged_at;
 };
 
 /// Mirror of the supervisor's TrialConfig for the template command block
@@ -112,6 +116,10 @@ class SharedChannel {
   /// a parent that sees the verdict sees its summary.
   void store_verdict(bool matches_golden, const SdcSummary& sdc);
 
+  /// Records the grid fraction at which the trial was cut Masked, before
+  /// its verdict is stored.
+  void store_converged_at(double fraction);
+
   // ---- template (fork-server) side ----
 
   /// Reads the trial command published by store_command(). Called after
@@ -147,6 +155,8 @@ class SharedChannel {
   /// Child-reported phase timing, valid after reap; zero if never stored.
   [[nodiscard]] double trial_inject_seconds() const;
   [[nodiscard]] double trial_classify_seconds() const;
+  /// Valid only when verdict_ready(): the cut's grid fraction, 0 if none.
+  [[nodiscard]] double converged_at() const;
 
   [[nodiscard]] std::uint64_t heartbeat() const;
   [[nodiscard]] bool record_ready() const;

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <poll.h>
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/prctl.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -13,11 +14,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <cstdio>
+#include <ctime>
 #include <new>
 #include <stdexcept>
 
@@ -55,10 +58,34 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Progress slices of one run a checkpoint may sit on.
+/// CPU time of the calling thread, in seconds.
+double thread_cpu_seconds() {
+  timespec now{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) +
+         1e-9 * static_cast<double>(now.tv_nsec);
+}
+
+/// Progress slices of one run a checkpoint may sit on; its interior points
+/// are where a trial's state is compared with the golden run's.
 constexpr unsigned kCheckpointGrid = 16;
 
-/// Least golden run time between consecutive checkpoints. Each parked
+/// Grid points at which an injected trial compares its state with the
+/// golden run's: the first after its flip and the next. Nearly every
+/// convergence shows by then, and a later one saves only a short tail
+/// (docs/PARALLELISM.md).
+constexpr unsigned kConvergenceChecks = 2;
+
+/// Words after the per-site digests in a golden row: the registered
+/// state's digest, the output's, the progress fraction's bits and the
+/// run-ahead's heartbeat pulses at the row's grid point.
+constexpr std::size_t kStateWord = 0;
+constexpr std::size_t kOutputWord = 1;
+constexpr std::size_t kProgressWord = 2;
+constexpr std::size_t kPulseWord = 3;
+constexpr std::size_t kRowExtraWords = 4;
+
+/// Least golden CPU time between consecutive checkpoints. Each parked
 /// checkpoint costs its fork, the copy-on-write faults the forking run
 /// takes afterwards and a reap at teardown. At 1 ms no small-input run
 /// (all under 1.02 ms) gets a checkpoint, and the paper-mix members keep
@@ -66,9 +93,9 @@ constexpr unsigned kCheckpointGrid = 16;
 /// checkpoint span, measured").
 constexpr double kCheckpointSpanSeconds = 1e-3;
 
-/// Slices between consecutive checkpoints for a run of `golden_seconds`,
-/// assuming run time spreads evenly over progress; 0 when no checkpoint
-/// after the pre-run one fits, and the template serves alone.
+/// Slices between consecutive checkpoints for a run of `golden_seconds`
+/// of CPU time, assuming it spreads evenly over progress; 0 when no
+/// checkpoint after the pre-run one fits, and the template serves alone.
 unsigned checkpoint_spacing(double golden_seconds) {
   const double slice = golden_seconds / kCheckpointGrid;
   if (!(slice > 0.0)) return 0;
@@ -185,11 +212,11 @@ bool wait_exited(pid_t pid, double timeout_seconds) {
 
 /// Everything a trial needs, built once per template before any checkpoint
 /// exists and inherited by every checkpoint and trial through fork(): the
-/// device, the progress tracker with its hooks, the flip engine and the
-/// rng. A trial only writes its command into it (reseed, draw the target,
-/// set the policy, re-arm) and allocates nothing, so every route reaches
-/// the injection with the same heap. Each hook captures this one pointer,
-/// which std::function stores in place.
+/// device, the progress tracker with its hooks, the flip engine, the rng
+/// and the golden rows. A trial only writes its command into it (reseed,
+/// draw the target, set the policy, re-arm) and allocates nothing, so
+/// every route reaches the injection with the same heap. Each hook
+/// captures this one pointer, which std::function stores in place.
 struct TrialSupervisor::TrialContext {
   /// One parked image of the template's run.
   struct Checkpoint {
@@ -204,8 +231,29 @@ struct TrialSupervisor::TrialContext {
 
   /// Heartbeat pulse: the channel's in a trial, counted in the run-ahead.
   void pulse();
-  /// Injection hook body: the flip, with its provisional record first.
+  /// Injection hook body: the flip, with its provisional record first;
+  /// schedules the trial's first convergence check.
   void inject(double at);
+  /// Checkpoint hook body at grid point `grid`: the template records the
+  /// golden row there and parks a planned checkpoint; a trial checks
+  /// whether its run has re-joined the golden run.
+  void on_grid();
+  /// Row `g` of the golden rows: one digest per site, then the words
+  /// kStateWord..kPulseWord.
+  [[nodiscard]] std::uint64_t* row(unsigned g) const {
+    return rows + static_cast<std::size_t>(g) * row_words;
+  }
+  [[nodiscard]] std::size_t rows_bytes() const {
+    return (kCheckpointGrid + 1) * row_words * sizeof(std::uint64_t);
+  }
+  /// Template: records the fault-free run's row at grid point `g`.
+  void record_row(unsigned g);
+  /// Trial: whether its progress, sites (the flipped one first), state
+  /// and output equal row `g`'s. Allocates nothing.
+  [[nodiscard]] bool converged(unsigned g) const;
+  /// Trial child's end at grid point `grid` on convergence: Masked, with
+  /// the heartbeats the rest of the run would have pulsed.
+  [[noreturn]] void cut();
   /// The checkpoint that serves `routed`: the latest at or before its
   /// injection target. A pure function of the command.
   [[nodiscard]] unsigned route_of(const TrialCommand& routed) const;
@@ -220,7 +268,7 @@ struct TrialSupervisor::TrialContext {
   void serve(int fd);
   /// Trial child's setup: rlimits, command, re-arm. Allocates nothing.
   void begin_trial(int fd, pid_t parent);
-  /// The template's router after its last checkpoint.
+  /// The template's router after its run-ahead.
   [[noreturn]] void route();
   /// Tears the checkpoints down (close, reap) and exits with `code`.
   [[noreturn]] void retire(int code);
@@ -246,8 +294,24 @@ struct TrialSupervisor::TrialContext {
   /// Checkpoints to park, the pre-run one included; 0 = the template
   /// serves alone.
   unsigned planned = 0;
+  /// Grid slices between consecutive checkpoints (0 when none is planned).
+  unsigned spacing = 0;
   unsigned parked = 0;
   std::array<Checkpoint, kCheckpointGrid> checkpoints{};
+  /// The golden rows: row g (1..kCheckpointGrid-1) digests the fault-free
+  /// run at grid point g, and row kCheckpointGrid's pulse word holds the
+  /// whole run's pulses. A shared mapping the template writes during its
+  /// run-ahead, before it routes the first command, and its checkpoints
+  /// and trials read; nullptr for a template without checkpoints, whose
+  /// trials never check.
+  std::uint64_t* rows = nullptr;
+  std::size_t row_words = 0;
+  /// Template: the grid point the checkpoint hook fires at next. Trial:
+  /// the grid point of its pending convergence check.
+  unsigned grid = 1;
+  unsigned checks = 0;
+  /// The site the trial's flip hit, compared first.
+  std::size_t flipped_site = 0;
 };
 
 TrialSupervisor::TrialSupervisor(WorkloadFactory factory,
@@ -275,8 +339,8 @@ void TrialSupervisor::prepare_golden() {
   auto workload = factory_();
   workload->setup(config_.input_seed);
   const auto start = Clock::now();
+  const double cpu_start = thread_cpu_seconds();
   {
-    // Scoped so the device's pool threads are joined before any fork.
     phi::Device device(config_.device_spec, 1);
     ProgressTracker progress;
     progress.reset(workload->total_steps());
@@ -287,6 +351,9 @@ void TrialSupervisor::prepare_golden() {
     golden_counters_ = device.counters().snapshot();
   }
   golden_seconds_ = seconds_since(start);
+  // The checkpoint plan comes from CPU time: another process sharing this
+  // CPU stretches the wall time, which only feeds the watchdog deadline.
+  golden_cpu_seconds_ = thread_cpu_seconds() - cpu_start;
   // Publish the golden once into a sealed read-only mapping every template
   // and trial inherits; its digest goes into the journal header so a
   // resume can refuse a journal written from another golden.
@@ -297,8 +364,9 @@ void TrialSupervisor::prepare_golden() {
   name_ = workload->name();
   prepared_ = true;
   ensure_slots(1);
-  util::log_info() << name_ << ": golden run " << golden_seconds_ << "s, "
-                   << golden_map_.size() << " output bytes";
+  util::log_info() << name_ << ": golden run " << golden_seconds_ << "s ("
+                   << golden_cpu_seconds_ << "s CPU), " << golden_map_.size()
+                   << " output bytes";
 }
 
 void TrialSupervisor::ensure_slots(unsigned count) {
@@ -718,8 +786,10 @@ TrialResult TrialSupervisor::finalize_slot(Slot& slot, int status,
     // honest if it does).
     result.outcome = Outcome::kNotInjected;
   } else if (slot.channel->verdict_matches()) {
-    // The child already classified against the shared golden mapping.
+    // The child already classified against the shared golden mapping, or
+    // found its run re-joined the golden run and was cut there.
     result.outcome = Outcome::kMasked;
+    result.converged_at = slot.channel->converged_at();
   } else {
     result.outcome = Outcome::kSdc;
     result.sdc = slot.channel->sdc_summary();
@@ -737,6 +807,9 @@ TrialResult TrialSupervisor::finalize_slot(Slot& slot, int status,
   }
   if (config_.metrics != nullptr && killed_as != DueKind::kNone) {
     config_.metrics->counter("supervisor.watchdog_kills").inc();
+  }
+  if (config_.metrics != nullptr && result.converged_at > 0.0) {
+    config_.metrics->counter("supervisor.converged_trials").inc();
   }
   return result;
 }
@@ -782,11 +855,12 @@ void TrialSupervisor::template_main(SharedChannel* channel, int cmd_fd,
       ctx.park_checkpoint();
     }
     // A trial forked from the pre-run image starts the run here. The
-    // template runs ahead, parks the later checkpoints from inside the run
-    // and routes from the last one; a trial forked there resumes inside
+    // template runs the whole fault-free run ahead, recording a golden row
+    // at every grid point and parking the later checkpoints from inside
+    // the run, then routes; a trial forked at a checkpoint resumes inside
     // the run and returns here when it ends.
     workload->run(ctx.device, ctx.progress);
-    if (!ctx.in_trial) ctx.route();  // the run ended before its last checkpoint
+    if (!ctx.in_trial) ctx.route();
     ctx.finish();
   } catch (const std::bad_alloc&) {
     ::_exit(kChildExitRlimit);
@@ -812,13 +886,24 @@ TrialSupervisor::TrialContext::TrialContext(const TrialSupervisor& owner,
   if (owner.config_.heartbeat_divisions > 0) {
     progress.set_pulse(owner.config_.heartbeat_divisions, [this] { pulse(); });
   }
-  progress.set_checkpoint_hook([this] { park_checkpoint(); });
-  const unsigned spacing = checkpoint_spacing(owner.golden_seconds_);
+  progress.set_checkpoint_hook([this] { on_grid(); });
+  spacing = checkpoint_spacing(owner.golden_cpu_seconds_);
   planned = spacing == 0 ? 0 : 1 + (kCheckpointGrid - 1) / spacing;
   for (unsigned k = 0; k < planned; ++k) {
     checkpoints[k].fraction =
         static_cast<double>(k * spacing) / kCheckpointGrid;
   }
+  if (planned == 0) return;
+  // Mapped before checkpoint 0 is forked, so every checkpoint and trial
+  // shares it; the run-ahead fills it in.
+  row_words = registry.size() + kRowExtraWords;
+  void* mapped = ::mmap(nullptr, rows_bytes(), PROT_READ | PROT_WRITE,
+                        MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  if (mapped == MAP_FAILED) {
+    throw std::runtime_error("TrialSupervisor: golden rows mmap failed");
+  }
+  rows = static_cast<std::uint64_t*>(mapped);
+  progress.checkpoint_at(1.0 / kCheckpointGrid);
 }
 
 void TrialSupervisor::TrialContext::pulse() {
@@ -838,7 +923,81 @@ void TrialSupervisor::TrialContext::inject(double at) {
   provisional.model = model;
   provisional.progress_fraction = at;
   channel->store_record(provisional);
-  channel->store_record(engine.inject(model, rng, at, command.burst));
+  const InjectionRecord record = engine.inject(model, rng, at, command.burst);
+  channel->store_record(record);
+  if (rows == nullptr || !record.injected) return;
+  // The first grid point after the flip: a later tick than this one.
+  flipped_site = record.site_index;
+  grid = static_cast<unsigned>(at * kCheckpointGrid) + 1;
+  if (grid < kCheckpointGrid) {
+    progress.checkpoint_at(static_cast<double>(grid) / kCheckpointGrid);
+  }
+}
+
+void TrialSupervisor::TrialContext::on_grid() {
+  if (in_trial) {
+    if (converged(grid)) cut();
+    if (++checks < kConvergenceChecks && grid + 1 < kCheckpointGrid) {
+      ++grid;
+      progress.checkpoint_at(static_cast<double>(grid) / kCheckpointGrid);
+    }
+    return;
+  }
+  record_row(grid);
+  if (grid % spacing == 0) {
+    park_checkpoint();
+    if (in_trial) return;  // a trial forked there resumes the run
+  }
+  ++grid;
+  progress.checkpoint_at(grid < kCheckpointGrid
+                             ? static_cast<double>(grid) / kCheckpointGrid
+                             : ProgressTracker::kNoCheckpoint);
+}
+
+void TrialSupervisor::TrialContext::record_row(unsigned g) {
+  std::uint64_t* golden = row(g);
+  const std::span<const InjectionSite> sites = registry.sites();
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    golden[i] = state_digest({sites[i].data, sites[i].bytes});
+  }
+  std::uint64_t* extra = golden + sites.size();
+  extra[kStateWord] = registry.state_digest();
+  extra[kOutputWord] = state_digest(workload.output_bytes());
+  extra[kProgressWord] = std::bit_cast<std::uint64_t>(progress.fraction());
+  extra[kPulseWord] = beats;
+}
+
+bool TrialSupervisor::TrialContext::converged(unsigned g) const {
+  // Cheapest refusals first: another point of the run, then the flipped
+  // site, which usually still differs.
+  const std::uint64_t* golden = row(g);
+  const std::span<const InjectionSite> sites = registry.sites();
+  const std::uint64_t* extra = golden + sites.size();
+  if (extra[kProgressWord] !=
+      std::bit_cast<std::uint64_t>(progress.fraction())) {
+    return false;
+  }
+  const auto same = [&](std::size_t i) {
+    return state_digest({sites[i].data, sites[i].bytes}) == golden[i];
+  };
+  if (!same(flipped_site)) return false;
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    if (i != flipped_site && !same(i)) return false;
+  }
+  return extra[kStateWord] == registry.state_digest() &&
+         extra[kOutputWord] == state_digest(workload.output_bytes());
+}
+
+void TrialSupervisor::TrialContext::cut() {
+  // Everything the rest of the run reads equals the golden run's at this
+  // grid point, so it can only reproduce the golden output: Masked, with
+  // the pulses the golden run emits from here to its end.
+  const std::size_t pulse = registry.size() + kPulseWord;
+  channel->store_trial_timing(inject_seconds, 0.0);
+  channel->beat(row(kCheckpointGrid)[pulse] - row(grid)[pulse]);
+  channel->store_converged_at(static_cast<double>(grid) / kCheckpointGrid);
+  channel->store_verdict(true, SdcSummary{});
+  ::_exit(0);
 }
 
 unsigned TrialSupervisor::TrialContext::route_of(
@@ -866,8 +1025,8 @@ void TrialSupervisor::TrialContext::park_checkpoint() {
   // Runs inside the template's run (from the checkpoint hook) or just
   // before it: forks a child that parks this image and serves every trial
   // routed to it. A trial forked there returns out of here and resumes
-  // the interrupted run. Inside a kernel body the device's pool would
-  // catch an exception, so every failure is an _exit.
+  // the interrupted run. Inside a kernel body the device would catch an
+  // exception, so every failure is an _exit.
   int fds[2];
   if (::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, fds) != 0) {
     ::_exit(kTemplateExitForkFailed);
@@ -882,14 +1041,16 @@ void TrialSupervisor::TrialContext::park_checkpoint() {
   ::close(fds[1]);
   checkpoints[parked].pid = pid;
   checkpoints[parked].fd = fds[0];
-  if (++parked == planned) route();
-  progress.checkpoint_at(checkpoints[parked].fraction);
+  ++parked;
 }
 
 // phicheck:fork-child-entry
 void TrialSupervisor::TrialContext::park(int fd, pid_t parent) {
   die_with_parent(parent);
   keep_only_fd(fd);
+  // Only the template writes the golden rows: a wild store of one of this
+  // checkpoint's trials faults instead of corrupting its siblings' rows.
+  if (rows != nullptr) ::mprotect(rows, rows_bytes(), PROT_READ);
   serve(fd);
 }
 
@@ -963,11 +1124,11 @@ void TrialSupervisor::TrialContext::begin_trial(int fd, pid_t parent) {
 }
 
 void TrialSupervisor::TrialContext::route() {
-  // The template after its last checkpoint: wakes, per command, the
-  // latest checkpoint at or before the trial's injection target, and
-  // relays the status that checkpoint reports. Status thus reaches the
-  // campaign process only through the template. Runs inside a kernel
-  // body: every failure is an _exit.
+  // The template after its whole fault-free run, every golden row written:
+  // wakes, per command, the latest checkpoint at or before the trial's
+  // injection target, and relays the status that checkpoint reports.
+  // Status thus reaches the campaign process only through the template.
+  row(kCheckpointGrid)[registry.size() + kPulseWord] = beats;
   channel->store_template_setup_seconds(seconds_since(started));
   while (true) {
     std::byte wake;

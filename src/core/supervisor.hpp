@@ -10,11 +10,17 @@
 // injection target and resumes the interrupted run there, executing
 // exactly what a from-start run executes from that point, so COW hands
 // every trial a pristine copy and no trial re-runs the prefix. The trial
-// arms the flip (the Flip-script analog), finishes the benchmark on the
-// emulated device, classifies its output in place against the golden copy
-// (a sealed read-only mapping every process inherits), summarizes a
-// mismatch (the SDC summary) and ships both through a shared-memory
-// channel; no output bytes reach the campaign process. The campaign process is the watchdog:
+// arms the flip (the Flip-script analog) and runs the benchmark on the
+// emulated device. At the first 1/16 progress point after its flip, and
+// once more at the next, it compares digests of its sites, registered
+// state and output with the ones the template recorded there in its
+// fault-free run: a trial whose run has re-joined the golden run can only
+// reproduce the golden output, so it is committed Masked there. Every
+// other trial finishes the run, classifies its output in place against
+// the golden copy (a sealed read-only mapping every process inherits),
+// summarizes a mismatch (the SDC summary) and ships both through a
+// shared-memory channel; no output bytes reach the campaign process. The
+// campaign process is the watchdog:
 // it blocks on each template's command socket for the completion byte,
 // kills trials past the deadline, and classifies the outcome — Masked (output
 // bit-identical to the golden copy), SDC (mismatch), or DUE (crash /
@@ -118,6 +124,10 @@ struct TrialResult {
   /// What an SDC did to the output, summarized by the trial child; zeros
   /// for every other outcome.
   SdcSummary sdc;
+  /// Grid fraction at which a Masked trial was cut because its state had
+  /// re-joined the golden run; 0 when the trial ran to its end. Not
+  /// journaled: the verdict and heartbeats equal the full run's.
+  double converged_at = 0.0;
 
   // ---- latency anatomy (not journaled: the profiler and perfbench read
   //      these; the journal keeps the fields above) ----
@@ -302,6 +312,9 @@ class TrialSupervisor {
   ElementType type_ = ElementType::kF32;
   unsigned windows_ = 1;
   double golden_seconds_ = 0.0;
+  /// The golden run's thread CPU time, which plans the checkpoints: host
+  /// load stretches the wall time, not this.
+  double golden_cpu_seconds_ = 0.0;
   std::string name_;
   std::vector<Slot> slots_;
   unsigned active_count_ = 0;

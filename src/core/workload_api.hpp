@@ -59,8 +59,11 @@ class Workload {
   /// records per trial.
   virtual void run(phi::Device& device, ProgressTracker& progress) = 0;
 
-  /// Registers every corruptible variable. Called after setup(); pointers
-  /// must stay valid until the workload is destroyed.
+  /// Registers every corruptible variable, and as state
+  /// (SiteRegistry::add_state) any other mutable memory a later step of
+  /// run() reads: a trial whose sites, state and output equal the golden
+  /// run's at a progress point is cut Masked there. Called after setup();
+  /// pointers must stay valid until the workload is destroyed.
   virtual void register_sites(SiteRegistry& registry) = 0;
 
   [[nodiscard]] virtual std::span<const std::byte> output_bytes() const = 0;

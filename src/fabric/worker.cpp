@@ -26,6 +26,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Lease timeouts without a live coordinator link after which a worker
+/// between leases stops: the coordinator reclaims a silent worker's leases
+/// after one lease timeout, so by then it holds none.
+constexpr double kUnreachableLeaseTimeouts = 4.0;
+
 bool file_exists(const std::string& path) {
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0;
@@ -92,6 +97,9 @@ class WorkerLoop {
   bool requested_ = false;
   double backoff_ms_ = 0.0;
   Clock::time_point next_connect_{Clock::now()};
+  /// When a live link was last seen; the worker gives up on a coordinator
+  /// silent for kUnreachableLeaseTimeouts lease timeouts.
+  Clock::time_point last_link_{Clock::now()};
 
   std::optional<CurrentLease> lease_;
   Clock::time_point last_heartbeat_{};
@@ -187,7 +195,10 @@ void WorkerLoop::on_welcome(const Message& msg) {
 /// HELLO carries the current lease, if any, so a coordinator that still
 /// considers it outstanding re-adopts instead of double-issuing.
 bool WorkerLoop::ensure_link() {
-  if (link_ != nullptr && link_->alive()) return true;
+  if (link_ != nullptr && link_->alive()) {
+    last_link_ = Clock::now();
+    return true;
+  }
   if (link_ != nullptr) {
     // Before abandoning a dead link, pop any frames it salvaged — a
     // kShutdown that raced our last send must win over a reconnect.
@@ -208,6 +219,7 @@ bool WorkerLoop::ensure_link() {
     return false;
   }
   backoff_ms_ = 0.0;
+  last_link_ = now;
   link_ = std::make_unique<Connection>(fd);
   welcomed_ = false;
   requested_ = false;
@@ -444,6 +456,18 @@ WorkerResult WorkerLoop::run() {
     if (result_.rejected || result_.aborted) break;
 
     if (!ensure_link()) {
+      // Between leases with no link: after kUnreachableLeaseTimeouts lease
+      // timeouts the coordinator has reclaimed whatever this worker held,
+      // so nothing is lost by stopping.
+      const double silent =
+          std::chrono::duration<double>(Clock::now() - last_link_).count();
+      const double limit =
+          kUnreachableLeaseTimeouts * options_->lease_timeout_seconds;
+      if (!shutdown_seen_ && silent > limit) {
+        result_.unreachable = true;
+        result_.unreachable_seconds = silent;
+        break;
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
       continue;
     }
@@ -485,7 +509,10 @@ WorkerResult WorkerLoop::run() {
                 ? "campaign complete"
                 : (result_.interrupted
                        ? "interrupted"
-                       : (result_.rejected ? "rejected" : "stopped")))
+                       : (result_.rejected
+                              ? "rejected"
+                              : (result_.unreachable ? "coordinator unreachable"
+                                                     : "stopped"))))
         << ", " << result_.leases_done << " leases, " << result_.executed
         << " attempts executed\n";
   return result_;

@@ -20,6 +20,11 @@ struct WorkerResult {
   bool interrupted = false;  ///< stop_flag fired
   bool rejected = false;     ///< handshake refused (fingerprint mismatch)
   bool aborted = false;      ///< circuit breaker tripped mid-lease
+  /// No live coordinator link for 4 x lease_timeout_seconds: by then the
+  /// coordinator has reclaimed every lease this worker held.
+  bool unreachable = false;
+  /// How long the coordinator had been unreachable when the worker gave up.
+  double unreachable_seconds = 0.0;
   std::string reject_reason;
   std::uint64_t worker_id = 0;
   /// Campaign run id adopted from the coordinator's WELCOME (0 = never
@@ -33,7 +38,9 @@ struct WorkerResult {
 
 /// Runs the worker loop: connect (with exponential backoff), lease,
 /// execute via Campaign::run_range, journal to the shard, heartbeat,
-/// repeat — until the coordinator sends kShutdown or stop_flag fires.
+/// repeat — until the coordinator sends kShutdown or stop_flag fires, or
+/// the worker has had no live link for 4 x lease_timeout_seconds (a
+/// coordinator that is gone, or was never there).
 ///
 /// The shard journal (options.shard_path) is the worker's durable output
 /// and its resume state: a restarted worker replays it, skips attempts it

@@ -3,11 +3,10 @@
 // The paper characterizes benchmarks by arithmetic intensity (HotSpot is
 // memory-bound, DGEMM compute-bound, Sec. 3.2/4.2) and uses that to explain
 // FIT differences. Kernels report flops and bytes so the analysis layer can
-// compute intensity; counters are relaxed atomics because exact totals, not
-// ordering, are what matters.
+// compute intensity. Kernels run on the device's calling thread, so the
+// counters are plain integers.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 namespace phifi::phi {
@@ -35,45 +34,20 @@ struct CounterSnapshot {
 
 class Counters {
  public:
-  void add_flops(std::uint64_t n) {
-    flops_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void add_bytes_read(std::uint64_t n) {
-    bytes_read_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void add_bytes_written(std::uint64_t n) {
-    bytes_written_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void add_kernel_launch() {
-    kernel_launches_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void add_flops(std::uint64_t n) { totals_.flops += n; }
+  void add_bytes_read(std::uint64_t n) { totals_.bytes_read += n; }
+  void add_bytes_written(std::uint64_t n) { totals_.bytes_written += n; }
+  void add_kernel_launch() { ++totals_.kernel_launches; }
   void add_logical_threads(std::uint64_t n) {
-    logical_threads_run_.fetch_add(n, std::memory_order_relaxed);
+    totals_.logical_threads_run += n;
   }
 
-  void reset() {
-    flops_.store(0, std::memory_order_relaxed);
-    bytes_read_.store(0, std::memory_order_relaxed);
-    bytes_written_.store(0, std::memory_order_relaxed);
-    kernel_launches_.store(0, std::memory_order_relaxed);
-    logical_threads_run_.store(0, std::memory_order_relaxed);
-  }
+  void reset() { totals_ = {}; }
 
-  [[nodiscard]] CounterSnapshot snapshot() const {
-    return {.flops = flops_.load(std::memory_order_relaxed),
-            .bytes_read = bytes_read_.load(std::memory_order_relaxed),
-            .bytes_written = bytes_written_.load(std::memory_order_relaxed),
-            .kernel_launches = kernel_launches_.load(std::memory_order_relaxed),
-            .logical_threads_run =
-                logical_threads_run_.load(std::memory_order_relaxed)};
-  }
+  [[nodiscard]] CounterSnapshot snapshot() const { return totals_; }
 
  private:
-  std::atomic<std::uint64_t> flops_{0};
-  std::atomic<std::uint64_t> bytes_read_{0};
-  std::atomic<std::uint64_t> bytes_written_{0};
-  std::atomic<std::uint64_t> kernel_launches_{0};
-  std::atomic<std::uint64_t> logical_threads_run_{0};
+  CounterSnapshot totals_;
 };
 
 }  // namespace phifi::phi

@@ -2,130 +2,19 @@
 
 #include <algorithm>
 #include <cassert>
-#include <condition_variable>
 #include <exception>
-#include <mutex>
-#include <thread>
+#include <stdexcept>
 
 namespace phifi::phi {
 
-// A tiny persistent pool. launch() publishes a Job (body + logical worker
-// count); pool threads and the calling thread grab logical worker ids from
-// an atomic ticket counter. Jobs are held by shared_ptr so a pool thread
-// that wakes late can never touch a new job's tickets with an old body.
-struct Device::Pool {
-  struct Job {
-    const std::function<void(unsigned)>* body = nullptr;
-    unsigned total = 0;
-    std::atomic<unsigned> next_ticket{0};
-    std::atomic<unsigned> remaining{0};
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
-  };
-
-  explicit Pool(unsigned threads) {
-    workers_.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
-  }
-
-  ~Pool() {
-    {
-      std::lock_guard lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (auto& t : workers_) t.join();
-  }
-
-  void run(unsigned logical_workers,
-           const std::function<void(unsigned)>& body) {
-    if (logical_workers == 0) return;
-    auto job = std::make_shared<Job>();
-    job->body = &body;
-    job->total = logical_workers;
-    job->remaining.store(logical_workers, std::memory_order_relaxed);
-    {
-      std::lock_guard lock(mutex_);
-      job_ = job;
-      ++generation_;
-    }
-    cv_.notify_all();
-    drain(*job);  // the calling thread works too
-    {
-      // Wait until every logical worker completed; pool threads may still be
-      // finishing their last ticket when our drain() runs out.
-      std::unique_lock lock(mutex_);
-      done_cv_.wait(lock, [&job] {
-        return job->remaining.load(std::memory_order_acquire) == 0;
-      });
-      if (job_ == job) job_.reset();
-    }
-    if (job->first_error) std::rethrow_exception(job->first_error);
-  }
-
- private:
-  void worker_loop() {
-    std::uint64_t seen_generation = 0;
-    while (true) {
-      std::shared_ptr<Job> job;
-      {
-        std::unique_lock lock(mutex_);
-        cv_.wait(lock, [this, seen_generation] {
-          return stop_ || generation_ != seen_generation;
-        });
-        if (stop_) return;
-        seen_generation = generation_;
-        job = job_;
-      }
-      if (job) drain(*job);
-    }
-  }
-
-  void drain(Job& job) {
-    while (true) {
-      const unsigned ticket =
-          job.next_ticket.fetch_add(1, std::memory_order_relaxed);
-      if (ticket >= job.total) break;
-      try {
-        (*job.body)(ticket);
-      } catch (...) {
-        std::lock_guard lock(job.error_mutex);
-        if (!job.first_error) job.first_error = std::current_exception();
-      }
-      if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard lock(mutex_);  // pair with the waiter's predicate
-        done_cv_.notify_all();
-      }
-    }
-  }
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::condition_variable done_cv_;
-  std::vector<std::thread> workers_;
-  std::shared_ptr<Job> job_;
-  std::uint64_t generation_ = 0;
-  bool stop_ = false;
-};
-
-namespace {
-unsigned default_os_threads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::clamp(hw, 1u, 4u);
-}
-}  // namespace
-
 Device::Device(DeviceSpec spec, unsigned os_threads)
-    : spec_(std::move(spec)),
-      os_threads_(os_threads == 0 ? default_os_threads() : os_threads),
-      control_blocks_(spec_.hardware_threads()),
-      // The calling thread participates in every launch, so the pool only
-      // needs os_threads_-1 extra threads.
-      pool_(std::make_unique<Pool>(os_threads_ > 0 ? os_threads_ - 1 : 0)) {}
-
-Device::~Device() = default;
+    : spec_(std::move(spec)), control_blocks_(spec_.hardware_threads()) {
+  if (os_threads != 1) {
+    throw std::invalid_argument(
+        "phi::Device: kernels run on the calling thread (os_threads must be "
+        "1)");
+  }
+}
 
 ControlBlock& Device::control_block(unsigned worker) {
   assert(worker < control_blocks_.size());
@@ -137,13 +26,19 @@ void Device::launch(unsigned workers,
   assert(workers <= spec_.hardware_threads());
   counters_.add_kernel_launch();
   counters_.add_logical_threads(workers);
-  pool_->run(workers, [this, workers, &body](unsigned worker) {
+  std::exception_ptr first_error;
+  for (unsigned worker = 0; worker < workers; ++worker) {
     WorkerCtx ctx{.worker = worker,
                   .num_workers = workers,
                   .ctl = &control_blocks_[worker],
                   .counters = &counters_};
-    body(ctx);
-  });
+    try {
+      body(ctx);
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 void Device::parallel_for(

@@ -7,20 +7,19 @@
 //     (ControlBlock) that is replicated per thread and corruptible;
 //   * shared arrays in device memory that all threads read/write;
 //   * bulk-synchronous kernel launches.
-// Logical hardware threads are multiplexed onto a small pool of OS threads
-// (the host machine is much smaller than the card), which preserves all of
-// the above while keeping a fault-injection trial cheap enough to run
-// thousands of times.
+// A launch runs its logical hardware threads one after another, in worker
+// order, on the calling thread. That preserves all of the above, keeps a
+// fault-injection trial cheap enough to run thousands of times, and makes
+// a run single-threaded: a checkpoint fork keeps the whole run, and the
+// injection fires on the one thread that crosses its target.
 //
 // Restriction: a kernel body must not synchronize across logical workers
-// (they may run sequentially on one OS thread). Express phases as separate
-// launches, as offload programming models do.
+// (they run sequentially). Express phases as separate launches, as offload
+// programming models do.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -44,27 +43,26 @@ struct WorkerCtx {
 
 class Device {
  public:
-  /// Creates a device. `os_threads` is the size of the host thread pool
-  /// backing the logical hardware threads; 0 picks a small default based on
-  /// std::thread::hardware_concurrency().
+  /// Creates a device. Kernels run on the calling thread: `os_threads`
+  /// must be 1 (std::invalid_argument otherwise); the parameter stays for
+  /// callers that pass a configured thread count.
   explicit Device(DeviceSpec spec = DeviceSpec::knights_corner_3120a(),
-                  unsigned os_threads = 0);
-  ~Device();
+                  unsigned os_threads = 1);
 
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
   [[nodiscard]] const DeviceSpec& spec() const { return spec_; }
   [[nodiscard]] Counters& counters() { return counters_; }
-  [[nodiscard]] unsigned os_threads() const { return os_threads_; }
 
   /// Per-logical-thread control block; valid for
   /// worker < spec().hardware_threads().
   [[nodiscard]] ControlBlock& control_block(unsigned worker);
 
-  /// Runs `body` once per logical worker in [0, workers). Bulk-synchronous:
-  /// returns after every logical worker finished. Exceptions thrown by the
-  /// body are rethrown (first one wins) on the calling thread.
+  /// Runs `body` once per logical worker in [0, workers), in worker order,
+  /// on the calling thread. Bulk-synchronous: returns after every logical
+  /// worker finished. A worker's exception does not stop the others; the
+  /// first one is rethrown once all have run.
   void launch(unsigned workers, const std::function<void(WorkerCtx&)>& body);
 
   /// Block-partitions [0, count) across all hardware threads and invokes
@@ -79,13 +77,9 @@ class Device {
                                                        unsigned workers);
 
  private:
-  struct Pool;
-
   DeviceSpec spec_;
-  unsigned os_threads_;
   Counters counters_;
   std::vector<ControlBlock> control_blocks_;
-  std::unique_ptr<Pool> pool_;
 };
 
 }  // namespace phifi::phi

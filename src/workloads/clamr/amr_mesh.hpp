@@ -52,6 +52,8 @@ class AmrMesh {
   void init_dam_break(float amplitude = 0.5f);
 
   [[nodiscard]] std::size_t cell_count() const { return count_; }
+  /// The live cell count as an object, for state registration.
+  [[nodiscard]] const std::size_t& count_state() const { return count_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] const MeshParams& params() const { return params_; }
 

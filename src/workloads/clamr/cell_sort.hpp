@@ -45,6 +45,8 @@ class CellSort {
     return {perm_.data(), count_};
   }
   [[nodiscard]] std::size_t count() const { return count_; }
+  /// The sorted count as an object, for state registration.
+  [[nodiscard]] const std::size_t& count_state() const { return count_; }
 
   /// Buffers for injection-site registration.
   [[nodiscard]] std::span<std::uint32_t> key_buffer() { return keys_.span(); }

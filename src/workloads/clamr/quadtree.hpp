@@ -47,6 +47,13 @@ class Quadtree {
   [[nodiscard]] bool safe_mode() const { return safe_mode_; }
 
   [[nodiscard]] std::size_t node_count() const { return node_count_; }
+  /// The node and indexed-cell counts as objects, for state registration.
+  [[nodiscard]] const std::size_t& node_count_state() const {
+    return node_count_;
+  }
+  [[nodiscard]] const std::size_t& cell_count_state() const {
+    return cell_count_;
+  }
   [[nodiscard]] std::size_t node_capacity() const { return leaf_cell_.size(); }
   [[nodiscard]] std::uint32_t fine_size() const { return fine_size_; }
 

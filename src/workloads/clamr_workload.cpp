@@ -235,6 +235,15 @@ void Clamr::register_sites(fi::SiteRegistry& registry) {
                              p.coarsen_threshold);
 
   register_control_sites(registry);
+
+  // Bookkeeping that later steps read and no site holds: the live cell
+  // count of the mesh and of the sort, and the tree's node and cell
+  // counts. A step's other scratch (regrid staging, sort keys, the audit)
+  // is written before it is read within the step.
+  registry.add_state_object("mesh_cell_count", mesh_.count_state());
+  registry.add_state_object("sort_count", sort_.count_state());
+  registry.add_state_object("tree_node_count", tree_.node_count_state());
+  registry.add_state_object("tree_cell_count", tree_.cell_count_state());
 }
 
 std::span<const std::byte> Clamr::output_bytes() const {

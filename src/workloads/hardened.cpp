@@ -1,5 +1,6 @@
 #include "workloads/hardened.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace phifi::work {
@@ -41,16 +42,27 @@ RmtLavaMd::RmtLavaMd(std::size_t boxes_per_dim,
   set_name("LavaMD+RMT");
 }
 
+void RmtLavaMd::setup(std::uint64_t input_seed) {
+  LavaMd::setup(input_seed);
+  first_pass_.assign(LavaMd::forces().size(), 0.0);
+}
+
 void RmtLavaMd::run(phi::Device& device, fi::ProgressTracker& progress) {
   LavaMd::run(device, progress);
   const auto forces = LavaMd::forces();
-  first_pass_.assign(forces.begin(), forces.end());
+  std::copy(forces.begin(), forces.end(), first_pass_.begin());
   LavaMd::run(device, progress);
   const auto second = LavaMd::forces();
   if (std::memcmp(first_pass_.data(), second.data(),
                   second.size() * sizeof(double)) != 0) {
     throw HardeningDetected("redundant LavaMD executions disagree");
   }
+}
+
+void RmtLavaMd::register_sites(fi::SiteRegistry& registry) {
+  LavaMd::register_sites(registry);
+  registry.add_state("first_pass_forces",
+                     std::as_bytes(std::span<const double>(first_pass_)));
 }
 
 std::unique_ptr<fi::Workload> make_abft_dgemm() {

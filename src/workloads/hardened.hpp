@@ -73,10 +73,18 @@ class RmtLavaMd : public LavaMd {
                      std::size_t particles_per_box = 16,
                      unsigned workers = kKncWorkers);
 
+  /// Sizes the first pass's copy, so a run allocates nothing.
+  void setup(std::uint64_t input_seed) override;
   void run(phi::Device& device, fi::ProgressTracker& progress) override;
+  /// The first pass's forces are read by the compare after the second
+  /// pass and no site holds them: they are registered as state.
+  void register_sites(fi::SiteRegistry& registry) override;
   /// Both executions tick progress, so the denominator doubles.
   [[nodiscard]] std::uint64_t total_steps() const override {
     return 2 * LavaMd::total_steps();
+  }
+  [[nodiscard]] std::span<const double> first_pass() const {
+    return first_pass_;
   }
 
  private:

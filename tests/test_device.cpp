@@ -5,6 +5,8 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -60,7 +62,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(1000, 7), std::make_tuple(5, 5)));
 
 TEST(Device, LaunchRunsEveryLogicalWorkerOnce) {
-  Device device(DeviceSpec::test_device(), 2);
+  Device device(DeviceSpec::test_device(), 1);
   std::vector<std::atomic<int>> hits(device.spec().hardware_threads());
   device.launch(device.spec().hardware_threads(), [&](WorkerCtx& ctx) {
     hits[ctx.worker].fetch_add(1);
@@ -74,7 +76,7 @@ TEST(Device, LaunchZeroWorkersIsNoOp) {
 }
 
 TEST(Device, RepeatedLaunchesWork) {
-  Device device(DeviceSpec::test_device(), 2);
+  Device device(DeviceSpec::test_device(), 1);
   std::atomic<int> total{0};
   for (int i = 0; i < 50; ++i) {
     device.launch(8, [&](WorkerCtx&) { total.fetch_add(1); });
@@ -83,7 +85,7 @@ TEST(Device, RepeatedLaunchesWork) {
 }
 
 TEST(Device, ParallelForCoversRange) {
-  Device device(DeviceSpec::test_device(), 2);
+  Device device(DeviceSpec::test_device(), 1);
   std::vector<std::atomic<int>> hits(1000);
   device.parallel_for(1000, [&](std::size_t begin, std::size_t end,
                                 WorkerCtx&) {
@@ -93,7 +95,7 @@ TEST(Device, ParallelForCoversRange) {
 }
 
 TEST(Device, WorkerCtxReportsWorkerCount) {
-  Device device(DeviceSpec::test_device(), 2);
+  Device device(DeviceSpec::test_device(), 1);
   device.launch(5, [&](WorkerCtx& ctx) {
     EXPECT_EQ(ctx.num_workers, 5u);
     EXPECT_LT(ctx.worker, 5u);
@@ -103,7 +105,7 @@ TEST(Device, WorkerCtxReportsWorkerCount) {
 }
 
 TEST(Device, ExceptionsPropagateToCaller) {
-  Device device(DeviceSpec::test_device(), 2);
+  Device device(DeviceSpec::test_device(), 1);
   EXPECT_THROW(device.launch(4,
                              [](WorkerCtx& ctx) {
                                if (ctx.worker == 2) {
@@ -115,6 +117,40 @@ TEST(Device, ExceptionsPropagateToCaller) {
   std::atomic<int> count{0};
   device.launch(4, [&](WorkerCtx&) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 4);
+}
+
+TEST(Device, LaunchRunsWorkersInOrderOnTheCallingThread) {
+  // A launch is a loop over its logical workers on the caller's thread: a
+  // run is single-threaded, so a checkpoint fork keeps all of it and the
+  // injection fires on the thread that crosses its target. A throwing
+  // worker does not stop the ones after it; the first error is rethrown.
+  Device device(DeviceSpec::test_device(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<unsigned> order;
+  EXPECT_THROW(device.launch(6,
+                             [&](WorkerCtx& ctx) {
+                               EXPECT_EQ(std::this_thread::get_id(), caller);
+                               order.push_back(ctx.worker);
+                               if (ctx.worker == 1 || ctx.worker == 4) {
+                                 throw std::runtime_error(
+                                     std::to_string(ctx.worker));
+                               }
+                             }),
+               std::runtime_error);
+  EXPECT_EQ(order, (std::vector<unsigned>{0, 1, 2, 3, 4, 5}));
+  try {
+    device.launch(3, [](WorkerCtx& ctx) {
+      throw std::runtime_error(std::to_string(ctx.worker));
+    });
+    FAIL() << "launch swallowed the workers' errors";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "0");
+  }
+}
+
+TEST(Device, RefusesMoreThanOneOsThread) {
+  EXPECT_THROW(Device(DeviceSpec::test_device(), 2), std::invalid_argument);
+  EXPECT_THROW(Device(DeviceSpec::test_device(), 0), std::invalid_argument);
 }
 
 TEST(Device, CountersAccumulate) {

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "fabric/merge.hpp"
 #include "fabric/protocol.hpp"
 #include "fabric/stats.hpp"
+#include "fabric/worker.hpp"
 #include "tests/toy_workload.hpp"
 
 namespace phifi::fabric {
@@ -444,6 +446,33 @@ void expect_same_records(const std::vector<fi::JournalRecord>& a,
     EXPECT_EQ(a[i].trial.record.flipped_bits[0],
               b[i].trial.record.flipped_bits[0]);
   }
+}
+
+TEST(FabricWorker, GivesUpOnAnUnreachableCoordinator) {
+  // Nothing ever listens at the address. Between leases, a worker without
+  // a live link for 4 lease timeouts stops: the coordinator would have
+  // reclaimed anything it held by then.
+  fi::TrialSupervisor supervisor(&phifi::testing::make_toy_normal,
+                                 toy_supervisor_config());
+  supervisor.prepare_golden();
+  FabricOptions options;
+  options.address = "unix:" + temp_path("no_coordinator.sock");
+  options.shard_path = temp_path("unreachable_shard.jnl");
+  options.lease_timeout_seconds = 0.25;
+  fs::remove(options.shard_path);
+  std::ostringstream out;
+  const auto start = std::chrono::steady_clock::now();
+  const WorkerResult result = run_worker(supervisor, toy_campaign(8), 1,
+                                         options, nullptr, nullptr, out);
+  const double took = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  EXPECT_TRUE(result.unreachable);
+  EXPECT_FALSE(result.complete);
+  EXPECT_GE(result.unreachable_seconds, 4 * options.lease_timeout_seconds);
+  EXPECT_LT(took, 3.0);
+  EXPECT_NE(out.str().find("coordinator unreachable"), std::string::npos)
+      << out.str();
 }
 
 TEST(CampaignRunRange, CommitsExactlyTheJobsOneRecords) {

@@ -1,10 +1,11 @@
 // Per-slot fork-server trials: a fixed-seed toy campaign must reproduce a
 // committed oracle draw for draw — at any worker count, across SIGKILL +
 // resume, and across a template process dying mid-campaign — a trial
-// forked from a parked checkpoint must equal a from-start execution, a
-// cancel must stay prompt even when nobody reaps the orphaned trial
-// processes, a SIGKILLed campaign process must take its whole slot tree
-// with it, and no slot process may hold a descriptor it inherited.
+// forked from a parked checkpoint, or cut as converged with the golden
+// run, must equal a from-start execution, a cancel must stay prompt even
+// when nobody reaps the orphaned trial processes, a SIGKILLed campaign
+// process must take its whole slot tree with it, and no slot process may
+// hold a descriptor it inherited.
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/prctl.h>
@@ -32,6 +33,8 @@
 #include "phi/device.hpp"
 #include "tests/toy_workload.hpp"
 #include "util/rng.hpp"
+#include "workloads/hardened.hpp"
+#include "workloads/registry.hpp"
 
 namespace phifi::fi {
 namespace {
@@ -443,16 +446,19 @@ struct TrialReport {
   std::uint64_t heartbeats = 0;
 };
 
-/// Executes `config` from the start of a fresh long toy in a forked child,
-/// without the supervisor: the reference a checkpointed trial must equal.
-TrialReport from_start(const TrialConfig& config, const SupervisorConfig& sup,
+/// Executes `config` from the start of a fresh `factory` workload in a
+/// forked child, without the supervisor: the reference a checkpointed or
+/// cut trial must equal. The child exits 2 if the run throws.
+TrialReport from_start(WorkloadFactory factory, const TrialConfig& config,
+                       const SupervisorConfig& sup,
                        const TrialSupervisor& golden) {
   int fds[2];
   EXPECT_EQ(::pipe(fds), 0);
   const pid_t pid = ::fork();
   if (pid == 0) {
     ::close(fds[0]);
-    ToyWorkload workload(ToyWorkload::Mode::kNormal, 2400);
+    const std::unique_ptr<Workload> owned = factory();
+    Workload& workload = *owned;
     workload.setup(sup.input_seed);
     SiteRegistry registry;
     workload.register_sites(registry);
@@ -468,7 +474,11 @@ TrialReport from_start(const TrialConfig& config, const SupervisorConfig& sup,
     progress.arm(target, [&](double at) {
       out.record = engine.inject(config.model, rng, at, config.burst_elements);
     });
-    workload.run(device, progress);
+    try {
+      workload.run(device, progress);
+    } catch (...) {
+      ::_exit(2);
+    }
     progress.finish();
     const auto output = workload.output_bytes();
     out.matches = output.size() == golden.golden().size() &&
@@ -493,10 +503,30 @@ TrialReport from_start(const TrialConfig& config, const SupervisorConfig& sup,
   return out;
 }
 
+/// Field-by-field equality of two injection records.
+void expect_same_injection(const InjectionRecord& a, const InjectionRecord& b) {
+  EXPECT_EQ(a.injected, b.injected);
+  EXPECT_EQ(a.changed, b.changed);
+  EXPECT_EQ(a.model, b.model);
+  EXPECT_EQ(a.frame, b.frame);
+  EXPECT_EQ(a.worker, b.worker);
+  EXPECT_EQ(a.site_index, b.site_index);
+  EXPECT_EQ(a.element_index, b.element_index);
+  EXPECT_EQ(a.burst_elements, b.burst_elements);
+  EXPECT_EQ(a.flipped_bits[0], b.flipped_bits[0]);
+  EXPECT_EQ(a.flipped_bits[1], b.flipped_bits[1]);
+  EXPECT_EQ(a.flipped_count, b.flipped_count);
+  EXPECT_EQ(a.progress_fraction, b.progress_fraction);
+  EXPECT_STREQ(a.site_name, b.site_name);
+  EXPECT_STREQ(a.category, b.category);
+}
+
 TEST(FastPath, CheckpointedTrialsEqualFromStartRuns) {
   // Targets on and between every 1/16 grid point span every checkpoint the
   // template can park; each routed trial must report exactly what a
-  // from-start execution of its command reports.
+  // from-start execution of its command reports. Zero flips early in the
+  // run, while most of the toy's output is still zero, often change
+  // nothing: those trials are cut as converged at the first grid point.
   const SupervisorConfig sup = toy_supervisor_config();
   TrialSupervisor supervisor(&make_long_toy, sup);
   supervisor.prepare_golden();
@@ -505,43 +535,90 @@ TEST(FastPath, CheckpointedTrialsEqualFromStartRuns) {
   std::vector<double> targets;
   for (int k = 0; k < 32; ++k) targets.push_back((k + 0.5) / 32.0);
   for (int k = 1; k < 16; ++k) targets.push_back(k / 16.0);
+  const std::size_t cycled = targets.size();
+  for (int k = 1; k <= 4; ++k) targets.push_back(0.002 * k);
+  unsigned converged = 0;
   for (std::size_t i = 0; i < targets.size(); ++i) {
     TrialConfig config;
     config.trial_seed = 0x5eed00 + i;
-    config.model = kModels[i % 4];
+    config.model = i < cycled ? kModels[i % 4] : FaultModel::kZero;
     config.policy = i % 2 == 0 ? SelectionPolicy::kCarolFi
                                : SelectionPolicy::kBytesWeighted;
     config.earliest_fraction = targets[i];
     config.latest_fraction = targets[i];
     const TrialResult got = supervisor.run_trial(config);
-    const TrialReport want = from_start(config, sup, supervisor);
+    const TrialReport want =
+        from_start(&make_long_toy, config, sup, supervisor);
     SCOPED_TRACE("target " + std::to_string(targets[i]));
+    if (got.converged_at > 0.0) ++converged;
     ASSERT_TRUE(got.outcome == Outcome::kMasked ||
                 got.outcome == Outcome::kSdc);
     EXPECT_EQ(got.outcome == Outcome::kMasked, want.matches);
-    const InjectionRecord& a = got.record;
-    const InjectionRecord& b = want.record;
-    EXPECT_EQ(a.injected, b.injected);
-    EXPECT_EQ(a.changed, b.changed);
-    EXPECT_EQ(a.model, b.model);
-    EXPECT_EQ(a.frame, b.frame);
-    EXPECT_EQ(a.worker, b.worker);
-    EXPECT_EQ(a.site_index, b.site_index);
-    EXPECT_EQ(a.element_index, b.element_index);
-    EXPECT_EQ(a.burst_elements, b.burst_elements);
-    EXPECT_EQ(a.flipped_bits[0], b.flipped_bits[0]);
-    EXPECT_EQ(a.flipped_bits[1], b.flipped_bits[1]);
-    EXPECT_EQ(a.flipped_count, b.flipped_count);
-    EXPECT_EQ(a.progress_fraction, b.progress_fraction);
-    EXPECT_STREQ(a.site_name, b.site_name);
-    EXPECT_STREQ(a.category, b.category);
+    expect_same_injection(got.record, want.record);
     EXPECT_EQ(got.sdc.pattern, want.sdc.pattern);
     EXPECT_EQ(got.sdc.mismatched, want.sdc.mismatched);
     EXPECT_EQ(got.sdc.max_relative_error, want.sdc.max_relative_error);
     EXPECT_EQ(got.heartbeats, want.heartbeats);
   }
-  // The routes above were real: the template parked checkpoints.
+  // The routes above were real: the template parked checkpoints, and at
+  // least one trial was cut as converged.
   EXPECT_GE(children_of(supervisor.slot_template_pid(0)).size(), 2u);
+  EXPECT_GE(converged, 1u);
+}
+
+TEST(FastPath, ConvergedTrialsAreMaskedFromStart) {
+  // A trial cut as converged must be exactly what its full run from the
+  // start reports: Masked, with the same injection and the same
+  // heartbeats. Every paper workload and every hardened variant, targets
+  // spread over the grid, models cycling.
+  struct Member {
+    const char* name;
+    WorkloadFactory factory;
+    bool must_converge;  ///< golden run >= 2.4 ms: checkpoints on any host
+  };
+  std::vector<Member> members;
+  for (const work::WorkloadInfo& info : work::all_workloads()) {
+    members.push_back({info.name.data(), info.factory,
+                       info.name == "CLAMR" || info.name == "HotSpot"});
+  }
+  members.push_back({"DGEMM+ABFT", &work::make_abft_dgemm, false});
+  members.push_back({"HotSpot+DWC", &work::make_hardened_hotspot, false});
+  members.push_back({"CLAMR+guards", &work::make_hardened_clamr, true});
+  members.push_back({"LavaMD+RMT", &work::make_rmt_lavamd, false});
+  constexpr FaultModel kModels[] = {FaultModel::kSingle, FaultModel::kDouble,
+                                    FaultModel::kRandom, FaultModel::kZero};
+  constexpr unsigned kTrials = 48;
+  SupervisorConfig sup;
+  // Hung trials are never cut; a short deadline keeps them cheap.
+  sup.min_timeout_seconds = 0.25;
+  for (const Member& member : members) {
+    SCOPED_TRACE(member.name);
+    TrialSupervisor supervisor(member.factory, sup);
+    supervisor.prepare_golden();
+    unsigned converged = 0;
+    for (unsigned i = 0; i < kTrials; ++i) {
+      TrialConfig config;
+      config.trial_seed = 0xc0417e00 + i;
+      config.model = kModels[i % 4];
+      config.earliest_fraction = (i + 0.5) / kTrials;
+      config.latest_fraction = config.earliest_fraction;
+      const TrialResult got = supervisor.run_trial(config);
+      if (got.converged_at == 0.0) continue;
+      ++converged;
+      SCOPED_TRACE("trial " + std::to_string(i) + " cut at " +
+                   std::to_string(got.converged_at));
+      EXPECT_EQ(got.outcome, Outcome::kMasked);
+      EXPECT_GT(got.converged_at, got.record.progress_fraction);
+      const TrialReport want =
+          from_start(member.factory, config, sup, supervisor);
+      EXPECT_TRUE(want.matches);
+      expect_same_injection(got.record, want.record);
+      EXPECT_EQ(got.heartbeats, want.heartbeats);
+    }
+    if (member.must_converge) {
+      EXPECT_GE(converged, 1u);
+    }
+  }
 }
 
 TEST(FastPath, LostCheckpointRespawnsTheTemplateAndReplays) {

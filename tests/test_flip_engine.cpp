@@ -149,5 +149,51 @@ TEST(SiteRegistryTest, ElementAccess) {
             static_cast<void*>(&data[3]));
 }
 
+TEST(SiteRegistryTest, StateIsDigestedButNeverInjected) {
+  SiteRegistry registry;
+  std::vector<double> data(10, 1.0);
+  std::vector<double> saved(6, 2.0);
+  registry.add_global_array<double>("d", "matrix", std::span<double>(data));
+  registry.add_state("saved", std::as_bytes(std::span<const double>(saved)));
+  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_EQ(registry.total_bytes(), data.size() * sizeof(double));
+  EXPECT_EQ(registry.frame_sites(FrameKind::kGlobal).size(), 1u);
+  ASSERT_EQ(registry.state().size(), 1u);
+  EXPECT_EQ(registry.state()[0].bytes, saved.size() * sizeof(double));
+
+  const std::uint64_t before = registry.state_digest();
+  saved[4] = 3.0;
+  EXPECT_NE(registry.state_digest(), before);
+  saved[4] = 2.0;
+  EXPECT_EQ(registry.state_digest(), before);
+
+  FlipEngine engine(registry, SelectionPolicy::kCarolFi);
+  util::Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(engine.inject(FaultModel::kRandom, rng, 0.5).site_index, 0u);
+  }
+  EXPECT_EQ(registry.state_digest(), before);
+}
+
+TEST(StateDigest, EverySingleBitFlipOfEveryWordChangesIt) {
+  // Every step is a bijection of a lane's state, so a difference confined
+  // to one word cannot collide — including the zero-padded tail word.
+  for (const std::size_t size : {std::size_t{8}, std::size_t{61},
+                                 std::size_t{96}}) {
+    std::vector<std::byte> buffer(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      buffer[i] = static_cast<std::byte>(i * 37 + 11);
+    }
+    const std::uint64_t clean = state_digest(buffer);
+    EXPECT_EQ(state_digest(buffer), clean);
+    for (std::size_t bit = 0; bit < size * 8; ++bit) {
+      buffer[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+      EXPECT_NE(state_digest(buffer), clean) << "size " << size << " bit "
+                                             << bit;
+      buffer[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace phifi::fi

@@ -30,6 +30,28 @@ std::vector<std::byte> run_clean(fi::Workload& workload,
   return {bytes.begin(), bytes.end()};
 }
 
+TEST(Hardened, RmtLavaMdRegistersItsFirstPassAsState) {
+  // The compare after the second pass reads the first pass's forces, which
+  // no site holds: a state span must cover all of them from setup() on,
+  // or a trial whose second pass recomputed clean forces would be cut as
+  // converged while its full run fails the compare.
+  RmtLavaMd rmt;
+  rmt.setup(7);
+  fi::SiteRegistry registry;
+  rmt.register_sites(registry);
+  ASSERT_EQ(rmt.first_pass().size(), rmt.forces().size());
+  ASSERT_EQ(registry.state().size(), 1u);
+  const fi::StateSpan& state = registry.state()[0];
+  EXPECT_EQ(state.data,
+            reinterpret_cast<const std::byte*>(rmt.first_pass().data()));
+  EXPECT_EQ(state.bytes, rmt.first_pass().size() * sizeof(double));
+  // The run writes into the span it registered, without reallocating.
+  const std::vector<std::byte> clean = run_clean(rmt, 7);
+  EXPECT_EQ(state.data,
+            reinterpret_cast<const std::byte*>(rmt.first_pass().data()));
+  EXPECT_EQ(std::memcmp(state.data, clean.data(), clean.size()), 0);
+}
+
 TEST(AbftDgemmTest, CleanRunMatchesBaselineAndIsConsistent) {
   AbftDgemm hardened(32, 16);
   Dgemm baseline(32, 16);

@@ -265,7 +265,7 @@ TEST(PhicheckTest, ShmAssertEmissionCoversRealSharedStructs) {
             std::string::npos)
       << r.output;
   EXPECT_NE(
-      r.output.find("static_assert(sizeof(phifi::fi::ShmHeader) == 272"),
+      r.output.find("static_assert(sizeof(phifi::fi::ShmHeader) == 280"),
       std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find(

@@ -19,7 +19,7 @@ namespace phifi::work {
 namespace {
 
 phi::Device make_device() {
-  return phi::Device(phi::DeviceSpec::knights_corner_3120a(), 2);
+  return phi::Device(phi::DeviceSpec::knights_corner_3120a(), 1);
 }
 
 std::vector<std::byte> run_once(fi::Workload& workload, std::uint64_t seed) {

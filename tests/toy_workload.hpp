@@ -4,7 +4,8 @@
 // Misbehaving modes only act once the run's injection has fired, like a
 // real fault: the golden run, a clean trial and the template's fault-free
 // run-ahead (which parks the checkpoints trials are forked from) stay
-// clean.
+// clean. They read the firing through a byte registered as state, latched
+// at every step, so no injected trial of theirs is cut as converged.
 #pragma once
 
 #include <csignal>
@@ -51,19 +52,21 @@ class ToyWorkload : public fi::Workload {
   void setup(std::uint64_t input_seed) override {
     out_.assign(64, 0.0);
     scale_ = 1.0 + static_cast<double>(input_seed % 7);
+    fired_ = false;
   }
 
   void run(phi::Device&, fi::ProgressTracker& progress) override {
     const volatile double* scale = &scale_;
     bool misbehaved = false;
     for (unsigned step = 0; step < steps_; ++step) {
+      if (mode_ != Mode::kNormal) fired_ = progress.fired();
       // Crash, hang, throw and bloat strike at the first step at or after
       // mid-run once the injection has fired.
-      if (!misbehaved && step >= steps_ / 2 && progress.fired()) {
+      if (!misbehaved && step >= steps_ / 2 && fired_) {
         misbehaved = true;
         misbehave();
       }
-      if (mode_ == Mode::kSlow && progress.fired()) {
+      if (mode_ == Mode::kSlow && fired_) {
         // Much slower than the golden run, but still ticking: the heartbeat
         // should keep the watchdog from killing this child.
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -78,8 +81,9 @@ class ToyWorkload : public fi::Workload {
     }
     // Grown only here: the last tick reached fraction 1, so the flip has
     // fired and the registered span over out_ is no longer written.
-    if (mode_ == Mode::kOversize && progress.fired()) {
-      out_.resize(out_.size() * 1024);
+    if (mode_ == Mode::kOversize) {
+      fired_ = progress.fired();
+      if (fired_) out_.resize(out_.size() * 1024);
     }
   }
 
@@ -87,6 +91,7 @@ class ToyWorkload : public fi::Workload {
     registry.add_global_array<double>("toy_output", "data",
                                       std::span<double>(out_));
     registry.add_global_scalar("scale", "constant", scale_);
+    registry.add_state_object("fired", fired_);
   }
 
   [[nodiscard]] std::span<const std::byte> output_bytes() const override {
@@ -149,6 +154,8 @@ class ToyWorkload : public fi::Workload {
   unsigned steps_;
   std::vector<double> out_;
   double scale_ = 1.0;
+  /// progress.fired() as of the current step, for the misbehaving modes.
+  bool fired_ = false;
 };
 
 inline std::unique_ptr<fi::Workload> make_toy_normal() {
